@@ -211,7 +211,7 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
 
     def constrained_positions(i, col, poly):
         """Yield (key, coeff) pairs of poly at the constrained positions."""
-        for e, c in poly.terms.items():
+        for e, c in poly.items():
             if col == 1 and i == 1:
                 yield (("A", e), c)
             elif col == 1 and i >= 2 and e[0] > 0:

@@ -352,7 +352,7 @@ def to_basis(u: LieElement) -> BasisForm:
     ctx = u.ctx
     by_degree = {}
     for i in range(1, ctx.m + 1):
-        for e, c in u.mod[i - 1].terms.items():
+        for e, c in u.mod[i - 1].items():
             by_degree.setdefault(sum(e) + 1, {})[(i, e)] = c
     comm = {}
     for k, rhs in by_degree.items():
@@ -381,7 +381,7 @@ def element_vector(u: LieElement) -> dict:
         if b:
             vec[(0, i, ())] = b
     for i, p in enumerate(u.mod, start=1):
-        for e, c in p.terms.items():
+        for e, c in p.items():
             vec[(1, i, e)] = c
     return vec
 

@@ -223,7 +223,7 @@ def _ad_solver(ctx: Context, d: int) -> SparseSolver:
         for i in range(1, ctx.m + 1):
             w = liealg.bracket(liealg.generator(ctx, i), v)
             for k in range(1, ctx.m + 1):
-                for e, cc in w.mod[k - 1].terms.items():
+                for e, cc in w.mod[k - 1].items():
                     col[(i, k, e)] = cc
         cols.append(col)
     solver = SparseSolver(cols)
@@ -263,7 +263,7 @@ def recognize_inner(phi: "_endo.Endomorphism"):
         for i in range(1, ctx.m + 1):
             diff = residual.images[i - 1] - liealg.generator(ctx, i)
             for k in range(1, ctx.m + 1):
-                for e, cc in diff.mod[k - 1].terms.items():
+                for e, cc in diff.mod[k - 1].items():
                     if sum(e) + 1 == lowest:
                         rhs[(i, k, e)] = cc
         coeffs = _ad_solver(ctx, d).solve(rhs)
@@ -293,7 +293,7 @@ def _graded_element_parts(w: LieElement):
             degs.add(1)
             break
     for p in w.mod:
-        for e in p.terms:
+        for e, _c in p.items():
             degs.add(sum(e) + 1)
     return [(k, True) for k in sorted(degs)]
 

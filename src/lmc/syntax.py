@@ -323,15 +323,13 @@ def parse_automorphism(data) -> "_endo.Endomorphism":
             raise ParseError(exc.lineno, exc.colno, "valid JSON", exc.msg) from exc
     if not isinstance(data, dict):
         raise ValidationError("automorphism JSON must be an object")
-    try:
-        m = int(data["m"])
-        c = int(data["c"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("automorphism JSON needs integer fields m and c") from exc
+    m, c = data.get("m"), data.get("c")
+    if type(m) is not int or type(c) is not int:  # bools and floats rejected
+        raise ValidationError("automorphism JSON needs integer fields m and c")
     ctx = Context(m, c)
     if "images" in data:
         images = data["images"]
-        if not isinstance(images, list) or len(images) != m:
+        if not _is_str_list(images, m):
             raise ValidationError(f'"images" must list {m} element strings')
         phi = _endo.Endomorphism(ctx, tuple(parse_element(ctx, s) for s in images))
         if not phi.is_automorphism():
@@ -342,17 +340,23 @@ def parse_automorphism(data) -> "_endo.Endomorphism":
     if "jacobian" in data:
         rows = data["jacobian"]
         if not isinstance(rows, list) or len(rows) != m:
-            raise ValidationError(f'"jacobian" must be an {m}x{m} array')
+            raise ValidationError(f'"jacobian" must be an {m}x{m} array of polynomial strings')
         entries = []
         for row in rows:
-            if not isinstance(row, list) or len(row) != m:
-                raise ValidationError(f'"jacobian" must be an {m}x{m} array')
+            if not _is_str_list(row, m):
+                raise ValidationError(f'"jacobian" must be an {m}x{m} array of polynomial strings')
             entries.append(
                 tuple(parse_poly(s, m, ctx.module_cap) for s in row)
             )
         jac = _endo.JacobianMatrix(ctx, tuple(entries))
         return _endo.ia_from_jacobian(jac)
     raise ValidationError('automorphism JSON needs "images" or "jacobian"')
+
+
+def _is_str_list(value, n: int) -> bool:
+    return (
+        isinstance(value, list) and len(value) == n and all(isinstance(s, str) for s in value)
+    )
 
 
 def automorphism_dict(phi) -> dict:

@@ -1,17 +1,15 @@
-"""Pure-Python kernel for sparse truncated polynomial arithmetic.
+"""Reference kernel: sparse truncated polynomials as dicts of Fractions.
 
 A polynomial is a dict mapping exponent tuples (one int per variable) to
 nonzero Fraction coefficients.  Every function returns a canonical dict:
 no zero coefficients, and, where a cap applies, no term of total degree
 beyond it.  Inputs are never mutated.
 
-The compiled kernel in _kernel_cy.pyx implements the same contract; the
-active implementation is selected once, at import of lmc.arith.
+This is the representation lmc.arith.TruncPoly used before its packed
+integer kernel; test_kernel_parity.py checks TruncPoly against it.
 """
 
 from fractions import Fraction
-
-KERNEL = "python"
 
 
 def padd(a, b):

@@ -116,14 +116,14 @@ def ginn_params_by_solve(phi):
             for j, im in enumerate(mat.images, start=1):
                 w = im - liealg.generator(ctx, j)
                 for k in range(1, ctx.m + 1):
-                    for e, c in w.mod[k - 1].terms.items():
+                    for e, c in w.mod[k - 1].items():
                         col[(j, k, e)] = c
             cols.append(col)
     rhs = {}
     for j, im in enumerate(phi.images, start=1):
         w = im - liealg.generator(ctx, j)
         for k in range(1, ctx.m + 1):
-            for e, c in w.mod[k - 1].terms.items():
+            for e, c in w.mod[k - 1].items():
                 rhs[(j, k, e)] = c
     sol = SparseSolver(cols).solve(rhs)
     if sol is None:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lmc.arith import TruncPoly, all_monomials, format_rational, poly_str
+from lmc.arith import MAX_CAP, TruncPoly, all_monomials, format_rational, poly_str
 from lmc.errors import DimensionMismatch
 
 
@@ -126,11 +126,26 @@ def test_dimension_mismatch_errors():
 
 def test_constructor_canonicalizes():
     p = TruncPoly(2, 1, {(0, 0): F(0), (1, 0): 2, (1, 1): F(7)})
-    assert p.terms == {(1, 0): F(2)}  # zero dropped, over-cap truncated
+    assert dict(p.items()) == {(1, 0): F(2)}  # zero dropped, over-cap truncated
     assert p.constant_term() == 0
     assert p.coeff((1, 0)) == 2
     assert p.degree() == 1
     assert TruncPoly.zero(2, 1).degree() == -1
+
+
+def test_cap_must_fit_the_exponent_field():
+    assert MAX_CAP == 2**16 - 1
+    assert TruncPoly.zero(2, MAX_CAP).is_zero()
+    t = TruncPoly.var(2, MAX_CAP, 2)
+    assert dict(t.items()) == {(0, 1): 1}
+    assert t.with_cap(MAX_CAP - 1) == TruncPoly.var(2, MAX_CAP - 1, 2)
+    for build in (
+        lambda: TruncPoly.zero(2, MAX_CAP + 1),
+        lambda: TruncPoly.var(2, MAX_CAP + 1, 2),
+        lambda: t.with_cap(MAX_CAP + 1),
+    ):
+        with pytest.raises(DimensionMismatch, match=str(MAX_CAP)):
+            build()
 
 
 def test_support_and_dependence():

@@ -217,6 +217,29 @@ def test_malformed_input_exit(tmp_path, capsys):
     assert code == 64
 
 
+def test_automorphism_json_types_are_strict(tmp_path, capsys):
+    bad = (
+        {"m": 2, "c": 3, "images": ["x1", 5]},
+        {"m": 2, "c": 3, "jacobian": [[1, 0], [0, 1]]},
+        {"m": 2.7, "c": 3, "images": ["x1", "x2"]},
+        {"m": True, "c": 3, "images": ["x1", "x2"]},
+    )
+    for n, payload in enumerate(bad):
+        path = write_aut(tmp_path, f"bad{n}.json", payload)
+        code, out, err = run(capsys, "check", "ia", path)
+        assert code == 65, payload
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")
+
+
+def test_cap_past_the_exponent_field_is_bad_input(capsys):
+    # class c stores module polynomials at cap c - 1, one past the 16-bit limit
+    code, out, err = run(capsys, "eval", "--m", "2", "--c", "65537", "x1")
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "65535" in err
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
 
