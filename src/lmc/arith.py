@@ -277,6 +277,25 @@ class TruncPoly:
         nums = {e - step: c for e, c in self.nums.items()}
         return _make(self.nv, max(self.cap - 1, 0), nums, self.den)
 
+    def lowest_var_quotients(self, below: int) -> dict:
+        """{j: q_j} over 1 <= j < below with q_j nonzero, where t_j * q_j is
+        the part of self whose lowest variable is t_j (so q_j is free of
+        t_1..t_{j-1}); same cap."""
+        nv = self.nv
+        top = FIELD_BITS * nv
+        body = (1 << top) - 1
+        groups = {}
+        for e, c in self.nums.items():
+            x = e & body
+            if not x:
+                continue  # the constant term
+            j = nv - (x.bit_length() - 1) // FIELD_BITS
+            if j < below:
+                groups.setdefault(j, {})[e - (1 << top) - (1 << top - FIELD_BITS * j)] = c
+        return {
+            j: _reduced(nv, self.cap, nums, self.den) for j, nums in sorted(groups.items())
+        }
+
     def graded(self, k: int) -> "TruncPoly":
         """Homogeneous degree-k component."""
         if not 0 <= k <= self.cap:

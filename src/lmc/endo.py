@@ -245,44 +245,49 @@ class Endomorphism:
             pairs[(i, j)] = w
         return w
 
+    def _substituted(self, q: TruncPoly) -> TruncPoly:
+        """q with every t_r replaced by its substituted linear form."""
+        ctx = self.ctx
+        acc = TruncPoly.zero(ctx.m, ctx.module_cap)
+        for e, coeff in q.items():
+            term = TruncPoly.const(ctx.m, ctx.module_cap, coeff)
+            for r, k in enumerate(e, start=1):
+                for _ in range(k):
+                    term = term * self._substituted_var(r)
+            acc = acc + term
+        return acc
+
     # -- action ------------------------------------------------------------------
 
     def apply(self, u: LieElement) -> LieElement:
-        """Image of u: expand u over the left-normed basis and push through.
+        """Image of u, read straight off its module coordinates F_i.
 
-        A basis commutator [x_{i1},...,x_{ik}] maps to the bracket of the
-        two leading images acted on by the product of substituted linear
-        forms for the remaining letters (the ad operators commute on the
-        derived algebra).
+        The left-normed basis commutator [x_i, x_j, x_r, ...] (i > j <= r
+        <= ...) owns exactly one module term, a_i * t_j * t_r ..., and it is
+        the only commutator putting a term with lowest variable t_j, j < i,
+        into F_i.  So the derived part of u is sum_{j<i} [x_i, x_j] *
+        q_ij(ad x) with t_j * q_ij the part of F_i whose lowest variable is
+        t_j, and its image is the bracket of the two images acted on by
+        q_ij, each t_r replaced by the linear form of the image of x_r (the
+        ad operators commute on the derived algebra; IA maps keep t_r).
+        The read ignores the terms that membership determines, so u is
+        validated first.
         """
         if u.ctx != self.ctx:
             raise ContextMismatch(f"{u.ctx} vs {self.ctx}")
-        bf = liealg.to_basis(u)
+        liealg.validate_element(u)
         acc = liealg.zero(self.ctx)
-        for i, coeff in enumerate(bf.linear, start=1):
+        for i, coeff in enumerate(u.beta, start=1):
             if coeff:
                 acc = acc + self.images[i - 1].scale(coeff)
-        if bf.comm:
-            ia = self.is_ia()
-            grouped = {}
-            for tup, coeff in bf.comm.items():
-                if ia:
-                    exps = [0] * self.ctx.m
-                    for r in tup[2:]:
-                        exps[r - 1] += 1
-                    q = TruncPoly(
-                        self.ctx.m, self.ctx.module_cap, {tuple(exps): coeff}
-                    )
-                else:
-                    q = TruncPoly.const(self.ctx.m, self.ctx.module_cap, coeff)
-                    for r in tup[2:]:
-                        q = q * self._substituted_var(r)
-                key = (tup[0], tup[1])
-                grouped[key] = grouped.get(key, None)
-                grouped[key] = q if grouped[key] is None else grouped[key] + q
-            for (i, j), q in grouped.items():
-                if not q.is_zero():
-                    acc = acc + liealg.ad_polynomial_action(self._pair_bracket(i, j), q)
+        ia = self.is_ia()
+        for i in range(2, self.ctx.m + 1):
+            for j, q in u.mod[i - 1].lowest_var_quotients(i).items():
+                if not ia:
+                    q = self._substituted(q)
+                    if q.is_zero():
+                        continue
+                acc = acc + liealg.ad_polynomial_action(self._pair_bracket(i, j), q)
         return acc
 
 

@@ -342,7 +342,7 @@ def from_basis(b: BasisForm) -> LieElement:
 def _basis_solver(ctx: Context, k: int) -> SparseSolver:
     cols = []
     for tup in _tuples(ctx.m, k):
-        (i1, e1, c1), (i2, e2, c2) = _tuple_module_terms(ctx, tup, _ONE)
+        (i1, e1, c1), (i2, e2, c2) = _tuple_module_terms(ctx, tup, 1)
         cols.append({(i1, e1): c1, (i2, e2): c2})
     return SparseSolver(cols)
 

@@ -1,12 +1,29 @@
-"""Exact linear algebra over Fraction: dense Gauss-Jordan and a sparse solver.
+"""Exact linear algebra: dense Gauss-Jordan over Fraction for the small
+linear parts of maps, and sparse fraction-free elimination for everything
+keyed by coordinates.
 
-Everything here is small desk-scale elimination; no pivoting heuristics
-beyond picking the first nonzero, since the arithmetic is exact.
+The sparse solvers keep integer rows: a row is a dict {key: nonzero int},
+primitive (the gcd of its entries is 1) and positive at its pivot.  A
+rational input vector is scaled to a primitive integer vector once, on the
+way in; elimination then cross-multiplies, row := p*row - f*pivot_row with
+the common factor of p and f taken out first, and divides each new row by
+its content.  No Fraction is built inside the loops.  A primitive row
+divides every integer row proportional to it, so its entries are never
+larger than those of Bareiss's exact-division elimination (1968).
+
+The pivot of a row is its largest key.  The module coordinates of the
+left-normed basis commutator [x_i1, x_i2, ...] are a_i1 * t_i2 ... minus
+a_i2 * t_i1 ..., and the first key is both the larger one and owned by that
+commutator alone, so the basis solvers of liealg come out diagonal with
+entries +1 and -1 and never eliminate.  Rows stay fully reduced (zero at
+every other row's pivot), so the pivot keys of a vector can be cleared in
+any order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,6 +59,49 @@ def mat_inv(a):
     return [row[n:] for row in aug]
 
 
+def _integral(vec):
+    """(ints, scale): vec == scale * ints with ints a primitive {key: int}
+    dict without zeros; zero vectors give ({}, 1)."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    ints = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {k: v // g for k, v in ints.items()}
+    return ints, Fraction(g or 1, den)
+
+
+def _combine(x, a, y, b):
+    """x := a*x + b*y on int dicts, in place, dropping zeros."""
+    if a != 1:
+        for k in x:
+            x[k] *= a
+    get = x.get
+    for k, v in y.items():
+        w = get(k, 0) + b * v
+        if w:
+            x[k] = w
+        else:
+            del x[k]
+
+
+def _cofactors(p, f):
+    """(a, b) with a*f - b*p == 0 and a > 0: clears entry f by pivot p > 0."""
+    g = gcd(p, f)
+    return p // g, f // g
+
+
+def _primitive(pivot, *rows):
+    """Divide the int dicts in rows by their joint content, in place, with
+    the sign that makes rows[0][pivot] positive."""
+    g = gcd(*(v for row in rows for v in row.values()))
+    if rows[0][pivot] < 0:
+        g = -g
+    if g != 1:
+        for row in rows:
+            for k in row:
+                row[k] //= g
+
+
 class SparseSolver:
     """Solves A x = b exactly for a fixed column family A given as sparse dicts.
 
@@ -51,79 +111,77 @@ class SparseSolver:
     """
 
     def __init__(self, columns):
-        # reduced: pivot key -> (reduced column dict, expression dict over
-        # original column indices).  Full Gauss-Jordan by columns keeps each
-        # reduced column zero at every other pivot key.
+        # reduced: pivot key -> (vec, expr) with vec == sum_j expr[j] * int_j,
+        # where column j == scales[j] * int_j and int_j is primitive.  The
+        # pair (vec, expr) is primitive together, positive at the pivot.
         self.ncols = len(columns)
-        self.reduced = {}
+        self._scales = []
+        self.reduced = reduced = {}
         for j, col in enumerate(columns):
-            vec = dict(col)
-            expr = {j: _ONE}
-            for key in list(vec):
-                hit = self.reduced.get(key)
-                if hit is None:
-                    continue
-                f = vec[key]
-                rvec, rexpr = hit
-                _axpy(vec, rvec, -f)
-                _axpy(expr, rexpr, -f)
+            vec, scale = _integral(col)
+            self._scales.append(scale)
+            expr = {j: 1}
+            for key in [k for k in vec if k in reduced]:
+                rvec, rexpr = reduced[key]
+                a, b = _cofactors(rvec[key], vec[key])
+                _combine(vec, a, rvec, -b)
+                _combine(expr, a, rexpr, -b)
             if not vec:
                 continue  # dependent column
-            pivot = min(vec)
-            inv = _ONE / vec[pivot]
-            vec = {k: v * inv for k, v in vec.items()}
-            expr = {k: v * inv for k, v in expr.items()}
-            for okey, (ovec, oexpr) in self.reduced.items():
+            pivot = max(vec)
+            _primitive(pivot, vec, expr)
+            p = vec[pivot]
+            for okey, (ovec, oexpr) in reduced.items():
                 f = ovec.get(pivot)
                 if f:
-                    _axpy(ovec, vec, -f)
-                    _axpy(oexpr, expr, -f)
-            self.reduced[pivot] = (vec, expr)
+                    a, b = _cofactors(p, f)
+                    _combine(ovec, a, vec, -b)
+                    _combine(oexpr, a, expr, -b)
+                    _primitive(okey, ovec, oexpr)
+            reduced[pivot] = (vec, expr)
 
     def solve(self, b):
         """A coefficient list x with A x = b, or None if inconsistent."""
-        residual = dict(b)
+        # Invariant: mult * rhs == residual + sum_j coeffs[j] * int_j.
+        residual, scale = _integral(b)
+        reduced = self.reduced
+        mult = 1
         coeffs = {}
-        for key, (vec, expr) in self.reduced.items():
-            f = residual.get(key)
-            if f:
-                _axpy(residual, vec, -f)
-                _axpy(coeffs, expr, f)
+        for key in [k for k in residual if k in reduced]:
+            vec, expr = reduced[key]
+            a, f = _cofactors(vec[key], residual[key])
+            _combine(residual, a, vec, -f)
+            _combine(coeffs, a, expr, f)
+            mult *= a
         if residual:
             return None
-        return [coeffs.get(j, _ZERO) for j in range(self.ncols)]
+        num, den = scale.numerator, scale.denominator * mult
+        out = [_ZERO] * self.ncols
+        for j, c in coeffs.items():
+            s = self._scales[j]
+            out[j] = Fraction(c * num * s.denominator, den * s.numerator)
+        return out
 
     def rank(self):
         return len(self.reduced)
-
-
-def _axpy(target, source, factor):
-    """target += factor * source, dropping zeros; mutates target."""
-    for k, v in source.items():
-        cur = target.get(k)
-        if cur is None:
-            target[k] = factor * v
-        else:
-            cur = cur + factor * v
-            if cur:
-                target[k] = cur
-            else:
-                del target[k]
 
 
 class SpanBasis:
     """Incremental row-reduced basis of a subspace of sparse vectors."""
 
     def __init__(self):
-        self.rows = {}  # pivot key -> reduced vector dict
+        self.rows = {}  # pivot key -> primitive int row, positive at the pivot
 
     def reduce(self, vec):
-        """Residual of vec against the current basis (fresh dict)."""
-        out = dict(vec)
-        for key in list(out):
-            row = self.rows.get(key)
-            if row is not None and out.get(key):
-                _axpy(out, row, -out[key])
+        """Integer residual of vec against the current basis (fresh dict):
+        empty iff vec lies in the span, otherwise a nonzero multiple of vec
+        minus a combination of rows, zero at every pivot."""
+        out, _ = _integral(vec)
+        rows = self.rows
+        for key in [k for k in out if k in rows]:
+            row = rows[key]
+            a, b = _cofactors(row[key], out[key])
+            _combine(out, a, row, -b)
         return out
 
     def add(self, vec) -> bool:
@@ -131,13 +189,15 @@ class SpanBasis:
         res = self.reduce(vec)
         if not res:
             return False
-        pivot = min(res)
-        inv = _ONE / res[pivot]
-        res = {k: v * inv for k, v in res.items()}
-        for row in self.rows.values():
+        pivot = max(res)
+        _primitive(pivot, res)
+        p = res[pivot]
+        for okey, row in self.rows.items():
             f = row.get(pivot)
             if f:
-                _axpy(row, res, -f)
+                a, b = _cofactors(p, f)
+                _combine(row, a, res, -b)
+                _primitive(okey, row)
         self.rows[pivot] = res
         return True
 

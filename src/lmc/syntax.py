@@ -8,6 +8,7 @@ Element grammar (left-normed brackets, 1-based generator indices):
     rational:= INT ['/' INT]
 
 The single literal '0' is also accepted and denotes the zero element.
+Brackets nest at most MAX_NESTING deep; deeper input is a ParseError.
 Polynomial text uses variables t1..tm, '*' for products, '^' for powers and
 rational coefficients 'p/q', e.g. '1/2*t1^2*t3 - t2'.
 
@@ -30,6 +31,10 @@ from .liealg import BasisForm, Context, LieElement
 # -- tokenizer ----------------------------------------------------------------
 
 _PUNCT = {"+", "-", "*", "/", "^", "[", "]", ","}
+
+# One nesting level costs the recursive-descent parser two stack frames, so
+# this keeps the deepest bracket well inside Python's default recursion limit.
+MAX_NESTING = 300
 
 
 class _Token:
@@ -94,6 +99,7 @@ class _Cursor:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # brackets open at the current position
 
     def peek(self):
         return self.tokens[self.pos]
@@ -144,25 +150,26 @@ def parse_element(ctx: Context, text: str) -> LieElement:
 
 
 def _parse_element(ctx, cur) -> LieElement:
-    sign = Fraction(1)
-    if cur.peek().kind == "-":
+    # Terms are parsed inline, so one bracket level costs two stack frames.
+    negate = cur.peek().kind == "-"
+    if negate:
         cur.next()
-        sign = Fraction(-1)
-    acc = _parse_term(ctx, cur).scale(sign)
-    while cur.peek().kind in ("+", "-"):
-        op = cur.next().kind
-        term = _parse_term(ctx, cur)
-        acc = acc + term if op == "+" else acc - term
-    return acc
-
-
-def _parse_term(ctx, cur) -> LieElement:
-    coeff = Fraction(1)
-    if cur.peek().kind == "int":
-        coeff = _parse_rational(cur)
-        cur.expect("*", "'*' between coefficient and atom")
-    atom = _parse_atom(ctx, cur)
-    return atom.scale(coeff) if coeff != 1 else atom
+    acc = None
+    while True:
+        coeff = Fraction(1)
+        if cur.peek().kind == "int":
+            coeff = _parse_rational(cur)
+            cur.expect("*", "'*' between coefficient and atom")
+        term = _parse_atom(ctx, cur)
+        if coeff != 1:
+            term = term.scale(coeff)
+        if acc is None:
+            acc = -term if negate else term
+        else:
+            acc = acc - term if negate else acc + term
+        if cur.peek().kind not in ("+", "-"):
+            return acc
+        negate = cur.next().kind == "-"
 
 
 def _parse_atom(ctx, cur) -> LieElement:
@@ -178,7 +185,12 @@ def _parse_atom(ctx, cur) -> LieElement:
             )
         return liealg.generator(ctx, idx)
     if tok.kind == "[":
+        if cur.depth == MAX_NESTING:
+            raise ParseError(
+                tok.line, tok.col, f"at most {MAX_NESTING} nested brackets", tok.describe()
+            )
         cur.next()
+        cur.depth += 1
         args = [_parse_element(ctx, cur)]
         cur.expect(",", "',' inside a bracket")
         args.append(_parse_element(ctx, cur))
@@ -186,6 +198,7 @@ def _parse_atom(ctx, cur) -> LieElement:
             cur.next()
             args.append(_parse_element(ctx, cur))
         cur.expect("]", "']' closing the bracket")
+        cur.depth -= 1
         return liealg.bracket_chain(*args)
     cur.fail("a generator or '['")
 
@@ -321,6 +334,8 @@ def parse_automorphism(data) -> "_endo.Endomorphism":
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.lineno, exc.colno, "valid JSON", exc.msg) from exc
+        except RecursionError as exc:
+            raise ValidationError("automorphism JSON nests too deeply") from exc
     if not isinstance(data, dict):
         raise ValidationError("automorphism JSON must be an object")
     m, c = data.get("m"), data.get("c")

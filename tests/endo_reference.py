@@ -1,0 +1,72 @@
+"""The basis-expansion action that Endomorphism.apply replaced: the reference
+for tests/test_apply_parity.py.
+
+u is expanded over the left-normed basis with the Fraction reference solver
+(tests/linalg_reference.py), and each basis commutator [x_i1, ..., x_ik]
+maps to the bracket of the two leading images acted on by the product of
+the substituted linear forms of the remaining letters.
+"""
+
+from fractions import Fraction
+
+from linalg_reference import SparseSolver
+
+from lmc import liealg
+from lmc.arith import TruncPoly
+from lmc.errors import ValidationError
+
+_ONE = Fraction(1)
+
+
+def to_basis(u) -> dict:
+    """{tuple: coefficient} of the derived part of u over the left-normed basis."""
+    ctx = u.ctx
+    by_degree = {}
+    for i in range(1, ctx.m + 1):
+        for e, c in u.mod[i - 1].items():
+            by_degree.setdefault(sum(e) + 1, {})[(i, e)] = c
+    comm = {}
+    for k, rhs in by_degree.items():
+        if k < 2 or k > ctx.c:
+            raise ValidationError(f"module carries an impossible degree {k}")
+        tuples = liealg.enumerate_basis(ctx, k)
+        cols = []
+        for tup in tuples:
+            (i1, e1, c1), (i2, e2, c2) = liealg._tuple_module_terms(ctx, tup, _ONE)
+            cols.append({(i1, e1): c1, (i2, e2): c2})
+        coeffs = SparseSolver(cols).solve(rhs)
+        if coeffs is None:
+            raise ValidationError("membership violated")
+        for tup, coeff in zip(tuples, coeffs):
+            if coeff:
+                comm[tup] = coeff
+    return comm
+
+
+def substituted_var(phi, r: int) -> TruncPoly:
+    """Image of t_r under the substitution induced by phi's linear part."""
+    ctx = phi.ctx
+    terms = {}
+    for k in range(ctx.m):
+        coeff = phi.images[r - 1].beta[k]
+        if coeff:
+            e = [0] * ctx.m
+            e[k] = 1
+            terms[tuple(e)] = coeff
+    return TruncPoly(ctx.m, ctx.module_cap, terms)
+
+
+def apply(phi, u):
+    """phi(u) by basis expansion."""
+    ctx = phi.ctx
+    acc = liealg.zero(ctx)
+    for i, coeff in enumerate(u.beta, start=1):
+        if coeff:
+            acc = acc + phi.images[i - 1].scale(coeff)
+    for tup, coeff in to_basis(u).items():
+        q = TruncPoly.const(ctx.m, ctx.module_cap, coeff)
+        for r in tup[2:]:
+            q = q * substituted_var(phi, r)
+        w = liealg.bracket(phi.images[tup[0] - 1], phi.images[tup[1] - 1])
+        acc = acc + liealg.ad_polynomial_action(w, q)
+    return acc

@@ -3,15 +3,17 @@
 These deliberately avoid the code paths they check: inner recognition goes
 through a dense matrix logarithm, generalized-inner recognition through a
 plain linear solve in the parameters, span questions through two-sided
-containment.
+containment.  Their solves run on the Fraction reference solver, not on
+lmc.linalg.
 """
 
 from fractions import Fraction
 
+from linalg_reference import SparseSolver
+
 from lmc import liealg, normal
 from lmc.arith import TruncPoly, all_monomials
 from lmc.liealg import BasisForm, Context
-from lmc.linalg import SparseSolver
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -247,3 +247,28 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "ia", "-")
     assert code == 0
     assert json.loads(out)["result"] is True
+
+
+def nested(depth):
+    """[[...[x1,x2]...,x2],x2] with `depth` brackets open at the innermost pair."""
+    return "[" * (depth - 1) + "[x1,x2]" + ",x2]" * (depth - 1)
+
+
+def test_deep_bracket_nesting_is_bad_input(capsys):
+    code, out, _ = run(capsys, "eval", "--m", "2", "--c", "3", "--", nested(syntax.MAX_NESTING))
+    assert code == 0 and "basis:  0" in out
+    for depth in (syntax.MAX_NESTING + 1, 400, 3000):
+        code, out, err = run(capsys, "eval", "--m", "2", "--c", "3", "--", nested(depth))
+        assert code == 65
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"at most {syntax.MAX_NESTING} nested brackets" in err
+
+
+def test_deep_json_nesting_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "aut", "invert", str(path))
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")

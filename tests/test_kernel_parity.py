@@ -100,6 +100,23 @@ def test_variable_and_degree_operations_match(pair, data):
 
 
 @CHECK
+@given(poly_pairs(), st.data())
+def test_lowest_var_quotients_match(pair, data):
+    nv, cap, a, _ = pair
+    below = data.draw(st.integers(1, nv + 1))
+    quotients = TruncPoly(nv, cap, a).lowest_var_quotients(below)
+    expected = {}
+    for e, c in a.items():
+        j = next((i for i, x in enumerate(e) if x), nv)  # 0-based lowest variable
+        if j + 1 < below:
+            expected.setdefault(j + 1, {})[e] = c
+    assert list(quotients) == sorted(expected)
+    for j, q in quotients.items():
+        assert q.cap == cap
+        assert terms(q) == ref.pdivvar(expected[j], j - 1)
+
+
+@CHECK
 @given(poly_pairs())
 def test_queries_match(pair):
     nv, cap, a, _ = pair
