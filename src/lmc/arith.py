@@ -197,9 +197,28 @@ class TruncPoly:
         """The variable t_j (1-based index)."""
         if not 1 <= j <= nv:
             raise DimensionMismatch(f"variable index {j} out of range 1..{nv}")
-        e = [0] * nv
-        e[j - 1] = 1
-        return cls(nv, cap, {tuple(e): 1})
+        return cls.linear(nv, cap, [int(k == j) for k in range(1, nv + 1)])
+
+    @classmethod
+    def linear(cls, nv: int, cap: int, coeffs) -> "TruncPoly":
+        """The linear form sum_j coeffs[j-1] * t_j, built on the codes of
+        the t_j directly; zero at cap 0."""
+        _check_dims(nv, cap)
+        if len(coeffs) != nv:
+            raise DimensionMismatch(f"need {nv} coefficients, got {len(coeffs)}")
+        if not cap:
+            return _make(nv, cap, {})
+        top = FIELD_BITS * nv
+        terms = {}
+        den = 1
+        for shift, c in zip(_shifts(nv), coeffs):
+            if c:
+                if type(c) not in _EXACT:
+                    c = Fraction(c)
+                terms[(1 << top) + (1 << shift)] = c
+                den = lcm(den, c.denominator)
+        nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        return _make(nv, cap, nums, den)
 
     @classmethod
     def monomial(cls, nv: int, cap: int, exps, coeff=1) -> "TruncPoly":

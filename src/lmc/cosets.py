@@ -69,31 +69,6 @@ class PsiForm:
 # -- shape predicates ---------------------------------------------------------
 
 
-def _extract_ginn_pattern(jac):
-    """Parameter vector q reproducing jac as the generalized-inner pattern,
-    or None (cap c-2, constants allowed)."""
-    ctx = jac.ctx
-    params = []
-    for i in range(1, ctx.m + 1):
-        q_i = None
-        for j in range(1, ctx.m + 1):
-            if j == i:
-                continue
-            q = jac.rows[i - 1][j - 1].divide_var(j)
-            if q is None:
-                return None
-            cand = -q.with_cap(ctx.param_cap)
-            if q_i is None:
-                q_i = cand
-            elif q_i != cand:
-                return None
-        params.append(q_i)
-    g = normal.GInnAut(ctx, tuple(params))
-    if normal.ginn_jacobian(g) != jac:
-        return None
-    return g
-
-
 def shape_check(jac: "_endo.JacobianMatrix", shape: str) -> bool:
     """Exact predicate for the theta / psi / df canonical shapes."""
     ctx = jac.ctx
@@ -119,7 +94,7 @@ def shape_check(jac: "_endo.JacobianMatrix", shape: str) -> bool:
         # so this is the column-1 S-condition, already verified above.
         return True
     if shape == "psi":
-        g = _extract_ginn_pattern(jac)
+        g = normal.ginn_pattern(jac)
         if g is None:
             return False
         for i, q in enumerate(g.f, start=1):
@@ -153,7 +128,7 @@ def psi_diagnostics(jac: "_endo.JacobianMatrix") -> dict:
     """Non-asserting diagnostics for the psi shape, including the literal
     (ambiguously stated) condition sum_{j>=2} q_j = 0 mod Omega^(c+1)."""
     ctx = jac.ctx
-    g = _extract_ginn_pattern(jac)
+    g = normal.ginn_pattern(jac)
     if g is None:
         return {"pattern": False}
     literal = TruncPoly.zero(ctx.m, ctx.c)
@@ -279,15 +254,7 @@ def _exp_linear_params(ctx: Context, gamma) -> "normal.GInnAut":
     """Parameters of exp(ad u) for the linear u = sum gamma_j x_j:
     f_j = gamma_j * (1 + s/2! + s^2/3! + ...), s = sum gamma_k t_k."""
     cap = ctx.param_cap
-    s = TruncPoly(
-        ctx.m,
-        cap,
-        {
-            tuple(1 if k == j else 0 for k in range(ctx.m)): gamma[j]
-            for j in range(ctx.m)
-            if gamma[j]
-        },
-    )
+    s = TruncPoly.linear(ctx.m, cap, gamma)
     series = TruncPoly.const(ctx.m, cap, 1)
     power = TruncPoly.const(ctx.m, cap, 1)
     fact = 1

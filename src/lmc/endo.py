@@ -128,9 +128,9 @@ class JacobianMatrix:
             raise DomainError("Neumann inverse needs a unipotent matrix")
         ident = JacobianMatrix.identity(self.ctx)
         minus_n = ident - self  # entries in Omega, nilpotent
-        acc = ident
-        power = ident
-        for _ in range(1, self.ctx.c):
+        acc = ident + minus_n
+        power = minus_n
+        for _ in range(2, self.ctx.c):
             power = power @ minus_n
             acc = acc + power
         return acc
@@ -222,15 +222,8 @@ class Endomorphism:
             self._cache["subs"] = subs
         p = subs.get(r)
         if p is None:
-            a = self.linear_matrix()
-            terms = {}
-            for k in range(self.ctx.m):
-                coeff = a[k][r - 1]
-                if coeff:
-                    e = [0] * self.ctx.m
-                    e[k] = 1
-                    terms[tuple(e)] = coeff
-            p = TruncPoly(self.ctx.m, self.ctx.module_cap, terms)
+            ctx = self.ctx
+            p = TruncPoly.linear(ctx.m, ctx.module_cap, self.images[r - 1].beta)
             subs[r] = p
         return p
 

@@ -70,7 +70,7 @@ class LieElement:
     __slots__ = ("ctx", "beta", "mod")
 
     def __init__(self, ctx: Context, beta, mod):
-        beta = tuple(Fraction(b) for b in beta)
+        beta = tuple(b if type(b) is Fraction else Fraction(b) for b in beta)
         mod = tuple(mod)
         if len(beta) != ctx.m or len(mod) != ctx.m:
             raise ValidationError(f"need {ctx.m} coordinates")
@@ -168,27 +168,31 @@ def generator(ctx: Context, i: int) -> LieElement:
     return LieElement(ctx, beta, (zp,) * ctx.m)
 
 
-def _linear_form(ctx: Context, coeffs) -> TruncPoly:
-    """sum coeffs[j] * t_{j+1} at the module cap."""
-    terms = {}
-    for j, b in enumerate(coeffs):
-        if b:
-            e = [0] * ctx.m
-            e[j] = 1
-            terms[tuple(e)] = b
-    return TruncPoly(ctx.m, ctx.module_cap, terms)
-
-
 def bracket(u: LieElement, v: LieElement) -> LieElement:
-    """Lie bracket [u, v]."""
+    """Lie bracket [u, v].
+
+    The module part of each factor enters only against the linear form of
+    the other's generator part, so a factor in the derived algebra
+    contributes one product per coordinate and [derived, derived] = 0 (the
+    algebra is metabelian)."""
     u._check(v)
     ctx = u.ctx
-    s_u = _linear_form(ctx, u.beta)
-    s_v = _linear_form(ctx, v.beta)
-    mod = tuple(
-        u.full_poly(i) * s_v - v.full_poly(i) * s_u for i in range(1, ctx.m + 1)
-    )
-    return LieElement(ctx, (_ZERO,) * ctx.m, mod)
+    m, cap = ctx.m, ctx.module_cap
+    u_linear = any(u.beta)
+    v_linear = any(v.beta)
+    if u_linear and v_linear:
+        s_u = TruncPoly.linear(m, cap, u.beta)
+        s_v = TruncPoly.linear(m, cap, v.beta)
+        mod = tuple(u.full_poly(i) * s_v - v.full_poly(i) * s_u for i in range(1, m + 1))
+    elif v_linear:
+        s_v = TruncPoly.linear(m, cap, v.beta)
+        mod = tuple(p * s_v for p in u.mod)
+    elif u_linear:
+        s_u = TruncPoly.linear(m, cap, u.beta)
+        mod = tuple(-(p * s_u) for p in v.mod)
+    else:
+        return zero(ctx)
+    return LieElement(ctx, (_ZERO,) * m, mod)
 
 
 def bracket_chain(*elements: LieElement) -> LieElement:

@@ -10,11 +10,19 @@ closed-form multiplication and the iterative inverse are implemented at
 the parameter level and cross-checked against the endomorphism level.
 
 Recognition:
-  * recognize_ginn pattern-matches the Jacobian against the GInn shape
-    (off-diagonal (i,j) equal to -t_j f_i, diagonal sum_{r!=i} t_r f_r)
-    using exact variable division, then certifies by re-materialization.
+  * ginn_pattern matches a Jacobian against the GInn shape (off-diagonal
+    (i,j) equal to -t_j f_i, diagonal sum_{r!=i} t_r f_r) using exact
+    variable division; recognize_ginn and the psi shape predicates of
+    lmc.cosets use it, and recognize_ginn certifies by re-materialization.
   * recognize_inner peels exp(ad u) degree by degree with exact linear
     solves; the returned generator reproduces the input map exactly.
+
+Ideal preservation is decided from the generators' images.  Let I be the
+ideal generated by gens, spanned by the iterated brackets [g, x_j1, ...,
+x_jk] with g in gens.  For any endomorphism phi, phi([g, x_j1, ...]) =
+[phi g, phi x_j1, ...], which lies in I as soon as phi g does, because I is
+an ideal; so phi(gens) in I implies phi(I) in I.  An automorphism is
+injective, so then dim phi(I) = dim I and phi(I) = I.
 
 decide_normal implements the case table: the linear part must be a scalar
 alpha; alpha != 1 survives only on L_{m,1}, L_{2,2} and L_{2,3}, and in the
@@ -169,18 +177,14 @@ def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":
     return _endo.JacobianMatrix(ctx, tuple(rows))
 
 
-def recognize_ginn(phi: "_endo.Endomorphism"):
-    """Parameter vector f with materialization equal to phi, or None.
+def ginn_pattern(jac: "_endo.JacobianMatrix"):
+    """Parameter vector whose closed-form Jacobian is jac, or None.
 
-    Requires an IA input.  The Jacobian is matched against the GInn
-    pattern: each off-diagonal entry (i, j) must be divisible by t_j with
-    quotient -f_i independent of j, and the diagonal must reproduce
-    sum_{r != i} t_r f_r.  The result is certified by re-materialization.
+    Each off-diagonal entry (i, j) must be divisible by t_j with quotient
+    -f_i independent of j (cap c-2, constants allowed), and the diagonal
+    must reproduce sum_{r != i} t_r f_r.
     """
-    if not phi.is_ia():
-        raise DomainError("recognize_ginn expects an IA automorphism")
-    ctx = phi.ctx
-    jac = _endo.jacobian(phi)
+    ctx = jac.ctx
     params = []
     for i in range(1, ctx.m + 1):
         f_i = None
@@ -198,6 +202,21 @@ def recognize_ginn(phi: "_endo.Endomorphism"):
         params.append(f_i)
     g = GInnAut(ctx, tuple(params))
     if ginn_jacobian(g) != jac:
+        return None
+    return g
+
+
+def recognize_ginn(phi: "_endo.Endomorphism"):
+    """Parameter vector f with materialization equal to phi, or None.
+
+    Requires an IA input.  The Jacobian is matched against the GInn
+    pattern (ginn_pattern), and the result is certified by
+    re-materialization.
+    """
+    if not phi.is_ia():
+        raise DomainError("recognize_ginn expects an IA automorphism")
+    g = ginn_pattern(_endo.jacobian(phi))
+    if g is None:
         return None
     if ginn_to_endo(g) != phi:
         return None  # unreachable when the Jacobian matches
@@ -357,18 +376,26 @@ class NormalityVerdict:
 
 
 def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
-    """True iff phi maps the ideal generated by gens onto itself."""
+    """True iff phi maps the ideal I generated by gens onto itself.
+
+    Only the images of the generators are applied: phi(gens) in I gives
+    phi(I) in I, and an automorphism is injective, so then phi(I) = I (see
+    the module docstring).  A singular linear part falls through to
+    comparing the dimension of the span of the images with dim I.
+    """
     gens = list(gens)
     if any(g.ctx != phi.ctx for g in gens):
         raise ContextMismatch("ideal generators live in a different context")
-    if all(g.is_zero() for g in gens):
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return True
-    basis = liealg.ideal_closure([g for g in gens if not g.is_zero()])
+    basis = liealg.ideal_closure(gens)
     span = liealg.span_of(basis)
-    images = [phi.apply(w) for w in basis]
-    if any(not span.contains(liealg.element_vector(w)) for w in images):
+    if any(not span.contains(liealg.element_vector(phi.apply(g))) for g in gens):
         return False
-    return liealg.span_of(images).dim() == span.dim()
+    if phi.is_automorphism():
+        return True
+    return liealg.span_of(phi.apply(w) for w in basis).dim() == span.dim()
 
 
 def _scaling_witness(ctx: Context) -> list:

@@ -75,6 +75,18 @@ def test_ring_operations_match(pair, s):
 
 
 @CHECK
+@given(st.data())
+def test_linear_form_matches(data):
+    nv, cap = data.draw(rings())
+    coeffs = data.draw(
+        st.lists(coefficients | st.integers(-3, 3), min_size=nv, max_size=nv)
+    )
+    raw = {tuple(int(k == j) for k in range(nv)): c for j, c in enumerate(coeffs)}
+    assert terms(TruncPoly.linear(nv, cap, coeffs)) == ref.pcanon(raw, cap)
+    assert TruncPoly.linear(nv, cap, tuple(coeffs)) == TruncPoly(nv, cap, raw)
+
+
+@CHECK
 @given(poly_pairs(), st.data())
 def test_variable_and_degree_operations_match(pair, data):
     nv, cap, a, _ = pair

@@ -151,6 +151,17 @@ def test_recognize_ginn_rejects_non_uniform():
         normal.recognize_ginn(non_ia)
 
 
+def test_ginn_pattern_needs_the_diagonal():
+    ctx = Context(3, 3)
+    g = sample("ginn", ctx, "pattern", 2)
+    jac = normal.ginn_jacobian(g)
+    assert normal.ginn_pattern(jac) == g
+    # right off-diagonal entries, diagonal (1,1) off by t1*t2
+    rows = [list(row) for row in jac.rows]
+    rows[0][0] = rows[0][0] + TruncPoly.monomial(3, ctx.module_cap, (1, 1, 0))
+    assert normal.ginn_pattern(endo.JacobianMatrix(ctx, rows)) is None
+
+
 def test_recognize_ginn_oracle_agreement_on_random_ia():
     ctx = Context(3, 3)
     for trial in range(10):
