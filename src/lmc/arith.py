@@ -422,6 +422,15 @@ _set_nv, _set_cap, _set_nums, _set_den = (
 )
 
 
+def t_dot(polys, cap: int) -> TruncPoly:
+    """sum_i t_i * polys[i-1] at the given cap (1-based i)."""
+    acc = None
+    for i, p in enumerate(polys, start=1):
+        term = p.with_cap(cap).mul_var(i)
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def all_monomials(nv: int, max_deg: int):
     """Exponent tuples of total degree <= max_deg, in graded order."""
 

@@ -40,13 +40,12 @@ from fractions import Fraction
 
 from . import endo as _endo
 from . import normal
-from .arith import TruncPoly, all_monomials
+from .arith import TruncPoly, all_monomials, t_dot
 from .errors import DomainError, ValidationError
-from .liealg import Context
+from .liealg import LieElement
 from .linalg import SparseSolver
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -107,15 +106,16 @@ def shape_check(jac: "_endo.JacobianMatrix", shape: str) -> bool:
         s = m_rows[0][0]
         if 1 in s.support_vars():
             return False
-        q_sum = s.with_cap(ctx.c)
-        r_sum = TruncPoly.zero(ctx.m, ctx.c)
+        qs, rs = [ctx.zero_poly()], [ctx.zero_poly()]  # the sums run over i >= 2
         for i in range(2, ctx.m + 1):
             q_i, r_i = m_rows[i - 1][0].split_var(1)
             if not q_i.depends_only_on(range(i, ctx.m + 1)):
                 return False
-            q_sum = q_sum + q_i.with_cap(ctx.c).mul_var(i)
-            r_sum = r_sum + r_i.with_cap(ctx.c).mul_var(i)
-        if not q_sum.is_zero() or not r_sum.is_zero():
+            qs.append(q_i)
+            rs.append(r_i)
+        if not (s.with_cap(ctx.c) + t_dot(qs, ctx.c)).is_zero():
+            return False
+        if not t_dot(rs, ctx.c).is_zero():
             return False
         e_t2 = tuple(1 if k == 1 else 0 for k in range(ctx.m))
         if m_rows[0][1].coeff(e_t2):
@@ -177,12 +177,9 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
     cols_used = (1, 2) if ctx.m >= 2 else (1,)
     t_sums = {}
     for col in cols_used:
+        dot = t_dot([row[col - 1] for row in jac.rows], cap)
         for i in range(1, ctx.m + 1):
-            acc = TruncPoly.zero(ctx.m, cap)
-            for s in range(1, ctx.m + 1):
-                if s != i:
-                    acc = acc + jac.rows[s - 1][col - 1].mul_var(s)
-            t_sums[(i, col)] = acc
+            t_sums[(i, col)] = dot - jac.rows[i - 1][col - 1].mul_var(i)
 
     def constrained_positions(i, col, poly):
         """Yield (key, coeff) pairs of poly at the constrained positions."""
@@ -250,23 +247,6 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
 # -- reduction: normal IA modulo inner (psi) -----------------------------------------
 
 
-def _exp_linear_params(ctx: Context, gamma) -> "normal.GInnAut":
-    """Parameters of exp(ad u) for the linear u = sum gamma_j x_j:
-    f_j = gamma_j * (1 + s/2! + s^2/3! + ...), s = sum gamma_k t_k."""
-    cap = ctx.param_cap
-    s = TruncPoly.linear(ctx.m, cap, gamma)
-    series = TruncPoly.const(ctx.m, cap, 1)
-    power = TruncPoly.const(ctx.m, cap, 1)
-    fact = 1
-    for r in range(1, cap + 1):
-        power = power * s
-        fact *= r + 1
-        if power.is_zero():
-            break
-        series = series + power.scale(Fraction(1, fact))
-    return normal.GInnAut(ctx, tuple(series.scale(gamma[j]) for j in range(ctx.m)))
-
-
 def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
     """Canonical psi representative of the inner-automorphism coset through
     the generalized inner automorphism g, per the variable-splitting
@@ -275,7 +255,8 @@ def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
     params = g
     gamma = tuple(-p.constant_term() for p in params.f)
     if any(gamma):
-        params = normal.ginn_compose(_exp_linear_params(ctx, gamma), params)
+        linear = LieElement(ctx, gamma, (ctx.zero_poly(),) * ctx.m)
+        params = normal.ginn_compose(normal.inner_params(linear), params)
     for k in range(1, ctx.m):
         fbars = {}
         for j in range(k + 1, ctx.m + 1):

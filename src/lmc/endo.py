@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import liealg
-from .arith import TruncPoly
+from .arith import TruncPoly, t_dot
 from .errors import ContextMismatch, DomainError, ValidationError
 from .liealg import Context, LieElement
 from .linalg import mat_inv
@@ -92,9 +92,6 @@ class JacobianMatrix:
     def __hash__(self):
         return hash((self.ctx, self.rows))
 
-    def constant_matrix(self):
-        return [[p.constant_term() for p in row] for row in self.rows]
-
     def is_unipotent(self) -> bool:
         """Constant part equal to the identity matrix."""
         for i, row in enumerate(self.rows):
@@ -106,13 +103,7 @@ class JacobianMatrix:
     def column_defect(self, j: int) -> TruncPoly:
         """sum_i t_i * (self - I)[i][j] at cap c (1-based column j)."""
         ctx = self.ctx
-        acc = TruncPoly.zero(ctx.m, ctx.c)
-        for i in range(1, ctx.m + 1):
-            entry = self.rows[i - 1][j - 1]
-            if i == j:
-                entry = entry - TruncPoly.const(ctx.m, ctx.module_cap, 1)
-            acc = acc + entry.with_cap(ctx.c).mul_var(i)
-        return acc
+        return t_dot([row[j - 1] for row in self.rows], ctx.c) - TruncPoly.var(ctx.m, ctx.c, j)
 
     def satisfies_s_condition(self) -> bool:
         """Unipotent with every column of J - I summing to zero against t."""
@@ -156,9 +147,9 @@ class JacobianMatrix:
 class Endomorphism:
     """Endomorphism of L_{m,c} given by the images of the generators."""
 
-    __slots__ = ("ctx", "images", "inner_generator", "_cache")
+    __slots__ = ("ctx", "images", "_cache")
 
-    def __init__(self, ctx: Context, images, inner_generator=None):
+    def __init__(self, ctx: Context, images):
         images = tuple(images)
         if len(images) != ctx.m:
             raise ValidationError(f"need {ctx.m} generator images")
@@ -167,7 +158,6 @@ class Endomorphism:
                 raise ContextMismatch("image context differs from the map context")
         self.ctx = ctx
         self.images = images
-        self.inner_generator = inner_generator  # set for exp_ad results
         self._cache = {}
 
     @classmethod
@@ -336,7 +326,7 @@ def exp_ad(u: LieElement) -> Endomorphism:
                 break
             acc = acc + term
         images.append(acc)
-    return Endomorphism(ctx, tuple(images), inner_generator=u)
+    return Endomorphism(ctx, tuple(images))
 
 
 def linear_endo(ctx: Context, a) -> Endomorphism:
@@ -367,9 +357,8 @@ def invert(phi: Endomorphism) -> Endomorphism:
         raise DomainError("invert needs an automorphism (invertible linear part)")
     if phi.is_ia():
         return ia_from_jacobian(jacobian(phi).neumann_inverse())
-    a, chi = decompose(phi)
-    a_inv = mat_inv(a)
-    return compose(invert(chi), linear_endo(phi.ctx, a_inv))
+    _, chi = decompose(phi)
+    return compose(invert(chi), linear_endo(phi.ctx, phi._linear_inverse()))
 
 
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:

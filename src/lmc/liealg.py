@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .arith import TruncPoly
+from .arith import TruncPoly, t_dot
 from .errors import ContextMismatch, DomainError, ValidationError
 from .linalg import SparseSolver, SpanBasis
 
@@ -173,8 +173,8 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
 
     The module part of each factor enters only against the linear form of
     the other's generator part, so a factor in the derived algebra
-    contributes one product per coordinate and [derived, derived] = 0 (the
-    algebra is metabelian)."""
+    contributes one product per nonzero coordinate and [derived, derived] =
+    0 (the algebra is metabelian)."""
     u._check(v)
     ctx = u.ctx
     m, cap = ctx.m, ctx.module_cap
@@ -183,16 +183,23 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
     if u_linear and v_linear:
         s_u = TruncPoly.linear(m, cap, u.beta)
         s_v = TruncPoly.linear(m, cap, v.beta)
-        mod = tuple(u.full_poly(i) * s_v - v.full_poly(i) * s_u for i in range(1, m + 1))
+        mod = tuple(
+            _times(u.full_poly(i), s_v) - _times(v.full_poly(i), s_u) for i in range(1, m + 1)
+        )
     elif v_linear:
         s_v = TruncPoly.linear(m, cap, v.beta)
-        mod = tuple(p * s_v for p in u.mod)
+        mod = tuple(_times(p, s_v) for p in u.mod)
     elif u_linear:
         s_u = TruncPoly.linear(m, cap, u.beta)
-        mod = tuple(-(p * s_u) for p in v.mod)
+        mod = tuple(-_times(p, s_u) for p in v.mod)
     else:
         return zero(ctx)
     return LieElement(ctx, (_ZERO,) * m, mod)
+
+
+def _times(p: TruncPoly, s: TruncPoly) -> TruncPoly:
+    """p * s, passing a zero p through without a product."""
+    return p if p.is_zero() else p * s
 
 
 def bracket_chain(*elements: LieElement) -> LieElement:
@@ -218,11 +225,7 @@ def ad_polynomial_action(w: LieElement, p: TruncPoly) -> LieElement:
 
 def membership_defect(u: LieElement) -> TruncPoly:
     """sum_i t_i * module[i] computed at cap c; zero iff u is well formed."""
-    ctx = u.ctx
-    acc = TruncPoly.zero(ctx.m, ctx.c)
-    for i in range(1, ctx.m + 1):
-        acc = acc + u.mod[i - 1].with_cap(ctx.c).mul_var(i)
-    return acc
+    return t_dot(u.mod, u.ctx.c)
 
 
 def validate_element(u: LieElement):
