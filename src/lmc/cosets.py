@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import endo as _endo
 from . import normal
@@ -181,48 +182,50 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
         for i in range(1, ctx.m + 1):
             t_sums[(i, col)] = dot - jac.rows[i - 1][col - 1].mul_var(i)
 
-    def constrained_positions(i, col, poly):
-        """Yield (key, coeff) pairs of poly at the constrained positions."""
-        for e, c in poly.items():
-            if col == 1 and i == 1:
-                yield (("A", e), c)
-            elif col == 1 and i >= 2 and e[0] > 0:
-                yield (("B", i, e), c)
-            elif col == 2 and i == 1 and e[1] > 0:
-                yield (("C", e), c)
+    def constrained_key(i, col, e):
+        """Key of the position t^e of M[i][col] if it is constrained, else None."""
+        if col == 1 and i == 1:
+            return ("A", e)
+        if col == 1 and i >= 2 and e[0] > 0:
+            return ("B", i, e)
+        if col == 2 and i == 1 and e[1] > 0:
+            return ("C", e)
+        return None
 
+    # M is read at (i, 1) for every i and at (1, 2).  The unknown (i0, e0),
+    # the coefficient of t^e0 in f_i0, moves M[i][col] by t^e0 times a
+    # polynomial of (i0, i, col) alone: its terms are read once, as
+    # (exponents, degree, coefficient), and shifted by e0 for every column.
+    entries = [(i, 1) for i in range(1, ctx.m + 1)] + [(1, col) for col in cols_used[1:]]
+
+    def effect(i0, i, col):
+        eff = -t_sums[(i0, col)] if i == i0 else jac.rows[i - 1][col - 1].mul_var(i0)
+        return i, col, [(e, sum(e), c) for e, c in eff.items()]
+
+    monomials = all_monomials(ctx.m, ctx.param_cap)
     unknown_index = []
     columns = []
     for i0 in range(1, ctx.m + 1):
-        for e0 in all_monomials(ctx.m, ctx.param_cap):
+        effects = [effect(i0, i, col) for i, col in entries]
+        for e0 in monomials:
             unknown_index.append((i0, e0))
-            mono = TruncPoly.monomial(ctx.m, cap, e0)
+            room = cap - sum(e0)
             colvec = {}
-            # effect on M[i][1] for every i, and on M[1][2]
-            for i in range(1, ctx.m + 1):
-                if i == i0:
-                    eff = -(mono * t_sums[(i0, 1)])
-                else:
-                    eff = mono * jac.rows[i - 1][0].mul_var(i0)
-                for key, c in constrained_positions(i, 1, eff):
-                    colvec[key] = colvec.get(key, _ZERO) + c
-            if 2 in cols_used:
-                if i0 == 1:
-                    eff = -(mono * t_sums[(1, 2)])
-                else:
-                    eff = mono * jac.rows[0][1].mul_var(i0)
-                for key, c in constrained_positions(1, 2, eff):
-                    colvec[key] = colvec.get(key, _ZERO) + c
+            for i, col, terms in effects:
+                for e, deg, c in terms:
+                    key = deg <= room and constrained_key(i, col, tuple(map(add, e, e0)))
+                    if key:
+                        prev = colvec.get(key)
+                        colvec[key] = c if prev is None else prev + c
             columns.append({k: v for k, v in colvec.items() if v})
 
     rhs = {}
-    for i in range(1, ctx.m + 1):
-        base = jac.rows[i - 1][0] - one if i == 1 else jac.rows[i - 1][0]
-        for key, c in constrained_positions(i, 1, base):
-            rhs[key] = rhs.get(key, _ZERO) - c
-    if 2 in cols_used:
-        for key, c in constrained_positions(1, 2, jac.rows[0][1]):
-            rhs[key] = rhs.get(key, _ZERO) - c
+    for i, col in entries:
+        entry = jac.rows[i - 1][col - 1]
+        for e, c in (entry - one if i == col else entry).items():
+            key = constrained_key(i, col, e)
+            if key is not None:
+                rhs[key] = rhs.get(key, _ZERO) - c
     rhs = {k: v for k, v in rhs.items() if v}
 
     solution = SparseSolver(columns).solve(rhs)
