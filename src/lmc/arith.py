@@ -117,9 +117,15 @@ def _decode(code: int, nv: int) -> tuple:
     return tuple(code >> s & _MASK for s in _shifts(nv))
 
 
-def _limit(nv: int, cap: int) -> int:
+def code_limit(nv: int, cap: int) -> int:
     """The smallest code of degree cap + 1."""
     return cap + 1 << FIELD_BITS * nv
+
+
+def var_code(nv: int, j: int) -> int:
+    """The code of the variable t_j (1-based); adding it to a code
+    multiplies that monomial by t_j."""
+    return (1 << FIELD_BITS * nv) + (1 << FIELD_BITS * (nv - j))
 
 
 def _check_dims(nv: int, cap: int):
@@ -221,6 +227,13 @@ class TruncPoly:
         return _make(nv, cap, nums, den)
 
     @classmethod
+    def from_codes(cls, nv: int, cap: int, nums: dict) -> "TruncPoly":
+        """sum nums[code] * t^code over integer coefficients; nums maps
+        codes below code_limit(nv, cap) to nonzero ints and is not copied."""
+        _check_dims(nv, cap)
+        return _make(nv, cap, nums)
+
+    @classmethod
     def monomial(cls, nv: int, cap: int, exps, coeff=1) -> "TruncPoly":
         return cls(nv, cap, {tuple(exps): coeff})
 
@@ -262,7 +275,7 @@ class TruncPoly:
 
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
         self._check(other)
-        nums = _impl.pmul(self.nums, other.nums, _limit(self.nv, self.cap))
+        nums = _impl.pmul(self.nums, other.nums, code_limit(self.nv, self.cap))
         return _reduced(self.nv, self.cap, nums, self.den * other.den)
 
     def scale(self, s) -> "TruncPoly":
@@ -278,13 +291,12 @@ class TruncPoly:
         """Bit offset of the exponent field of t_j, and the code of t_j."""
         if not 1 <= j <= self.nv:
             raise DimensionMismatch(f"variable index {j} out of range 1..{self.nv}")
-        shift = FIELD_BITS * (self.nv - j)
-        return shift, (1 << FIELD_BITS * self.nv) + (1 << shift)
+        return FIELD_BITS * (self.nv - j), var_code(self.nv, j)
 
     def mul_var(self, j: int) -> "TruncPoly":
         """t_j * self at the same cap (1-based j)."""
         _, step = self._var_field(j)
-        lim = _limit(self.nv, self.cap)
+        lim = code_limit(self.nv, self.cap)
         nums = {e + step: c for e, c in self.nums.items() if e + step < lim}
         return _reduced(self.nv, self.cap, nums, self.den)
 
@@ -344,7 +356,7 @@ class TruncPoly:
         _check_dims(self.nv, cap)
         if cap > self.cap:
             return _make(self.nv, cap, self.nums, self.den)
-        lim = _limit(self.nv, cap)
+        lim = code_limit(self.nv, cap)
         nums = {e: c for e, c in self.nums.items() if e < lim}
         return _reduced(self.nv, cap, nums, self.den)
 
@@ -388,12 +400,6 @@ class TruncPoly:
 
     def depends_only_on(self, allowed) -> bool:
         return self.support_vars() <= frozenset(allowed)
-
-    def graded_parts(self):
-        """All (k, component) pairs with nonzero component, ascending k."""
-        top = FIELD_BITS * self.nv
-        degrees = sorted({e >> top for e in self.nums})
-        return [(k, self.graded(k)) for k in degrees]
 
     # -- equality and display ------------------------------------------------
 

@@ -39,11 +39,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Largest algebra dimension a command accepts: enumerating or operating on
+# a much larger L_{m,c} would run for hours or exhaust memory.
+MAX_DIM = 10_000
+
+
+def _check_size(ctx: Context) -> None:
+    """Reject a context whose polynomials exceed the exponent field (bad
+    input) or whose algebra is larger than MAX_DIM (usage error)."""
+    ctx.zero_poly()
+    if liealg.algebra_dim(ctx, bound=MAX_DIM) > MAX_DIM:
+        raise UsageError(
+            f"L_{{{ctx.m},{ctx.c}}} has dimension above {MAX_DIM}, the limit of lmc"
+        )
+
+
 def _context(args) -> Context:
     try:
-        return Context(args.m, args.c)
+        ctx = Context(args.m, args.c)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
+    _check_size(ctx)
+    return ctx
 
 
 def _read_file(path: str) -> str:
@@ -57,7 +74,7 @@ def _read_file(path: str) -> str:
 
 
 def _load_aut(path: str):
-    return syntax.parse_automorphism(_read_file(path))
+    return syntax.parse_automorphism(_read_file(path), check_context=_check_size)
 
 
 def _emit(payload, fmt: str) -> None:

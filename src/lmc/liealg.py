@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .arith import TruncPoly, t_dot
+from .arith import TruncPoly, code_limit, t_dot, var_code
 from .errors import ContextMismatch, DomainError, ValidationError
 from .linalg import SparseSolver, SpanBasis
 
@@ -312,8 +312,16 @@ def degree_dim_formula(ctx: Context, k: int) -> int:
     return (k - 1) * math.comb(ctx.m + k - 2, k)
 
 
-def algebra_dim(ctx: Context) -> int:
-    return ctx.m + sum(degree_dim_formula(ctx, k) for k in range(2, ctx.c + 1))
+def algebra_dim(ctx: Context, bound: int | None = None) -> int:
+    """Dimension of L_{m,c}.  With a bound, the sum over degrees stops at
+    the first partial sum past it, which is returned, so the call is cheap
+    on contexts of any size."""
+    total = ctx.m
+    for k in range(2, ctx.c + 1):
+        if bound is not None and total > bound:
+            break
+        total += degree_dim_formula(ctx, k)
+    return total
 
 
 def _tuple_module_terms(ctx: Context, tup, coeff):
@@ -405,29 +413,88 @@ def vector_to_element(ctx: Context, vec: dict) -> LieElement:
     return LieElement(ctx, tuple(beta), mod)
 
 
-def ideal_closure(gens) -> list:
-    """Linear basis of the smallest ideal containing the given elements."""
+# Integer rows: an element scaled to integers, keyed -i for beta_i and
+# code*m + (i-1) for the term t^code of module[i].  The key of a module
+# term moves with its code, so multiplying module coordinates by t_j adds
+# var_code(m, j)*m to every key.
+
+
+def element_row(u: LieElement) -> dict:
+    """An integer row {key: nonzero int} proportional to u (see above)."""
+    m = u.ctx.m
+    den = math.lcm(*(b.denominator for b in u.beta), *(p.den for p in u.mod))
+    row = {}
+    for i, b in enumerate(u.beta, start=1):
+        if b:
+            row[-i] = b.numerator * (den // b.denominator)
+    for i, p in enumerate(u.mod):
+        f = den // p.den
+        for code, c in p.nums.items():
+            row[code * m + i] = c * f
+    return row
+
+
+def row_element(ctx: Context, row: dict) -> LieElement:
+    """The element whose element_row is the integer row given."""
+    m = ctx.m
+    beta = [_ZERO] * m
+    mods = [{} for _ in range(m)]
+    for key, c in row.items():
+        if key < 0:
+            beta[-key - 1] = Fraction(c)
+        else:
+            code, i = divmod(key, m)
+            mods[i][code] = c
+    mod = tuple(TruncPoly.from_codes(m, ctx.module_cap, d) for d in mods)
+    return LieElement(ctx, tuple(beta), mod)
+
+
+def ideal_span(gens) -> SpanBasis:
+    """Span of the smallest ideal containing the given elements, over the
+    integer rows of element_row.
+
+    The ideal is spanned by the generators and their iterated brackets with
+    x_1..x_m.  A generator outside the derived algebra is bracketed with
+    each x_j once; after that every element is derived, and for derived w,
+    [w, x_j] multiplies the module coordinates by t_j, a shift of every key
+    of its row (see above) that drops the terms past the cap.  Only rows
+    that enlarged the span are shifted further."""
     gens = list(gens)
     if not gens:
-        raise DomainError("ideal_closure needs at least one generator")
+        raise DomainError("ideal_span needs at least one generator")
     ctx = gens[0].ctx
-    xs = [generator(ctx, j) for j in range(1, ctx.m + 1)]
+    m = ctx.m
     span = SpanBasis()
-    basis = []
     queue = []
     for g in gens:
         g._check(gens[0])
-        if span.add(element_vector(g)):
-            basis.append(g)
-            queue.append(g)
+        row = element_row(g)
+        if not span.add(row):
+            continue
+        if g.in_derived():
+            queue.append(row)
+            continue
+        for j in range(1, m + 1):
+            row = element_row(bracket(g, generator(ctx, j)))
+            if row and span.add(row):
+                queue.append(row)
+    lim = code_limit(m, ctx.module_cap) * m
+    steps = [var_code(m, j) * m for j in range(1, m + 1)]
     while queue:
-        w = queue.pop()
-        for xj in xs:
-            b = bracket(w, xj)
-            if not b.is_zero() and span.add(element_vector(b)):
-                basis.append(b)
-                queue.append(b)
-    return basis
+        row = queue.pop()
+        for step in steps:
+            shifted = {k + step: v for k, v in row.items() if k + step < lim}
+            if shifted and span.add(shifted):
+                queue.append(shifted)
+    return span
+
+
+def ideal_closure(gens) -> list:
+    """Linear basis of the smallest ideal containing the given elements:
+    the rows of ideal_span as elements."""
+    gens = list(gens)
+    span = ideal_span(gens)
+    return [row_element(gens[0].ctx, row) for row in span.rows.values()]
 
 
 def span_of(elements) -> SpanBasis:

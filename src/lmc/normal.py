@@ -6,7 +6,7 @@ A generalized inner automorphism is determined by one parameter vector
     x_i  ->  x_i + sum_j [x_i, x_j] f_j(ad x_1,...,ad x_m),
 
 with the same f for every generator.  These maps form a group GInn; its
-closed-form multiplication and the iterative inverse are implemented at
+closed-form multiplication and inverse are implemented at
 the parameter level and cross-checked against the endomorphism level.
 
 Recognition:
@@ -30,7 +30,10 @@ ideal generated by gens, spanned by the iterated brackets [g, x_j1, ...,
 x_jk] with g in gens.  For any endomorphism phi, phi([g, x_j1, ...]) =
 [phi g, phi x_j1, ...], which lies in I as soon as phi g does, because I is
 an ideal; so phi(gens) in I implies phi(I) in I.  An automorphism is
-injective, so then dim phi(I) = dim I and phi(I) = I.
+injective, so then dim phi(I) = dim I and phi(I) = I.  The span of I comes
+from liealg.ideal_span, which uses that the derived algebra is a module:
+for derived w, [w, x_j] = w t_j, a shift of the packed monomial codes, so
+only the generators outside the derived algebra are bracketed.
 
 decide_normal implements the case table: the linear part must be a scalar
 alpha; alpha != 1 survives only on L_{m,1}, L_{2,2} and L_{2,3}, and in the
@@ -122,21 +125,12 @@ def ginn_compose(a: GInnAut, b: GInnAut) -> "GInnAut":
 
 
 def ginn_invert(g: GInnAut) -> "GInnAut":
-    """Inverse inside GInn by degree peeling: at each step cancel the lowest
-    graded part of the running parameters."""
-    ctx = g.ctx
-    cur = g
-    inv = GInnAut.identity(ctx)
-    for d in range(0, ctx.param_cap + 1):
-        step = tuple(-p.graded(d) for p in cur.f)
-        if all(p.is_zero() for p in step):
-            continue
-        peel = GInnAut(ctx, step)
-        cur = ginn_compose(cur, peel)
-        inv = ginn_compose(inv, peel)
-    if not cur.is_identity_params():
-        raise DomainError("degree peeling failed to terminate")  # unreachable
-    return inv
+    """Inverse inside GInn in closed form.  ginn_compose(g, h) = f + h (1 +
+    s) with s = sum t_k f_k, which vanishes for h = -f (1 + s)^-1 = -f sum_n
+    (-s)^n; s has no constant term, so the series ends at the cap."""
+    cap = g.ctx.param_cap
+    series = _in_s(t_dot(g.f, cap), [(-1) ** n for n in range(cap + 1)])
+    return GInnAut(g.ctx, tuple(-(p * series) for p in g.f))
 
 
 def ginn_apply(g: GInnAut, u: LieElement) -> LieElement:
@@ -354,12 +348,13 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return True
-    basis = liealg.ideal_closure(gens)
-    span = liealg.span_of(basis)
-    if any(not span.contains(liealg.element_vector(phi.apply(g))) for g in gens):
+    span = liealg.ideal_span(gens)
+    if any(not span.contains(liealg.element_row(phi.apply(g))) for g in gens):
         return False
     if phi.is_automorphism():
         return True
+    ctx = phi.ctx
+    basis = [liealg.row_element(ctx, row) for row in span.rows.values()]
     return liealg.span_of(phi.apply(w) for w in basis).dim() == span.dim()
 
 

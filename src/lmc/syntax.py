@@ -323,11 +323,13 @@ def _print_wreath(u: LieElement) -> str:
 # -- automorphism JSON ----------------------------------------------------------------
 
 
-def parse_automorphism(data) -> "_endo.Endomorphism":
+def parse_automorphism(data, check_context=None) -> "_endo.Endomorphism":
     """Build an endomorphism from JSON text or an already-decoded dict.
 
     Expected fields: m, c, and either "images" (m element strings) or
-    "jacobian" (m x m polynomial strings, IA maps only).
+    "jacobian" (m x m polynomial strings, IA maps only).  check_context,
+    if given, is called with the Context before any image or Jacobian
+    entry is parsed.
     """
     if isinstance(data, (str, bytes)):
         try:
@@ -342,6 +344,8 @@ def parse_automorphism(data) -> "_endo.Endomorphism":
     if type(m) is not int or type(c) is not int:  # bools and floats rejected
         raise ValidationError("automorphism JSON needs integer fields m and c")
     ctx = Context(m, c)
+    if check_context is not None:
+        check_context(ctx)
     if "images" in data:
         images = data["images"]
         if not _is_str_list(images, m):

@@ -1,11 +1,13 @@
-"""The degree-peeling recognize_inner that lmc.normal replaced: the
-reference for tests/test_inner_parity.py.
+"""The degree-peeling recognize_inner and ginn_invert that lmc.normal
+replaced: the references for tests/test_inner_parity.py.
 
 The lowest nonvanishing graded part of the residual exp_ad(-u) phi - id
 determines the next graded piece of u by an exact linear solve against the
 ad-images of the basis of that degree; the residual is recomputed by a full
 composition every round.  It shares no step with the closed form of
-normal.inner_params.
+normal.inner_params.  ginn_invert cancels the lowest graded part of the
+running parameters one degree at a time through normal.ginn_compose,
+where normal.ginn_invert sums the geometric series in closed form.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from lmc import liealg
 from lmc.errors import DomainError
 from lmc.liealg import Context, LieElement
 from lmc.linalg import SparseSolver
+from lmc.normal import GInnAut, ginn_compose
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,3 +115,21 @@ def _graded_element_parts(w: LieElement):
         for e, _c in p.items():
             degs.add(sum(e) + 1)
     return [(k, True) for k in sorted(degs)]
+
+
+def ginn_invert(g: GInnAut) -> GInnAut:
+    """Inverse inside GInn by degree peeling: at each step cancel the lowest
+    graded part of the running parameters."""
+    ctx = g.ctx
+    cur = g
+    inv = GInnAut.identity(ctx)
+    for d in range(0, ctx.param_cap + 1):
+        step = tuple(-p.graded(d) for p in cur.f)
+        if all(p.is_zero() for p in step):
+            continue
+        peel = GInnAut(ctx, step)
+        cur = ginn_compose(cur, peel)
+        inv = ginn_compose(inv, peel)
+    if not cur.is_identity_params():
+        raise DomainError("degree peeling failed to terminate")  # unreachable
+    return inv

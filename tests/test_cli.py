@@ -1,6 +1,7 @@
 import json
+import time
 
-from lmc import cli, cosets, endo, normal, syntax, verify
+from lmc import cli, cosets, endo, liealg, normal, syntax, verify
 from lmc.liealg import Context
 
 
@@ -272,3 +273,46 @@ def test_deep_json_nesting_is_bad_input(tmp_path, capsys):
     assert code == 65
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")
+
+
+def assert_too_large(code, out, err):
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(cli.MAX_DIM) in err
+
+
+def test_context_above_the_dimension_bound_is_a_usage_error(capsys):
+    assert liealg.algebra_dim(Context(60, 12)) > cli.MAX_DIM
+    assert liealg.algebra_dim(Context(4, 6)) == 299 < cli.MAX_DIM
+    start = time.perf_counter()
+    for argv in (
+        ("basis", "--m", "60", "--c", "12"),
+        ("basis", "--m", "2", "--c", "65535"),  # the largest class within the cap
+        ("eval", "--m", "1000000", "--c", "2", "x1"),
+        ("verify", "--law", "metabelian", "--m", "60", "--c", "12"),
+    ):
+        assert_too_large(*run(capsys, *argv))
+    assert time.perf_counter() - start < 2
+
+
+def test_automorphism_above_the_dimension_bound_is_rejected_before_parsing(tmp_path, capsys):
+    # the images do not parse: the bound is checked first
+    path = write_aut(tmp_path, "big.json", {"m": 60, "c": 12, "images": ["x1 +"] * 60})
+    assert_too_large(*run(capsys, "check", "ia", path))
+    path = write_aut(tmp_path, "bigjac.json", {"m": 60, "c": 12, "jacobian": [["0"]]})
+    assert_too_large(*run(capsys, "aut", "jacobian", path))
+    # library callers are not bounded
+    phi = syntax.parse_automorphism({"m": 32, "c": 3, "images": [f"x{i}" for i in range(1, 33)]})
+    assert liealg.algebra_dim(phi.ctx) > cli.MAX_DIM
+
+
+def test_huge_class_exits_at_once(capsys):
+    # the dimension is summed with an early exit, and a class past the
+    # exponent field is bad input before any dimension is summed
+    start = time.perf_counter()
+    assert liealg.algebra_dim(Context(2, 10**9), bound=cli.MAX_DIM) > cli.MAX_DIM
+    code, out, err = run(capsys, "basis", "--m", "2", "--c", "1000000000")
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "65535" in err
+    assert time.perf_counter() - start < 2

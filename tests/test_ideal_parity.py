@@ -9,6 +9,10 @@ the full image span for a singular linear part.  Both must give the same
 results on automorphisms (generalized inner, IA but not generalized inner,
 scalar and non-scalar linear) and on singular endomorphisms, in contexts
 with c = 1 and (m, c) = (2, 2), with fractional generator coefficients.
+
+The reference closure brackets every new basis element with x_1..x_m;
+liealg.ideal_span brackets only the generators and then shifts the keys
+of integer rows.  Both must span the same ideal.
 """
 
 from fractions import Fraction as F
@@ -16,11 +20,12 @@ from fractions import Fraction as F
 import ideal_reference as ref
 import pytest
 
-from lmc import endo, liealg, normal
+from lmc import arith, endo, liealg, normal
 from lmc.liealg import Context
 from lmc.verify import sample
 
 CONTEXTS = [(3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (3, 4)]
+CLOSURE_CONTEXTS = [(3, 1), (2, 2), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
 
 
 def gen(ctx, i):
@@ -163,3 +168,70 @@ def test_witness_search_matches_reference(m, c):
         assert verdict.witness == expected
         found.append(bool(expected))
     assert any(found)  # some sampled map is not generalized inner
+
+
+def row_of_vector(ctx, vec):
+    """element_vector's keys renamed to element_row's."""
+    m = ctx.m
+    return {
+        -i if kind == 0 else arith._encode(e, m) * m + i - 1: c
+        for (kind, i, e), c in vec.items()
+    }
+
+
+def assert_proportional(row, vec):
+    assert row.keys() == vec.keys()
+    assert all(type(v) is int for v in row.values())
+    if row:
+        key = next(iter(row))
+        ratio = vec[key] / row[key]
+        assert all(vec[k] == ratio * v for k, v in row.items())
+
+
+@pytest.mark.parametrize("m,c", CLOSURE_CONTEXTS)
+def test_ideal_span_matches_reference_closure(m, c):
+    ctx = Context(m, c)
+    tag = f"is-{m}-{c}"
+    for iname, gens in ideals(ctx, tag).items():
+        expected = ref.ideal_closure(gens)
+        span = liealg.ideal_span(gens)
+        assert span.dim() == len(expected), iname
+        assert all(span.contains(liealg.element_row(w)) for w in expected), iname
+        got = liealg.ideal_closure(gens)
+        assert len(got) == len(expected), iname
+        ref_span = ref._span_of(expected)
+        assert all(ref_span.contains(liealg.element_vector(w)) for w in got), iname
+
+
+@pytest.mark.parametrize("m,c", CLOSURE_CONTEXTS)
+def test_element_row_is_proportional_to_element_vector(m, c):
+    ctx = Context(m, c)
+    tag = f"er-{m}-{c}"
+    for name, u in {**elements(ctx, tag), **{f"x{i}": gen(ctx, i) for i in range(1, m + 1)}}.items():
+        row = liealg.element_row(u)
+        assert_proportional(row, row_of_vector(ctx, liealg.element_vector(u)))
+        assert liealg.element_row(liealg.row_element(ctx, row)) == row, name
+
+
+@pytest.mark.parametrize("m,c", CLOSURE_CONTEXTS)
+def test_ideal_closure_is_bracket_closed(m, c):
+    ctx = Context(m, c)
+    for iname, gens in ideals(ctx, f"bc-{m}-{c}").items():
+        basis = liealg.ideal_closure(gens)
+        span = liealg.span_of(basis)
+        assert span.dim() == len(basis), iname
+        for w in basis:
+            for j in range(1, m + 1):
+                b = liealg.bracket(w, gen(ctx, j))
+                assert span.contains(liealg.element_vector(b)), iname
+
+
+def test_element_vector_values_are_fractions():
+    """perfbench/certify.py divides by element_vector values (1 / v), which
+    must stay exact: the values are Fraction, never int or float."""
+    for m, c in CLOSURE_CONTEXTS:
+        ctx = Context(m, c)
+        for name, u in elements(ctx, f"ev-{m}-{c}").items():
+            vec = liealg.element_vector(u)
+            assert bool(vec) != u.is_zero(), name
+            assert all(type(v) is F and v for v in vec.values()), name

@@ -1,4 +1,5 @@
-"""recognize_inner against the degree-peeling version it replaced.
+"""recognize_inner and ginn_invert against the degree-peeling versions
+they replaced.
 
 tests/inner_reference.py keeps the recognizer that peels exp(ad u) one
 degree at a time with linear solves against the ad-images of the basis.
@@ -7,7 +8,9 @@ instead.  Both must give the same verdict and the same generator on inner
 maps of zero, linear-only, derived-only, mixed and fractional elements, on
 generalized inner maps that are not inner (among them the section-3 map),
 on sampled IA maps that are not generalized inner, and on the identity, in
-contexts with c = 1 and c = 2.
+contexts with c = 1 and c = 2.  normal.ginn_invert sums the geometric
+series of the composition law in closed form; it must equal the peel
+exactly on sampled, fractional, inner and identity parameters.
 """
 
 from fractions import Fraction as F
@@ -123,3 +126,19 @@ def test_inner_params_of_a_linear_element(m, c):
         power = power * s
     u = LieElement(ctx, gamma, (ctx.zero_poly(),) * m)
     assert normal.inner_params(u).f == tuple(series.scale(g) for g in gamma)
+
+
+@pytest.mark.parametrize("m,c", CONTEXTS + [(4, 5), (4, 6)])
+def test_ginn_invert_matches_reference(m, c):
+    ctx = Context(m, c)
+    tag = f"inv-{m}-{c}"
+    params = [normal.GInnAut.identity(ctx), sample("ginn", ctx, tag)]
+    params += [normal.inner_params(u) for u in elements(ctx, tag).values()]
+    for trial in range(3):
+        g = sample("ginn", ctx, f"{tag}-{trial}")
+        params.append(normal.GInnAut(ctx, tuple(p.scale(F(2, 3 + trial)) for p in g.f)))
+    ident = normal.GInnAut.identity(ctx)
+    for g in params:
+        inv = normal.ginn_invert(g)
+        assert inv == ref.ginn_invert(g)
+        assert normal.ginn_compose(g, inv) == ident == normal.ginn_compose(inv, g)
