@@ -120,7 +120,7 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_basis(args) -> int:
     ctx = _context(args)
-    degrees = [args.degree] if args.degree else list(range(1, ctx.c + 1))
+    degrees = list(range(1, ctx.c + 1)) if args.degree is None else [args.degree]
     table = {}
     for k in degrees:
         tuples = liealg.enumerate_basis(ctx, k)
@@ -133,7 +133,7 @@ def _cmd_basis(args) -> int:
         for k, row in table.items():
             total += row["dim"]
             print(f"degree {k}: dim {row['dim']}: {' '.join(row['tuples'])}")
-        if not args.degree:
+        if args.degree is None:
             print(f"total dim {total}")
     else:
         _emit({"m": ctx.m, "c": ctx.c, "degrees": {str(k): v for k, v in table.items()}}, "json")
@@ -228,10 +228,13 @@ def _cmd_reduce(args) -> int:
     phi = _load_aut(args.file)
     if not phi.is_ia():
         raise ValidationError("reduction expects an IA automorphism")
+    # The conjugator phi o form^-1, from the parameters of form = psi_p o phi
+    # (modulo IN) or of form = psi_p with phi = psi_g (modulo Inn).
     if args.modulo == "in":
         form = cosets.reduce_mod_in(phi)
         subgroup = "IN"
         warnings = []
+        conj = normal.ginn_invert(form.params)
     else:
         g = normal.recognize_ginn(phi)
         if g is None:
@@ -242,7 +245,8 @@ def _cmd_reduce(args) -> int:
         form = cosets.reduce_mod_inn_normal(g)
         subgroup = "Inn"
         warnings = cosets.psi_diagnostics(form.jac).get("warnings", [])
-    conjugator = endo.compose(phi, endo.invert(form.endo))
+        conj = normal.ginn_compose(g, normal.ginn_invert(form.params))
+    conjugator = normal.ginn_to_endo(conj)
     payload = {
         "subgroup": subgroup,
         "canonical_jacobian": [

@@ -22,38 +22,48 @@ Three Jacobian shapes are recognized:
     degree-1 coefficient of t_2 must vanish, unlike theta's full
     independence).
 
-reduce_mod_in finds the theta representative by one exact affine solve in
-the parameters of a generalized-inner left multiplier.  For
-reduce_mod_inn_normal no affine shortcut exists (inner multipliers enter
-through an exponential), so it follows the explicit variable-splitting
-construction: first strip parameter constants with a linear-generator
-exponential, then for k = 1,...,m-1 strip the t_k-dependence of the
-parameters above index k with exp(ad u_k), u_k = -sum_{i>k} [x_i,x_k]
-(t_k-quotient of f_i).  Every reduction output is certified: the shape
-predicate holds and the compose-difference is recognized in the subgroup.
+reduce_mod_in finds the theta representative psi_f o phi by solving for
+the parameters f of a generalized-inner left multiplier.  The affine
+system is block lower triangular in parameter degree: the degree-d part
+of f moves M = J(psi_f phi) - I only in degrees >= d+1, and its
+degree-(d+1) effect comes from the identity part of J(phi) alone.  So the
+diagonal blocks depend on (m, c, d) only and are built once; per input,
+degrees d = 0,...,c-2 are solved in turn against right-hand sides that
+carry the effect of the lower degrees.  For reduce_mod_inn_normal no
+affine shortcut exists (inner multipliers enter through an exponential),
+so it follows the explicit variable-splitting construction: first strip
+parameter constants with a linear-generator exponential, then for k =
+1,...,m-1 strip the t_k-dependence of the parameters above index k with
+exp(ad u_k), u_k = -sum_{i>k} [x_i,x_k] (t_k-quotient of f_i).
+
+Every reduction output is certified: the shape predicate holds, and the
+output lies in the coset of its input.  For theta, the Jacobian of the
+bracket-built psi_f o phi equals ginn_jacobian(f) @ J(phi); the Jacobian
+is faithful on IA maps.  For psi, the parameters of g o psi^-1, from
+ginn_compose and ginn_invert, pass the closed-form inner test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
 
 from . import endo as _endo
 from . import normal
-from .arith import TruncPoly, all_monomials, t_dot
+from .arith import FIELD_BITS, MAX_CAP, TruncPoly, all_monomials, t_dot, var_code
 from .errors import DomainError, ValidationError
-from .liealg import LieElement
+from .liealg import Context, LieElement
 from .linalg import SparseSolver
-
-_ZERO = Fraction(0)
 
 
 @dataclass
 class ThetaForm:
-    """Certified canonical representative of an IA map modulo normal IA."""
+    """Certified canonical representative of an IA map phi modulo normal IA,
+    theta = psi_g o phi with params = g."""
 
     endo: "_endo.Endomorphism"
+    params: "normal.GInnAut"
     jac: "_endo.JacobianMatrix"
 
 
@@ -157,94 +167,117 @@ def psi_diagnostics(jac: "_endo.JacobianMatrix") -> dict:
 # -- reduction: IA modulo normal IA (theta) ----------------------------------------
 
 
+def _entries(m: int):
+    """The entries (i, col) of M that carry constraints: column 1 and (1,2)."""
+    return [(i, 1) for i in range(1, m + 1)] + [(1, 2)]
+
+
+def _constrained(m: int, i: int, col: int, code: int) -> bool:
+    """Whether the coefficient of t^code in M[i][col] is constrained: every
+    one on the diagonal (1,1), and off it the multiples of t_col (M[i][1]
+    free of t_1 for i >= 2, M[1][2] free of t_2)."""
+    return i == col or bool(code >> FIELD_BITS * (m - col) & MAX_CAP)
+
+
+@lru_cache(maxsize=None)
+def _theta_block(ctx: Context, d: int):
+    """(unknowns, solver) of the degree-d diagonal block of the theta system.
+
+    The unknown (i0, e0) is the coefficient of t^e0, deg e0 = d, in f_i0.
+    Its degree-(d+1) effect on M is that of ginn_jacobian(f) - I, whose
+    entry (i, i) is sum_{r != i} t_r f_r and entry (i, j != i) is -t_j f_i.
+    """
+    m = ctx.m
+    unknowns, columns = [], []
+    for i0 in range(1, m + 1):
+        for e0 in all_monomials(m, d):
+            if sum(e0) != d:
+                continue
+            code0 = sum(x * var_code(m, j) for j, x in enumerate(e0, start=1))
+            column = {}
+            for i, col in _entries(m):
+                if i == col and i0 != i:
+                    code, v = code0 + var_code(m, i0), 1
+                elif i != col and i0 == i:
+                    code, v = code0 + var_code(m, col), -1
+                else:
+                    continue
+                if _constrained(m, i, col, code):
+                    column[(i, col, code)] = v
+            unknowns.append((i0, e0))
+            columns.append(column)
+    return tuple(unknowns), SparseSolver(columns)
+
+
 def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
-    """Canonical theta representative of the coset of normal IA maps through
-    phi, by an exact affine solve in the left multiplier's parameters.
+    """Canonical theta representative psi_f o phi of the coset of normal IA
+    maps through phi, by a graded solve for the multiplier's parameters f.
 
     Constraints on M = J(psi_f phi) - I, affine in f: entry (1,1) vanishes,
     first-column entries below it are free of t_1, entry (1,2) is free of
     t_2.  The remaining theta conditions hold automatically for Jacobians
-    of IA maps.  Theta is a transversal, so the system is consistent and
-    the solution unique; failure signals corrupt input.
+    of IA maps.  The degree-d part f_d is solved from the degree-(d+1)
+    constraints with the cached block of _theta_block, after adding the
+    effect of f_0,...,f_{d-1} to M.  Theta is a transversal, so every block
+    is consistent and the solution unique; failure signals corrupt input.
     """
     if not phi.is_ia():
         raise DomainError("reduce_mod_in expects an IA automorphism")
     ctx = phi.ctx
-    cap = ctx.module_cap
+    m, cap = ctx.m, ctx.module_cap
     jac = _endo.jacobian(phi)
-    one = TruncPoly.const(ctx.m, cap, 1)
+    one = TruncPoly.const(m, cap, 1)
+    entries = _entries(m)
 
-    # T_i_col[(i, col)] = sum_{s != i} t_s J[s][col], col in {1, 2}
-    cols_used = (1, 2) if ctx.m >= 2 else (1,)
+    # t_sums[(i, col)] = sum_{s != i} t_s J[s][col].  With (G J)[i][col] =
+    # (sum_{r != i} t_r f_r) J[i][col] - f_i t_sums[(i, col)], the
+    # generalized-inner part G of J(psi_f) moves M by G(f) J linearly in f.
     t_sums = {}
-    for col in cols_used:
+    for col in (1, 2):
         dot = t_dot([row[col - 1] for row in jac.rows], cap)
-        for i in range(1, ctx.m + 1):
+        for i in range(1, m + 1):
             t_sums[(i, col)] = dot - jac.rows[i - 1][col - 1].mul_var(i)
+    moved = {
+        (i, col): jac.rows[i - 1][col - 1] - one if i == col else jac.rows[i - 1][col - 1]
+        for i, col in entries
+    }
 
-    def constrained_key(i, col, e):
-        """Key of the position t^e of M[i][col] if it is constrained, else None."""
-        if col == 1 and i == 1:
-            return ("A", e)
-        if col == 1 and i >= 2 and e[0] > 0:
-            return ("B", i, e)
-        if col == 2 and i == 1 and e[1] > 0:
-            return ("C", e)
-        return None
+    top = FIELD_BITS * m
+    params = [dict() for _ in range(m)]
+    for d in range(ctx.c - 1):
+        rhs = {}
+        for (i, col), p in moved.items():
+            for code, num in p.nums.items():
+                if code >> top == d + 1 and _constrained(m, i, col, code):
+                    rhs[(i, col, code)] = Fraction(-num, p.den)
+        unknowns, solver = _theta_block(ctx, d)
+        solution = solver.solve(rhs)
+        if solution is None:
+            raise ValidationError("no theta representative: input is not a valid IA map")
+        f_d = [dict() for _ in range(m)]
+        for (i0, e0), val in zip(unknowns, solution):
+            if val:
+                f_d[i0 - 1][e0] = params[i0 - 1][e0] = val
+        if d == ctx.c - 2 or not any(f_d):
+            continue
+        f_d = [TruncPoly(m, cap, terms) for terms in f_d]
+        weight = t_dot(f_d, cap)
+        for i, col in entries:
+            f_i = f_d[i - 1]
+            moved[(i, col)] = (
+                moved[(i, col)]
+                + (weight - f_i.mul_var(i)) * jac.rows[i - 1][col - 1]
+                - f_i * t_sums[(i, col)]
+            )
 
-    # M is read at (i, 1) for every i and at (1, 2).  The unknown (i0, e0),
-    # the coefficient of t^e0 in f_i0, moves M[i][col] by t^e0 times a
-    # polynomial of (i0, i, col) alone: its terms are read once, as
-    # (exponents, degree, coefficient), and shifted by e0 for every column.
-    entries = [(i, 1) for i in range(1, ctx.m + 1)] + [(1, col) for col in cols_used[1:]]
-
-    def effect(i0, i, col):
-        eff = -t_sums[(i0, col)] if i == i0 else jac.rows[i - 1][col - 1].mul_var(i0)
-        return i, col, [(e, sum(e), c) for e, c in eff.items()]
-
-    monomials = all_monomials(ctx.m, ctx.param_cap)
-    unknown_index = []
-    columns = []
-    for i0 in range(1, ctx.m + 1):
-        effects = [effect(i0, i, col) for i, col in entries]
-        for e0 in monomials:
-            unknown_index.append((i0, e0))
-            room = cap - sum(e0)
-            colvec = {}
-            for i, col, terms in effects:
-                for e, deg, c in terms:
-                    key = deg <= room and constrained_key(i, col, tuple(map(add, e, e0)))
-                    if key:
-                        prev = colvec.get(key)
-                        colvec[key] = c if prev is None else prev + c
-            columns.append({k: v for k, v in colvec.items() if v})
-
-    rhs = {}
-    for i, col in entries:
-        entry = jac.rows[i - 1][col - 1]
-        for e, c in (entry - one if i == col else entry).items():
-            key = constrained_key(i, col, e)
-            if key is not None:
-                rhs[key] = rhs.get(key, _ZERO) - c
-    rhs = {k: v for k, v in rhs.items() if v}
-
-    solution = SparseSolver(columns).solve(rhs)
-    if solution is None:
-        raise ValidationError("no theta representative: input is not a valid IA map")
-    params = [dict() for _ in range(ctx.m)]
-    for (i0, e0), val in zip(unknown_index, solution):
-        if val:
-            params[i0 - 1][e0] = val
-    g = normal.GInnAut(
-        ctx, tuple(TruncPoly(ctx.m, ctx.param_cap, d) for d in params)
-    )
+    g = normal.GInnAut(ctx, tuple(TruncPoly(m, ctx.param_cap, terms) for terms in params))
     theta = _endo.compose(normal.ginn_to_endo(g), phi)
     theta_jac = _endo.jacobian(theta)
     if not shape_check(theta_jac, "theta"):
         raise ValidationError("reduction produced a non-theta matrix")  # unreachable
-    if normal.recognize_ginn(_endo.compose(phi, _endo.invert(theta))) is None:
+    if theta_jac != normal.ginn_jacobian(g) @ jac:
         raise ValidationError("reduction lost the coset")  # unreachable
-    return ThetaForm(theta, theta_jac)
+    return ThetaForm(theta, g, theta_jac)
 
 
 # -- reduction: normal IA modulo inner (psi) -----------------------------------------
@@ -275,16 +308,14 @@ def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
             w[k - 1] = w[k - 1] + fbar.mul_var(i)
             w[i - 1] = -fbar.mul_var(k)
         params = normal.ginn_compose(normal.GInnAut(ctx, tuple(w)), params)
-    psi = normal.ginn_to_endo(params)
     jac = normal.ginn_jacobian(params)
     if not shape_check(jac, "psi"):
         raise ValidationError("reduction produced a non-psi matrix")  # unreachable
-    cert = normal.recognize_inner(
-        _endo.compose(normal.ginn_to_endo(g), _endo.invert(psi))
-    )
-    if cert is None:
+    diff = normal.ginn_compose(g, normal.ginn_invert(params))  # g o psi^-1
+    u = normal.inner_generator(diff)
+    if u is None or normal.inner_params(u) != diff:
         raise ValidationError("reduction left the inner coset")  # unreachable
-    return PsiForm(psi, params, jac)
+    return PsiForm(normal.ginn_to_endo(params), params, jac)
 
 
 # -- coset equality ---------------------------------------------------------------

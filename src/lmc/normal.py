@@ -18,11 +18,12 @@ Recognition:
     + w, w derived with module vector W, and s = sum gamma_j t_j.  ad u
     multiplies the derived algebra by s, and sum_j t_j W_j = 0, so exp(ad u)
     is generalized inner with f_k = (gamma_k + W_k) E(s) at cap c-2, where
-    E(s) = (e^s - 1)/s = sum s^n/(n+1)!.  recognize_inner inverts it without
+    E(s) = (e^s - 1)/s = sum s^n/(n+1)!.  inner_generator inverts it without
     a linear solve: gamma_k is the constant term of f_k, W_k = f_k E(s)^-1 -
     gamma_k with E(s)^-1 = s/(e^s - 1) = sum B_n s^n/n!, and the map is inner
     iff the membership test sum_k t_k W_k = 0 holds.  The generator has no
-    degree-c (central) part, which makes it unique, and is certified by
+    degree-c (central) part, which makes it unique.  recognize_inner applies
+    it to the parameters recognize_ginn finds and certifies the generator by
     exp_ad(u) == phi.
 
 Ideal preservation is decided from the generators' images.  Let I be the
@@ -252,28 +253,37 @@ def inner_params(u: LieElement) -> GInnAut:
 _AD_SOLVERS: dict = {}
 
 
-def recognize_inner(phi: "_endo.Endomorphism"):
-    """A generator u with exp_ad(u) = phi exactly, or None.
+def inner_generator(g: GInnAut):
+    """The generator u of the inner automorphism with parameters g, or None
+    if g is not inner; inverts inner_params in closed form.
 
-    Inverts inner_params on the generalized-inner parameters f of phi:
-    gamma_k is the constant term of f_k, W_k = f_k E(s)^-1 - gamma_k, and
-    phi is inner iff sum_k t_k W_k = 0.  u has no degree-c part, so it is
-    unique; it is returned only if exp_ad(u) reproduces phi.
+    gamma_k is the constant term of f_k, W_k = f_k E(s)^-1 - gamma_k, and g
+    is inner iff sum_k t_k W_k = 0.  u has no degree-c part, so it is
+    unique.
     """
-    if not phi.is_ia():
-        raise DomainError("recognize_inner expects an IA automorphism")
-    g = recognize_ginn(phi)
-    if g is None:
-        return None
-    ctx = phi.ctx
+    ctx = g.ctx
     cap = ctx.param_cap
     gamma = tuple(p.constant_term() for p in g.f)
     e_inv = _in_s(TruncPoly.linear(ctx.m, cap, gamma), _e_series(cap)[1])
     w = [p * e_inv - TruncPoly.const(ctx.m, cap, c) for p, c in zip(g.f, gamma)]
     if not t_dot(w, ctx.module_cap).is_zero():
         return None
-    u = LieElement(ctx, gamma, tuple(p.with_cap(ctx.module_cap) for p in w))
-    return u if _endo.exp_ad(u) == phi else None
+    return LieElement(ctx, gamma, tuple(p.with_cap(ctx.module_cap) for p in w))
+
+
+def recognize_inner(phi: "_endo.Endomorphism"):
+    """A generator u with exp_ad(u) = phi exactly, or None.
+
+    Applies inner_generator to the generalized-inner parameters of phi;
+    u is returned only if exp_ad(u) reproduces phi.
+    """
+    if not phi.is_ia():
+        raise DomainError("recognize_inner expects an IA automorphism")
+    g = recognize_ginn(phi)
+    if g is None:
+        return None
+    u = inner_generator(g)
+    return u if u is not None and _endo.exp_ad(u) == phi else None
 
 
 # -- normality ---------------------------------------------------------------------

@@ -3,9 +3,10 @@
 perfbench/tracer.py looks up its spans (module functions, methods and
 normal._AD_SOLVERS) when it is installed, so a renamed or deleted seam
 crashes a traced benchmark run.  Installing the tracer here, around one
-recognize_inner call and one witness search, turns that crash into a
-failing test, and so does a witness search that no longer goes through
-normal.preserves_ideal.
+recognize_inner call, one witness search and two pairs of coset
+reductions, turns that crash into a failing test, and so does a witness
+search that no longer goes through normal.preserves_ideal, or a coset
+reduction that inverts, exponentiates or builds a solver per input.
 """
 
 import sys
@@ -18,8 +19,9 @@ if str(PERFBENCH) not in sys.path:
 import ideal_reference as ref  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from lmc import endo, liealg, normal  # noqa: E402
+from lmc import cosets, endo, liealg, normal  # noqa: E402
 from lmc.liealg import Context  # noqa: E402
+from lmc.verify import sample  # noqa: E402
 
 
 def test_tracer_installs_and_counts_recognize_inner():
@@ -69,3 +71,32 @@ def test_tracer_counts_the_witness_search():
     assert verdict.witness == [expected]
     assert tried == candidates.index(expected) + 1
     assert normal.preserves_ideal.__module__ == "lmc.normal"  # uninstalled
+
+
+def _traced_reductions(ctx, seed):
+    phi = sample("ia", ctx, seed, 2)
+    g = sample("ginn", ctx, seed, 2)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cosets.reduce_mod_in(phi)
+        cosets.reduce_mod_inn_normal(g)
+        counts = tracer.counts()
+    finally:
+        tracer.uninstall()
+    assert counts["cosets.reduce_mod_in.calls"] == 1
+    assert counts["cosets.reduce_mod_inn_normal.calls"] == 1
+    return counts
+
+
+def test_coset_reductions_certify_without_invert_or_exp_ad():
+    ctx = Context(3, 4)
+    first = _traced_reductions(ctx, "seams-1")
+    assert first["endo.invert.calls"] == 0
+    assert first["endo.exp_ad.calls"] == 0
+    # the diagonal blocks of the theta solve are built once per context
+    second = _traced_reductions(ctx, "seams-2")
+    assert second["linalg.solver.builds"] == 0
+    assert second["endo.invert.calls"] == 0
+    assert second["endo.exp_ad.calls"] == 0
+    assert cosets.reduce_mod_in.__module__ == "lmc.cosets"  # uninstalled

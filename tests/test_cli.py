@@ -48,6 +48,14 @@ def test_basis_table(capsys):
     assert data["degrees"]["3"]["dim"] == 8
 
 
+def test_basis_degree_outside_range(capsys):
+    for degree in ("0", "-1", "4"):
+        code, out, err = run(capsys, "basis", "--m", "2", "--c", "3", "--degree", degree)
+        assert code == 65
+        assert out == ""
+        assert err == f"lmc: bad input: degree {degree} outside 1..3\n"
+
+
 def test_aut_subcommands_match_library(tmp_path, capsys):
     a = write_aut(tmp_path, "a.json", {"m": 2, "c": 3, "images": ["x1 + 1*[x1,x2]", "x2 + 2*[x1,x2]"]})
     b = write_aut(tmp_path, "b.json", {"m": 2, "c": 3, "images": ["x1 + 3*[x1,x2]", "x2 + 5*[x1,x2]"]})
@@ -126,6 +134,20 @@ def test_reduce_identity_for_two_generators(tmp_path, capsys):
     # theta = id, so the conjugator is the input itself
     conj = syntax.parse_automorphism(data["conjugator"])
     assert conj == syntax.parse_automorphism(payload)
+
+
+def test_reduce_mod_in_conjugator(tmp_path, capsys):
+    phi = verify.sample("ia", Context(3, 3), "cli-conj", 2)
+    path = write_aut(tmp_path, "ia.json", syntax.automorphism_dict(phi))
+    code, out, _ = run(capsys, "reduce", "--modulo", "in", path)
+    assert code == 0
+    data = json.loads(out)
+    theta = cosets.reduce_mod_in(phi).endo
+    assert data["canonical_jacobian"] == [
+        [syntax.print_poly(p) for p in row] for row in endo.jacobian(theta).rows
+    ]
+    conj = syntax.parse_automorphism(data["conjugator"])
+    assert conj == endo.compose(phi, endo.invert(theta))
 
 
 def test_reduce_mod_inn_matches_library(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import pytest
 from fractions import Fraction as F
 
-from lmc import cosets, endo, normal, syntax
+from lmc import cosets, endo, liealg, normal, syntax
 from lmc.arith import TruncPoly
-from lmc.errors import DomainError
+from lmc.errors import DomainError, ValidationError
 from lmc.liealg import Context
 from lmc.verify import sample
 
@@ -124,6 +124,32 @@ def test_reduce_mod_in_rejects_non_ia():
     two = endo.linear_endo(ctx, [[F(2) if i == j else F(0) for j in range(3)] for i in range(3)])
     with pytest.raises(DomainError):
         cosets.reduce_mod_in(two)
+
+
+def test_reduce_mod_in_certificate_catches_a_wrong_multiplier(monkeypatch):
+    # Adding a central element to the image of x_3 changes only column 3 of
+    # theta's Jacobian, which the theta shape leaves free: only the coset
+    # certificate can reject it.
+    ctx = Context(3, 4)
+    x = [liealg.generator(ctx, i) for i in range(1, 4)]
+    central = liealg.bracket_chain(x[1], x[0], x[0], x[0])
+    ginn_to_endo = normal.ginn_to_endo
+
+    def perturbed(g):
+        images = ginn_to_endo(g).images
+        return endo.Endomorphism(ctx, images[:2] + (images[2] + central,))
+
+    monkeypatch.setattr(normal, "ginn_to_endo", perturbed)
+    with pytest.raises(ValidationError, match="lost the coset"):
+        cosets.reduce_mod_in(sample("ia", ctx, "cert", 2))
+
+
+def test_reduce_mod_inn_certificate_catches_a_wrong_inverse(monkeypatch):
+    ctx = Context(3, 4)
+    psi0 = ginn(ctx, "0", "t3^2", "t3^2")  # its own psi representative
+    monkeypatch.setattr(normal, "ginn_invert", lambda g: g)
+    with pytest.raises(ValidationError, match="inner coset"):
+        cosets.reduce_mod_inn_normal(psi0)
 
 
 def test_reduce_mod_inn_inner_gives_identity():
