@@ -22,19 +22,20 @@ Three Jacobian shapes are recognized:
     degree-1 coefficient of t_2 must vanish, unlike theta's full
     independence).
 
-reduce_mod_in finds the theta representative psi_f o phi by solving for
-the parameters f of a generalized-inner left multiplier.  The affine
-system is block lower triangular in parameter degree: the degree-d part
-of f moves M = J(psi_f phi) - I only in degrees >= d+1, and its
-degree-(d+1) effect comes from the identity part of J(phi) alone.  So the
-diagonal blocks depend on (m, c, d) only and are built once; per input,
-degrees d = 0,...,c-2 are solved in turn against right-hand sides that
-carry the effect of the lower degrees.  For reduce_mod_inn_normal no
-affine shortcut exists (inner multipliers enter through an exponential),
-so it follows the explicit variable-splitting construction: first strip
-parameter constants with a linear-generator exponential, then for k =
-1,...,m-1 strip the t_k-dependence of the parameters above index k with
-exp(ad u_k), u_k = -sum_{i>k} [x_i,x_k] (t_k-quotient of f_i).
+reduce_mod_in finds the theta representative psi_f o phi by reading the
+parameters f of a generalized-inner left multiplier off M = J(psi_f phi)
+- I, degree by degree.  The degree-d part f_d moves M only in degrees
+>= d+1, and in degree d+1 each coefficient of f_d owns one constrained
+coefficient of M: the t^e coefficient of f_i (i >= 2) owns the t^e t_1
+coefficient of M[i][1], that of f_1 the t^e t_2 coefficient of M[1][2].
+Nothing is solved; entry (1,1) is left as a consistency check.
+
+For reduce_mod_inn_normal no such read exists (inner multipliers enter
+through an exponential), so it follows the explicit variable-splitting
+construction: first strip parameter constants with a linear-generator
+exponential, then for k = 1,...,m-1 strip the t_k-dependence of the
+parameters above index k with exp(ad u_k), u_k = -sum_{i>k} [x_i,x_k]
+(t_k-quotient of f_i).
 
 Every reduction output is certified: the shape predicate holds, and the
 output lies in the coset of its input.  For theta, the Jacobian of the
@@ -46,15 +47,12 @@ ginn_compose and ginn_invert, pass the closed-form inner test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from . import endo as _endo
 from . import normal
-from .arith import FIELD_BITS, MAX_CAP, TruncPoly, all_monomials, t_dot, var_code
+from .arith import TruncPoly, t_dot
 from .errors import DomainError, ValidationError
-from .liealg import Context, LieElement
-from .linalg import SparseSolver
+from .liealg import LieElement
 
 
 @dataclass
@@ -167,59 +165,21 @@ def psi_diagnostics(jac: "_endo.JacobianMatrix") -> dict:
 # -- reduction: IA modulo normal IA (theta) ----------------------------------------
 
 
-def _entries(m: int):
-    """The entries (i, col) of M that carry constraints: column 1 and (1,2)."""
-    return [(i, 1) for i in range(1, m + 1)] + [(1, 2)]
-
-
-def _constrained(m: int, i: int, col: int, code: int) -> bool:
-    """Whether the coefficient of t^code in M[i][col] is constrained: every
-    one on the diagonal (1,1), and off it the multiples of t_col (M[i][1]
-    free of t_1 for i >= 2, M[1][2] free of t_2)."""
-    return i == col or bool(code >> FIELD_BITS * (m - col) & MAX_CAP)
-
-
-@lru_cache(maxsize=None)
-def _theta_block(ctx: Context, d: int):
-    """(unknowns, solver) of the degree-d diagonal block of the theta system.
-
-    The unknown (i0, e0) is the coefficient of t^e0, deg e0 = d, in f_i0.
-    Its degree-(d+1) effect on M is that of ginn_jacobian(f) - I, whose
-    entry (i, i) is sum_{r != i} t_r f_r and entry (i, j != i) is -t_j f_i.
-    """
-    m = ctx.m
-    unknowns, columns = [], []
-    for i0 in range(1, m + 1):
-        for e0 in all_monomials(m, d):
-            if sum(e0) != d:
-                continue
-            code0 = sum(x * var_code(m, j) for j, x in enumerate(e0, start=1))
-            column = {}
-            for i, col in _entries(m):
-                if i == col and i0 != i:
-                    code, v = code0 + var_code(m, i0), 1
-                elif i != col and i0 == i:
-                    code, v = code0 + var_code(m, col), -1
-                else:
-                    continue
-                if _constrained(m, i, col, code):
-                    column[(i, col, code)] = v
-            unknowns.append((i0, e0))
-            columns.append(column)
-    return tuple(unknowns), SparseSolver(columns)
-
-
 def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
     """Canonical theta representative psi_f o phi of the coset of normal IA
-    maps through phi, by a graded solve for the multiplier's parameters f.
+    maps through phi, with the multiplier's parameters f read off M =
+    J(psi_f phi) - I degree by degree.
 
-    Constraints on M = J(psi_f phi) - I, affine in f: entry (1,1) vanishes,
-    first-column entries below it are free of t_1, entry (1,2) is free of
-    t_2.  The remaining theta conditions hold automatically for Jacobians
-    of IA maps.  The degree-d part f_d is solved from the degree-(d+1)
-    constraints with the cached block of _theta_block, after adding the
-    effect of f_0,...,f_{d-1} to M.  Theta is a transversal, so every block
-    is consistent and the solution unique; failure signals corrupt input.
+    The theta shape asks that entry (1,1) of M vanish, the first-column
+    entries below it be free of t_1 and entry (1,2) be free of t_2; the
+    remaining theta conditions hold automatically for Jacobians of IA maps.
+    The degree-d part f_d moves M only in degrees >= d+1, and in degree d+1
+    by -t_1 f_i,d at (i,1) for i >= 2, by -t_2 f_1,d at (1,2) and by
+    sum_{r>=2} t_r f_r,d at (1,1).  So, once the effect of f_0,...,f_{d-1}
+    is added to M, f_i,d is the t_1-quotient of the degree-(d+1) part of
+    M[i][1], f_1,d the t_2-quotient of that of M[1][2], and the (1,1)
+    entry must then cancel in degree d+1.  Theta is a transversal, so it
+    does for every IA map; failure signals corrupt input.
     """
     if not phi.is_ia():
         raise DomainError("reduce_mod_in expects an IA automorphism")
@@ -227,7 +187,7 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
     m, cap = ctx.m, ctx.module_cap
     jac = _endo.jacobian(phi)
     one = TruncPoly.const(m, cap, 1)
-    entries = _entries(m)
+    entries = [(i, 1) for i in range(1, m + 1)] + [(1, 2)]
 
     # t_sums[(i, col)] = sum_{s != i} t_s J[s][col].  With (G J)[i][col] =
     # (sum_{r != i} t_r f_r) J[i][col] - f_i t_sums[(i, col)], the
@@ -242,26 +202,16 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
         for i, col in entries
     }
 
-    top = FIELD_BITS * m
-    params = [dict() for _ in range(m)]
+    f = [ctx.zero_poly()] * m
     for d in range(ctx.c - 1):
-        rhs = {}
-        for (i, col), p in moved.items():
-            for code, num in p.nums.items():
-                if code >> top == d + 1 and _constrained(m, i, col, code):
-                    rhs[(i, col, code)] = Fraction(-num, p.den)
-        unknowns, solver = _theta_block(ctx, d)
-        solution = solver.solve(rhs)
-        if solution is None:
-            raise ValidationError("no theta representative: input is not a valid IA map")
-        f_d = [dict() for _ in range(m)]
-        for (i0, e0), val in zip(unknowns, solution):
-            if val:
-                f_d[i0 - 1][e0] = params[i0 - 1][e0] = val
-        if d == ctx.c - 2 or not any(f_d):
-            continue
-        f_d = [TruncPoly(m, cap, terms) for terms in f_d]
+        f_d = [moved[(1, 2)].graded(d + 1).split_var(2)[0]]
+        f_d += [moved[(i, 1)].graded(d + 1).split_var(1)[0] for i in range(2, m + 1)]
         weight = t_dot(f_d, cap)
+        if not (moved[(1, 1)].graded(d + 1) + weight - f_d[0].mul_var(1)).is_zero():
+            raise ValidationError("no theta representative: input is not a valid IA map")
+        f = [p + q for p, q in zip(f, f_d)]
+        if d == ctx.c - 2:
+            break
         for i, col in entries:
             f_i = f_d[i - 1]
             moved[(i, col)] = (
@@ -270,7 +220,7 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
                 - f_i * t_sums[(i, col)]
             )
 
-    g = normal.GInnAut(ctx, tuple(TruncPoly(m, ctx.param_cap, terms) for terms in params))
+    g = normal.GInnAut(ctx, tuple(p.with_cap(ctx.param_cap) for p in f))
     theta = _endo.compose(normal.ginn_to_endo(g), phi)
     theta_jac = _endo.jacobian(theta)
     if not shape_check(theta_jac, "theta"):

@@ -126,6 +126,20 @@ def test_reduce_mod_in_rejects_non_ia():
         cosets.reduce_mod_in(two)
 
 
+@pytest.mark.parametrize("m,c", [(2, 3), (3, 3), (3, 4)])
+def test_reduce_mod_in_rejects_an_image_outside_the_algebra(monkeypatch, m, c):
+    # x1 -> x1 + a1*t2 is IA, but its module part breaks the membership
+    # condition sum t_i p_i = 0, so the (1,1) entry of M cannot cancel.
+    monkeypatch.setattr(liealg, "CHECK_INVARIANTS", False)
+    ctx = Context(m, c)
+    mod = (TruncPoly.var(m, ctx.module_cap, 2),) + (ctx.zero_poly(),) * (m - 1)
+    x1 = liealg.LieElement(ctx, (1,) + (0,) * (m - 1), mod)
+    phi = endo.Endomorphism(ctx, (x1,) + tuple(liealg.generator(ctx, i) for i in range(2, m + 1)))
+    assert phi.is_ia()
+    with pytest.raises(ValidationError, match="no theta representative"):
+        cosets.reduce_mod_in(phi)
+
+
 def test_reduce_mod_in_certificate_catches_a_wrong_multiplier(monkeypatch):
     # Adding a central element to the image of x_3 changes only column 3 of
     # theta's Jacobian, which the theta shape leaves free: only the coset
