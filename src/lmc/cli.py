@@ -64,12 +64,12 @@ def _context(args) -> Context:
 
 
 def _read_file(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
@@ -336,12 +336,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _report(kind: str, exc: Exception) -> None:
+    # One line, also when the message quotes an argument with line breaks.
+    print(f"lmc: {kind}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"lmc: usage error: {exc}", file=sys.stderr)
+        _report("usage error", exc)
         return EXIT_USAGE
     except (
         ParseError,
@@ -350,10 +355,10 @@ def main(argv=None) -> int:
         DimensionMismatch,
         DomainError,
     ) as exc:
-        print(f"lmc: bad input: {exc}", file=sys.stderr)
+        _report("bad input", exc)
         return EXIT_DATA
     except LmcError as exc:  # pragma: no cover - safety net
-        print(f"lmc: error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return EXIT_DATA
 
 

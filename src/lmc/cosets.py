@@ -22,13 +22,10 @@ Three Jacobian shapes are recognized:
     degree-1 coefficient of t_2 must vanish, unlike theta's full
     independence).
 
-reduce_mod_in finds the theta representative psi_f o phi by reading the
-parameters f of a generalized-inner left multiplier off M = J(psi_f phi)
-- I, degree by degree.  The degree-d part f_d moves M only in degrees
->= d+1, and in degree d+1 each coefficient of f_d owns one constrained
-coefficient of M: the t^e coefficient of f_i (i >= 2) owns the t^e t_1
-coefficient of M[i][1], that of f_1 the t^e t_2 coefficient of M[1][2].
-Nothing is solved; entry (1,1) is left as a consistency check.
+reduce_mod_in reads the parameters f of the generalized-inner left
+multiplier psi_f with theta = psi_f o phi off M = J(psi_f phi) - I, degree
+by degree: each coefficient of f owns one constrained coefficient of M, so
+nothing is solved.
 
 For reduce_mod_inn_normal no such read exists (inner multipliers enter
 through an exponential), so it follows the explicit variable-splitting
@@ -167,19 +164,17 @@ def psi_diagnostics(jac: "_endo.JacobianMatrix") -> dict:
 
 def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
     """Canonical theta representative psi_f o phi of the coset of normal IA
-    maps through phi, with the multiplier's parameters f read off M =
-    J(psi_f phi) - I degree by degree.
+    maps through phi, with f read off M = J(psi_f phi) - I degree by degree.
 
-    The theta shape asks that entry (1,1) of M vanish, the first-column
-    entries below it be free of t_1 and entry (1,2) be free of t_2; the
-    remaining theta conditions hold automatically for Jacobians of IA maps.
+    Theta asks that M[1][1] vanish, M[i][1] (i >= 2) be free of t_1 and
+    M[1][2] be free of t_2; its other conditions hold for every IA map.
     The degree-d part f_d moves M only in degrees >= d+1, and in degree d+1
-    by -t_1 f_i,d at (i,1) for i >= 2, by -t_2 f_1,d at (1,2) and by
-    sum_{r>=2} t_r f_r,d at (1,1).  So, once the effect of f_0,...,f_{d-1}
-    is added to M, f_i,d is the t_1-quotient of the degree-(d+1) part of
-    M[i][1], f_1,d the t_2-quotient of that of M[1][2], and the (1,1)
-    entry must then cancel in degree d+1.  Theta is a transversal, so it
-    does for every IA map; failure signals corrupt input.
+    by -t_1 f_i,d at (i,1), -t_2 f_1,d at (1,2) and sum_{r>=2} t_r f_r,d at
+    (1,1).  So, with the effect of f_0,...,f_{d-1} added to M, f_i,d is the
+    t_1-quotient of the degree-(d+1) part of M[i][1], f_1,d the t_2-quotient
+    of that of M[1][2], and M[1][1] must then cancel in degree d+1.  Theta
+    is a transversal, so it does for every IA map; failure signals corrupt
+    input.
     """
     if not phi.is_ia():
         raise DomainError("reduce_mod_in expects an IA automorphism")

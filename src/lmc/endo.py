@@ -201,9 +201,6 @@ class Endomorphism:
     def is_automorphism(self) -> bool:
         return self._linear_inverse() is not None
 
-    def is_identity(self) -> bool:
-        return self == Endomorphism.identity(self.ctx)
-
     def _substituted_var(self, r: int) -> TruncPoly:
         """Image of t_r under the induced substitution on the module ring."""
         subs = self._cache.get("subs")

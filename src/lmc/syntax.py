@@ -20,6 +20,7 @@ order (generators first, then commutator tuples by degree and tuple order).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from . import endo as _endo
@@ -31,6 +32,7 @@ from .liealg import BasisForm, Context, LieElement
 # -- tokenizer ----------------------------------------------------------------
 
 _PUNCT = {"+", "-", "*", "/", "^", "[", "]", ","}
+_DIGITS = re.compile("[0-9]*")  # str.isdigit also takes other scripts' digits
 
 # One nesting level costs the recursive-descent parser two stack frames, so
 # this keeps the deepest bracket well inside Python's default recursion limit.
@@ -50,6 +52,13 @@ class _Token:
         if self.kind == "end":
             return "end of input"
         return repr(str(self.value))
+
+
+def _int(text, line, col):
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(line, col, "a shorter number", f"{len(text)} digits") from None
 
 
 def _tokenize(text):
@@ -72,21 +81,17 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
+        if "0" <= ch <= "9":
+            j = _DIGITS.match(text, i).end()
+            tokens.append(_Token("int", _int(text[i:j], line, col), line, col))
             col += j - i
             i = j
             continue
         if ch.isalpha():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
+            j = _DIGITS.match(text, i + 1).end()
             if j == i + 1:
                 raise ParseError(line, col, "an index after the letter", repr(ch))
-            tokens.append(_Token("name", (ch, int(text[i + 1 : j])), line, col))
+            tokens.append(_Token("name", (ch, _int(text[i + 1 : j], line, col)), line, col))
             col += j - i
             i = j
             continue
@@ -338,6 +343,8 @@ def parse_automorphism(data, check_context=None) -> "_endo.Endomorphism":
             raise ParseError(exc.lineno, exc.colno, "valid JSON", exc.msg) from exc
         except RecursionError as exc:
             raise ValidationError("automorphism JSON nests too deeply") from exc
+        except ValueError as exc:  # e.g. an integer above sys.get_int_max_str_digits()
+            raise ValidationError(f"automorphism JSON cannot be read: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("automorphism JSON must be an object")
     m, c = data.get("m"), data.get("c")

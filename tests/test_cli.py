@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
 import time
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lmc import cli, cosets, endo, liealg, normal, syntax, verify
 from lmc.liealg import Context
@@ -338,3 +344,108 @@ def test_huge_class_exits_at_once(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and "65535" in err
     assert time.perf_counter() - start < 2
+
+
+DIGITS_5000 = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--m", "2", "--c", "3", "\u00b2"),  # a superscript is no ASCII digit
+        ("eval", "--m", "2", "--c", "3", "x\u0661"),  # nor an Arabic-Indic one
+        ("eval", "--m", "2", "--c", "3", DIGITS_5000 + "*x1"),  # past int()'s digit limit
+        ("bracket", "--m", "2", "--c", "3", "x1", "x" + DIGITS_5000),
+    ],
+    ids=["superscript", "arabic-indic", "long-coefficient", "long-index"],
+)
+def test_number_literals_are_ascii_and_bounded(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": %s, "c": 3, "images": ["x1", "x2"]}' % DIGITS_5000,
+        '{"m": 2, "c": 3, "jacobian": [["1", "t2^%s"], ["0", "1"]]}' % DIGITS_5000,
+        '{"m": 2, "c": 3, "jacobian": [["1", "%s*t2"], ["0", "1"]]}' % DIGITS_5000,
+    ],
+    ids=["long-m", "long-exponent", "long-jacobian-coefficient"],
+)
+def test_long_numbers_in_automorphism_files_are_bad_input(tmp_path, capsys, text):
+    path = tmp_path / "long.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "aut", "invert", str(path))
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")
+
+
+def test_undecodable_file_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": 2, "c": 3, "images": ["x1\xff", "x2"]}')
+    code, out, err = run(capsys, "check", "ia", str(path))
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: cannot read ")
+
+
+# -- the total CLI contract: every input ends in a known exit code ----------------
+
+AUT_FILE = "AUT_FILE"  # stands for the automorphism file of one example
+COMMUTATORS = st.from_regex(r"( [+-] ([1-9]\*)?\[x[1-3](,x[1-3])+\])*", fullmatch=True)
+TEXT = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="x0123[],+-*/ ", max_size=30),
+    COMMUTATORS.map(lambda tail: "x1" + tail),
+)
+
+
+@st.composite
+def element_lines(draw):
+    m, c = draw(st.sampled_from([(2, 3), (3, 3)]))
+    command = draw(st.sampled_from(["eval", "bracket"]))
+    texts = draw(st.lists(TEXT, min_size=1, max_size=3))
+    return ([command, "--m", str(m), "--c", str(c), *texts], None)
+
+
+@st.composite
+def automorphism_lines(draw):
+    m, c = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    near_identity = st.lists(COMMUTATORS, min_size=m, max_size=m).map(
+        lambda tails: [f"x{i}{tail}" for i, tail in enumerate(tails, start=1)]
+    )
+    images = draw(st.one_of(st.lists(TEXT, min_size=m, max_size=m), near_identity))
+    command = draw(st.sampled_from([["aut", "invert"], ["check", "normal", "--witness"]]))
+    return ([*command, AUT_FILE], json.dumps({"m": m, "c": c, "images": images}))
+
+
+def run_line(directory, argv, aut_text):
+    """(exit code, stdout, stderr) of main on argv, with AUT_FILE holding
+    aut_text; any exception escapes."""
+    path = directory / "aut.json"
+    if aut_text is not None:
+        path.write_text(aut_text, encoding="utf-8")
+    argv = [str(path) if arg == AUT_FILE else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(line=st.one_of(element_lines(), automorphism_lines()))
+@example(line=(["eval", "--m", "2", "--c", "3", "\u00b2"], None))
+@example(line=(["eval", "--m", "2", "--c", "3", "x\u0661"], None))
+@example(line=(["eval", "--m", "2", "--c", "3", DIGITS_5000 + "*x1"], None))
+@example(line=(["bracket", "--m", "3", "--c", "3", "x1", "x" + DIGITS_5000], None))
+@example(line=(["aut", "invert", AUT_FILE], '{"m": %s, "c": 3, "images": []}' % DIGITS_5000))
+def test_every_input_ends_in_a_known_exit_code(tmp_path_factory, line):
+    code, out, err = run_line(tmp_path_factory.getbasetemp(), *line)
+    assert code in (0, 2, 64, 65)
+    if code in (64, 65):
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
