@@ -29,11 +29,12 @@ items() and printing.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ValidationError
 
 KERNEL = "packed-int"  # names the polynomial kernel in benchmark run records
 
@@ -458,7 +459,15 @@ def monomial_sort_key(e):
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """'p' or 'p/q'.  A numerator or denominator past Python's integer-string
+    limit is a ValidationError, the rule the parser applies to literals."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValidationError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits,"
+            " the limit for printing an integer"
+        ) from None
 
 
 def _monomial_str(e) -> str:

@@ -35,9 +35,10 @@ parameters above index k with exp(ad u_k), u_k = -sum_{i>k} [x_i,x_k]
 (t_k-quotient of f_i).
 
 Every reduction output is certified: the shape predicate holds, and the
-output lies in the coset of its input.  For theta, the Jacobian of the
-bracket-built psi_f o phi equals ginn_jacobian(f) @ J(phi); the Jacobian
-is faithful on IA maps.  For psi, the parameters of g o psi^-1, from
+output lies in the coset of its input.  For theta = psi_f o phi, a
+product of Jacobians, the materialized multiplier psi_f has the closed-form
+Jacobian ginn_jacobian(f), so it is generalized inner; the Jacobian is
+faithful on IA maps.  For psi, the parameters of g o psi^-1, from
 ginn_compose and ginn_invert, pass the closed-form inner test.
 """
 
@@ -216,11 +217,12 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
             )
 
     g = normal.GInnAut(ctx, tuple(p.with_cap(ctx.param_cap) for p in f))
-    theta = _endo.compose(normal.ginn_to_endo(g), phi)
+    psi = normal.ginn_to_endo(g)
+    theta = _endo.compose(psi, phi)
     theta_jac = _endo.jacobian(theta)
     if not shape_check(theta_jac, "theta"):
         raise ValidationError("reduction produced a non-theta matrix")  # unreachable
-    if theta_jac != normal.ginn_jacobian(g) @ jac:
+    if _endo.jacobian(psi) != normal.ginn_jacobian(g):
         raise ValidationError("reduction lost the coset")  # unreachable
     return ThetaForm(theta, g, theta_jac)
 

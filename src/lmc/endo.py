@@ -12,6 +12,13 @@ algebra) correspond exactly to matrices I + S where every column of S
 satisfies sum_i t_i s_ij = 0 modulo Omega^(c+1); on that subsemigroup the
 Jacobian is a faithful semigroup isomorphism, which is what makes the
 Neumann-series inverse below exact.
+
+So IA maps are handled as matrices: compose of two IA maps is
+ia_from_jacobian(J(phi) @ J(psi)), and their group commutator is
+(BA)^-1 AB = I + X for A = J(phi), B = J(psi), found from BA X = AB - BA
+by the iteration X = D - N X (N = BA - I) that also gives the Neumann
+inverse.  Endomorphism.apply is the one action built from the bracket;
+maps that are not IA compose through it.
 """
 
 from __future__ import annotations
@@ -61,16 +68,18 @@ class JacobianMatrix:
     def __matmul__(self, other: "JacobianMatrix") -> "JacobianMatrix":
         if self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        m = self.ctx.m
+        zero = TruncPoly.zero(self.ctx.m, self.ctx.module_cap)
+        cols = tuple(zip(*other.rows))
         rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = TruncPoly.zero(m, self.ctx.module_cap)
-                for s in range(m):
-                    acc = acc + self.rows[i][s] * other.rows[s][j]
-                row.append(acc)
-            rows.append(tuple(row))
+        for row in self.rows:
+            out = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    if not (a.is_zero() or b.is_zero()):
+                        acc = a * b if acc is zero else acc + a * b
+                out.append(acc)
+            rows.append(tuple(out))
         return JacobianMatrix(self.ctx, tuple(rows))
 
     def __sub__(self, other: "JacobianMatrix") -> "JacobianMatrix":
@@ -114,17 +123,12 @@ class JacobianMatrix:
         )
 
     def neumann_inverse(self) -> "JacobianMatrix":
-        """Exact inverse of a unipotent matrix: sum of powers of I - J."""
+        """Exact inverse of a unipotent matrix I + N: X = I - N X, iterated
+        from X = I, gains a degree per step and is exact after c-1."""
         if not self.is_unipotent():
             raise DomainError("Neumann inverse needs a unipotent matrix")
         ident = JacobianMatrix.identity(self.ctx)
-        minus_n = ident - self  # entries in Omega, nilpotent
-        acc = ident + minus_n
-        power = minus_n
-        for _ in range(2, self.ctx.c):
-            power = power @ minus_n
-            acc = acc + power
-        return acc
+        return _neumann_solve(ident - self, ident, self.ctx.c - 1)
 
     def __add__(self, other: "JacobianMatrix") -> "JacobianMatrix":
         if self.ctx != other.ctx:
@@ -142,6 +146,18 @@ class JacobianMatrix:
             "[" + ", ".join(str(p) for p in row) + "]" for row in self.rows
         )
         return f"JacobianMatrix(m={self.ctx.m}, c={self.ctx.c}, {body})"
+
+
+def _neumann_solve(minus_n: JacobianMatrix, d: JacobianMatrix, steps: int) -> JacobianMatrix:
+    """X with (I + N) X = D, for N with entries in Omega: X = D - N X
+    unrolled `steps` times from X = D, as the sum of (-N)^k D for k <= steps.
+    The error is (-N)^(steps+1) X, so each step fixes one more degree; the
+    power (-N)^k D starts k degrees above D, which keeps its products small."""
+    x = term = d
+    for _ in range(steps):
+        term = minus_n @ term
+        x = x + term
+    return x
 
 
 class Endomorphism:
@@ -272,9 +288,13 @@ class Endomorphism:
 
 
 def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
-    """phi after psi: compose(phi, psi)(x) = phi(psi(x))."""
+    """phi after psi: compose(phi, psi)(x) = phi(psi(x)).  Two IA maps
+    compose as the product of their Jacobians; any other pair goes through
+    phi.apply."""
     if phi.ctx != psi.ctx:
         raise ContextMismatch(f"{phi.ctx} vs {psi.ctx}")
+    if phi.is_ia() and psi.is_ia():
+        return ia_from_jacobian(jacobian(phi) @ jacobian(psi))
     return Endomorphism(phi.ctx, tuple(phi.apply(im) for im in psi.images))
 
 
@@ -359,5 +379,17 @@ def invert(phi: Endomorphism) -> Endomorphism:
 
 
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
-    """phi^-1 psi^-1 phi psi under the repo composition order (psi first)."""
+    """phi^-1 psi^-1 phi psi under the repo composition order (psi first).
+
+    For IA maps with A = J(phi), B = J(psi) this is (BA)^-1 AB = I + X with
+    BA X = D, D = AB - BA.  D starts in degree 2, so X = D - (BA - I) X
+    from X = D is exact after c-3 steps.  Other pairs go through invert
+    and compose.
+    """
+    if phi.is_ia() and psi.is_ia():
+        a, b = jacobian(phi), jacobian(psi)
+        ab, ba = a @ b, b @ a
+        ident = JacobianMatrix.identity(phi.ctx)
+        x = _neumann_solve(ident - ba, ab - ba, phi.ctx.c - 3)
+        return ia_from_jacobian(ident + x)
     return compose(compose(compose(invert(phi), invert(psi)), phi), psi)

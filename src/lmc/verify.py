@@ -11,9 +11,18 @@ proved for, so a report can never reflect a vacuous domain:
   class2_by_abelian  ((c1,c2),c3) = 1, c_i commutators
                      of scaled normal maps            (m,c) = (2,3)
   jacobian_functorial J(phi psi) = J(phi) J(psi) and
-                     J(phi^-1) = J(phi)^-1 on IA      any
+                     phi(phi^-1(x_i)) = x_i on IA     any
   ginn_normal_oracle sampled GInn maps preserve
                      sampled principal ideals         any
+
+Group commutators and compositions of IA maps are Jacobian products
+(lmc.endo), and a sign-flipped bracket is still a Lie bracket, so these
+laws alone cannot see a broken bracket.  Their inputs are therefore
+certified against it: every GInn map of abelian, nilpotent2 and
+metabelian must agree on the generators with ginn_apply, which brackets;
+jacobian_functorial builds phi psi through phi.apply, not compose, and
+applies phi to the images of phi^-1.  A failed certificate is a
+counterexample like a failed law.
 
 Sampling is deterministic in (kind, ctx, seed): coefficients are integers
 in [-coeff_bound, coeff_bound], and per-trial seeds are derived from the
@@ -165,30 +174,39 @@ def _describe(*objs) -> str:
     return json.dumps(parts)
 
 
+def _certified_ginn_maps(ctx, seeds, bound, count):
+    """`count` sampled GInn maps, materialized in closed form, and whether
+    each one agrees on every generator with ginn_apply, which brackets (the
+    certificate the module docstring describes)."""
+    gs = [sample("ginn", ctx, seeds(k), bound) for k in range(count)]
+    maps = tuple(normal.ginn_to_endo(g) for g in gs)
+    certified = all(
+        normal.ginn_apply(g, liealg.generator(ctx, i)) == im
+        for g, phi in zip(gs, maps)
+        for i, im in enumerate(phi.images, start=1)
+    )
+    return maps, certified
+
+
 def _law_abelian(ctx, seeds, bound):
-    a = normal.ginn_to_endo(sample("ginn", ctx, seeds(0), bound))
-    b = normal.ginn_to_endo(sample("ginn", ctx, seeds(1), bound))
-    ok = _endo.group_commutator(a, b) == _endo.Endomorphism.identity(ctx)
+    (a, b), ok = _certified_ginn_maps(ctx, seeds, bound, 2)
+    ok = ok and _endo.group_commutator(a, b) == _endo.Endomorphism.identity(ctx)
     return ok, (a, b)
 
 
 def _law_nilpotent2(ctx, seeds, bound):
-    a, b, c = (
-        normal.ginn_to_endo(sample("ginn", ctx, seeds(k), bound)) for k in range(3)
-    )
-    inner = _endo.group_commutator(a, b)
-    ok = _endo.group_commutator(inner, c) == _endo.Endomorphism.identity(ctx)
+    (a, b, c), ok = _certified_ginn_maps(ctx, seeds, bound, 3)
+    ok = ok and _endo.group_commutator(
+        _endo.group_commutator(a, b), c
+    ) == _endo.Endomorphism.identity(ctx)
     return ok, (a, b, c)
 
 
 def _law_metabelian(ctx, seeds, bound):
-    a, b, c, d = (
-        normal.ginn_to_endo(sample("ginn", ctx, seeds(k), bound)) for k in range(4)
-    )
-    lhs = _endo.group_commutator(
+    (a, b, c, d), ok = _certified_ginn_maps(ctx, seeds, bound, 4)
+    ok = ok and _endo.group_commutator(
         _endo.group_commutator(a, b), _endo.group_commutator(c, d)
-    )
-    ok = lhs == _endo.Endomorphism.identity(ctx)
+    ) == _endo.Endomorphism.identity(ctx)
     return ok, (a, b, c, d)
 
 
@@ -207,8 +225,13 @@ def _law_class2_by_abelian(ctx, seeds, bound):
 def _law_jacobian_functorial(ctx, seeds, bound):
     phi = sample("ia", ctx, seeds(0), bound)
     psi = sample("ia", ctx, seeds(1), bound)
-    ok = _endo.jacobian(_endo.compose(phi, psi)) == _endo.jacobian(phi) @ _endo.jacobian(psi)
-    ok = ok and _endo.jacobian(_endo.invert(phi)) == _endo.jacobian(phi).neumann_inverse()
+    # compose of IA maps is a Jacobian product; apply is the bracket-built side
+    composite = _endo.Endomorphism(ctx, tuple(phi.apply(im) for im in psi.images))
+    ok = _endo.jacobian(composite) == _endo.jacobian(phi) @ _endo.jacobian(psi)
+    ok = ok and all(
+        phi.apply(im) == liealg.generator(ctx, i)
+        for i, im in enumerate(_endo.invert(phi).images, start=1)
+    )
     return ok, (phi, psi)
 
 

@@ -1,17 +1,21 @@
-"""The basis-expansion action that Endomorphism.apply replaced: the reference
-for tests/test_apply_parity.py.
+"""The map operations that lmc.endo replaced: the references for
+tests/test_apply_parity.py and tests/test_compose_parity.py.
 
-u is expanded over the left-normed basis with the Fraction reference solver
-(tests/linalg_reference.py), and each basis commutator [x_i1, ..., x_ik]
-maps to the bracket of the two leading images acted on by the product of
-the substituted linear forms of the remaining letters.
+apply: u is expanded over the left-normed basis with the Fraction reference
+solver (tests/linalg_reference.py), and each basis commutator [x_i1, ...,
+x_ik] maps to the bracket of the two leading images acted on by the product
+of the substituted linear forms of the remaining letters.
+
+compose, group_commutator and neumann_inverse: the bracket-based forms that
+endo.compose and endo.group_commutator now bypass on IA maps, and the sum of
+powers that endo's Neumann iteration replaced.
 """
 
 from fractions import Fraction
 
 from linalg_reference import SparseSolver
 
-from lmc import liealg
+from lmc import endo, liealg
 from lmc.arith import TruncPoly
 from lmc.errors import ValidationError
 
@@ -69,4 +73,26 @@ def apply(phi, u):
             q = q * substituted_var(phi, r)
         w = liealg.bracket(phi.images[tup[0] - 1], phi.images[tup[1] - 1])
         acc = acc + liealg.ad_polynomial_action(w, q)
+    return acc
+
+
+def compose(phi, psi):
+    """phi after psi, each image of psi sent through phi.apply."""
+    return endo.Endomorphism(phi.ctx, tuple(phi.apply(im) for im in psi.images))
+
+
+def group_commutator(phi, psi):
+    """phi^-1 psi^-1 phi psi as a chain of inverses and compositions."""
+    return compose(compose(compose(endo.invert(phi), endo.invert(psi)), phi), psi)
+
+
+def neumann_inverse(jac):
+    """Inverse of a unipotent J as I + M + M^2 + ... + M^(c-1), M = I - J."""
+    ident = endo.JacobianMatrix.identity(jac.ctx)
+    minus_n = ident - jac
+    acc = ident + minus_n
+    power = minus_n
+    for _ in range(2, jac.ctx.c):
+        power = power @ minus_n
+        acc = acc + power
     return acc

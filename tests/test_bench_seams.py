@@ -5,8 +5,9 @@ normal._AD_SOLVERS) when it is installed, so a renamed or deleted seam
 crashes a traced benchmark run.  Installing the tracer here, around one
 recognize_inner call, one witness search and two pairs of coset
 reductions, turns that crash into a failing test, and so does a witness
-search that no longer goes through normal.preserves_ideal, or a coset
-reduction that inverts, exponentiates or builds a solver per input.
+search that no longer goes through normal.preserves_ideal, a coset
+reduction that inverts, exponentiates or builds a solver per input, or a
+composition or group commutator of IA maps that goes through the bracket.
 """
 
 import sys
@@ -94,9 +95,29 @@ def test_coset_reductions_certify_without_invert_or_exp_ad():
     first = _traced_reductions(ctx, "seams-1")
     assert first["endo.invert.calls"] == 0
     assert first["endo.exp_ad.calls"] == 0
-    # the diagonal blocks of the theta solve are built once per context
+    assert first["endo.apply.calls"] == 0  # theta is a Jacobian product
+    # theta's parameters are read, so no call builds a solver, first or later
+    assert first["linalg.solver.builds"] == 0
     second = _traced_reductions(ctx, "seams-2")
     assert second["linalg.solver.builds"] == 0
     assert second["endo.invert.calls"] == 0
     assert second["endo.exp_ad.calls"] == 0
     assert cosets.reduce_mod_in.__module__ == "lmc.cosets"  # uninstalled
+
+
+def test_ia_compose_and_commutator_call_neither_apply_nor_bracket():
+    ctx = Context(3, 4)
+    phi, psi = sample("ia", ctx, "seams-a", 2), sample("ia", ctx, "seams-b", 2)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        endo.group_commutator(phi, psi)
+        endo.compose(phi, psi)
+        counts = tracer.counts()
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["endo.group_commutator"] == 1
+    assert counts["endo.compose.calls"] == 1
+    assert counts["endo.apply.calls"] == 0
+    assert counts["liealg.bracket.calls"] == 0
+    assert endo.group_commutator.__module__ == "lmc.endo"  # uninstalled

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -366,6 +367,19 @@ def test_number_literals_are_ascii_and_bounded(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")
 
 
+DIGITS_3000 = "1" * 3000  # within the literal limit; its square is not
+
+
+def test_a_result_past_the_printing_limit_is_bad_input(capsys):
+    code, out, err = run(
+        capsys, "bracket", "--m", "2", "--c", "3", DIGITS_3000 + "*x1", DIGITS_3000 + "*x2"
+    )
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lmc: bad input: ")
+    assert str(sys.get_int_max_str_digits()) in err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -419,8 +433,13 @@ def automorphism_lines(draw):
         lambda tails: [f"x{i}{tail}" for i, tail in enumerate(tails, start=1)]
     )
     images = draw(st.one_of(st.lists(TEXT, min_size=m, max_size=m), near_identity))
-    command = draw(st.sampled_from([["aut", "invert"], ["check", "normal", "--witness"]]))
-    return ([*command, AUT_FILE], json.dumps({"m": m, "c": c, "images": images}))
+    command = draw(st.sampled_from([
+        ["aut", "invert", AUT_FILE],
+        ["aut", "compose", AUT_FILE, AUT_FILE],
+        ["aut", "commutator", AUT_FILE, AUT_FILE],
+        ["check", "normal", "--witness", AUT_FILE],
+    ]))
+    return (command, json.dumps({"m": m, "c": c, "images": images}))
 
 
 def run_line(directory, argv, aut_text):
@@ -443,6 +462,7 @@ def run_line(directory, argv, aut_text):
 @example(line=(["eval", "--m", "2", "--c", "3", DIGITS_5000 + "*x1"], None))
 @example(line=(["bracket", "--m", "3", "--c", "3", "x1", "x" + DIGITS_5000], None))
 @example(line=(["aut", "invert", AUT_FILE], '{"m": %s, "c": 3, "images": []}' % DIGITS_5000))
+@example(line=(["bracket", "--m", "2", "--c", "3", DIGITS_3000 + "*x1", DIGITS_3000 + "*x2"], None))
 def test_every_input_ends_in_a_known_exit_code(tmp_path_factory, line):
     code, out, err = run_line(tmp_path_factory.getbasetemp(), *line)
     assert code in (0, 2, 64, 65)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lmc import liealg, normal
+from lmc import endo, liealg, normal
 from lmc.errors import UsageError
 from lmc.liealg import Context
 from lmc.verify import check_law, sample
@@ -88,3 +88,15 @@ def test_broken_bracket_is_caught(monkeypatch):
     json.loads(report.counterexample)  # serialized inputs
     report = check_law("jacobian_functorial", Context(2, 3), 100, seed=2)
     assert not report.ok
+
+
+def test_jacobian_functorial_composes_through_apply(monkeypatch):
+    # compose of IA maps is a Jacobian product, so J(compose(phi, psi)) =
+    # J(phi) J(psi) holds by construction; the law must build phi psi
+    # through the bracket-based apply instead
+    def no_compose(phi, psi):
+        raise AssertionError("jacobian_functorial called endo.compose")
+
+    monkeypatch.setattr(endo, "compose", no_compose)
+    report = check_law("jacobian_functorial", Context(3, 3), 5, seed=3)
+    assert report.ok and report.passed == 5
