@@ -482,9 +482,7 @@ def _monomial_str(e) -> str:
 
 def poly_str(p: TruncPoly) -> str:
     """Canonical text form, e.g. '1/2*t1^2*t3 - t2'; zero prints as '0'."""
-    if p.is_zero():
-        return "0"
-    out = []
+    parts = []
     for e, c in sorted(p.items(), key=lambda item: monomial_sort_key(item[0])):
         mono = _monomial_str(e)
         mag = abs(c)
@@ -494,8 +492,15 @@ def poly_str(p: TruncPoly) -> str:
             body = mono
         else:
             body = f"{format_rational(mag)}*{mono}"
-        if not out:
-            out.append(body if c > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if c > 0 else f"- {body}")
+        parts.append((c < 0, body))
+    return signed_sum(parts)
+
+
+def signed_sum(parts) -> str:
+    """Join (negative, body) pairs as '-a + b - c'; no parts print as '0'."""
+    if not parts:
+        return "0"
+    (neg, body), rest = parts[0], parts[1:]
+    out = [f"-{body}" if neg else body]
+    out += [f"- {body}" if neg else f"+ {body}" for neg, body in rest]
     return " ".join(out)

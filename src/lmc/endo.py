@@ -18,7 +18,9 @@ ia_from_jacobian(J(phi) @ J(psi)), and their group commutator is
 (BA)^-1 AB = I + X for A = J(phi), B = J(psi), found from BA X = AB - BA
 by the iteration X = D - N X (N = BA - I) that also gives the Neumann
 inverse.  Endomorphism.apply is the one action built from the bracket;
-maps that are not IA compose through it.
+maps that are not IA compose through it.  exp_ad is no bracket series: it
+materializes the closed-form parameters normal.inner_params(u) of the
+generalized inner map exp(ad u).
 """
 
 from __future__ import annotations
@@ -102,10 +104,11 @@ class JacobianMatrix:
         return hash((self.ctx, self.rows))
 
     def is_unipotent(self) -> bool:
-        """Constant part equal to the identity matrix."""
+        """Constant part equal to the identity matrix, read off the packed
+        numerators: a constant 1 is nums[0] == den, a constant 0 no code 0."""
         for i, row in enumerate(self.rows):
             for j, p in enumerate(row):
-                if p.constant_term() != (_ONE if i == j else _ZERO):
+                if p.nums.get(0) != (p.den if i == j else None):
                     return False
         return True
 
@@ -331,19 +334,11 @@ def ia_from_jacobian(jac: JacobianMatrix) -> Endomorphism:
 
 
 def exp_ad(u: LieElement) -> Endomorphism:
-    """The inner automorphism exp(ad u) = 1 + ad u + ... + ad^(c-1) u/(c-1)!."""
-    ctx = u.ctx
-    images = []
-    for i in range(1, ctx.m + 1):
-        acc = liealg.generator(ctx, i)
-        term = acc
-        for k in range(1, ctx.c):
-            term = liealg.bracket(term, u).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        images.append(acc)
-    return Endomorphism(ctx, tuple(images))
+    """The inner automorphism exp(ad u) = 1 + ad u + ... + ad^(c-1) u/(c-1)!,
+    materialized from its generalized inner parameters normal.inner_params(u)."""
+    from . import normal  # normal imports this module
+
+    return normal.ginn_to_endo(normal.inner_params(u))
 
 
 def linear_endo(ctx: Context, a) -> Endomorphism:
@@ -363,8 +358,9 @@ def decompose(phi: Endomorphism):
     if not phi.is_automorphism():
         raise DomainError("decompose needs an automorphism (invertible linear part)")
     a = phi.linear_matrix()
-    a_inv = phi._linear_inverse()
-    chi = compose(linear_endo(phi.ctx, a_inv), phi)
+    if phi.is_ia():
+        return a, phi
+    chi = compose(linear_endo(phi.ctx, phi._linear_inverse()), phi)
     return a, chi
 
 

@@ -261,15 +261,6 @@ class BasisForm:
                 clean[tup] = coeff
         self.comm = clean
 
-    def __eq__(self, other):
-        if not isinstance(other, BasisForm):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.linear == other.linear
-            and self.comm == other.comm
-        )
-
 
 def _validate_tuple(ctx: Context, tup):
     k = len(tup)

@@ -22,9 +22,10 @@ Recognition:
     a linear solve: gamma_k is the constant term of f_k, W_k = f_k E(s)^-1 -
     gamma_k with E(s)^-1 = s/(e^s - 1) = sum B_n s^n/n!, and the map is inner
     iff the membership test sum_k t_k W_k = 0 holds.  The generator has no
-    degree-c (central) part, which makes it unique.  recognize_inner applies
-    it to the parameters recognize_ginn finds and certifies the generator by
-    exp_ad(u) == phi.
+    degree-c (central) part, which makes it unique, and it is returned only
+    with the certificate inner_params(u) == g.  recognize_inner applies it
+    to the parameters recognize_ginn finds and certifies; endo.exp_ad(u) is
+    ginn_to_endo(inner_params(u)), so no bracket is needed.
 
 Ideal preservation is decided from the generators' images.  Let I be the
 ideal generated by gens, spanned by the iterated brackets [g, x_j1, ...,
@@ -97,21 +98,32 @@ class GInnAut:
         return f"GInnAut(m={self.ctx.m}, c={self.ctx.c}, f=({', '.join(map(str, self.f))}))"
 
 
+def _ginn_s(g: GInnAut):
+    """S = J - I of the materialized map, rows i and columns j at cap c-1:
+    sum_{r != i} t_r f_r on the diagonal, -t_j f_i off it.  It satisfies
+    the S-condition by construction."""
+    cap = g.ctx.module_cap
+    f = [p.with_cap(cap) for p in g.f]
+    weight = t_dot(f, cap)
+    js = range(1, g.ctx.m + 1)
+    return [
+        [weight - f_i.mul_var(j) if i == j else -f_i.mul_var(j) for j in js]
+        for i, f_i in enumerate(f, start=1)
+    ]
+
+
 def ginn_to_endo(g: GInnAut) -> "_endo.Endomorphism":
-    """Materialize: x_i -> x_i + sum_j [x_i,x_j] f_j."""
+    """Materialize: x_j -> x_j + sum_k [x_j,x_k] f_k, whose module vector is
+    column j of S."""
     ctx = g.ctx
-    cap = ctx.module_cap
-    f_full = [p.with_cap(cap) for p in g.f]
-    weight = t_dot(f_full, cap)
-    images = []
-    for i in range(1, ctx.m + 1):
-        diag = weight - f_full[i - 1].mul_var(i)
-        mod = tuple(
-            diag if k == i else -f_full[k - 1].mul_var(i) for k in range(1, ctx.m + 1)
-        )
-        beta = tuple(_ONE if k == i else _ZERO for k in range(1, ctx.m + 1))
-        images.append(LieElement(ctx, beta, mod))
-    return _endo.Endomorphism(ctx, tuple(images))
+    cols = zip(*_ginn_s(g))
+    return _endo.Endomorphism(
+        ctx,
+        tuple(
+            LieElement(ctx, tuple(_ONE if k == j else _ZERO for k in range(ctx.m)), col)
+            for j, col in enumerate(cols)
+        ),
+    )
 
 
 def ginn_compose(a: GInnAut, b: GInnAut) -> "GInnAut":
@@ -149,22 +161,13 @@ def ginn_apply(g: GInnAut, u: LieElement) -> LieElement:
 
 
 def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":
-    """Closed-form Jacobian: I + (diagonal sum_{r!=i} t_r f_r, off-diagonal
-    (i,j) = -t_j f_i)."""
+    """Closed-form Jacobian I + S (see _ginn_s)."""
     ctx = g.ctx
-    cap = ctx.module_cap
-    f_full = [p.with_cap(cap) for p in g.f]
-    one_plus_weight = TruncPoly.const(ctx.m, cap, 1) + t_dot(f_full, cap)
-    rows = []
-    for i in range(1, ctx.m + 1):
-        row = []
-        for j in range(1, ctx.m + 1):
-            if i == j:
-                row.append(one_plus_weight - f_full[i - 1].mul_var(i))
-            else:
-                row.append(-f_full[i - 1].mul_var(j))
-        rows.append(tuple(row))
-    return _endo.JacobianMatrix(ctx, tuple(rows))
+    one = TruncPoly.const(ctx.m, ctx.module_cap, 1)
+    rows = _ginn_s(g)
+    for i, row in enumerate(rows):
+        row[i] = row[i] + one
+    return _endo.JacobianMatrix(ctx, rows)
 
 
 def ginn_pattern(jac: "_endo.JacobianMatrix"):
@@ -259,7 +262,7 @@ def inner_generator(g: GInnAut):
 
     gamma_k is the constant term of f_k, W_k = f_k E(s)^-1 - gamma_k, and g
     is inner iff sum_k t_k W_k = 0.  u has no degree-c part, so it is
-    unique.
+    unique.  u is returned only with its certificate inner_params(u) == g.
     """
     ctx = g.ctx
     cap = ctx.param_cap
@@ -268,22 +271,21 @@ def inner_generator(g: GInnAut):
     w = [p * e_inv - TruncPoly.const(ctx.m, cap, c) for p, c in zip(g.f, gamma)]
     if not t_dot(w, ctx.module_cap).is_zero():
         return None
-    return LieElement(ctx, gamma, tuple(p.with_cap(ctx.module_cap) for p in w))
+    u = LieElement(ctx, gamma, tuple(p.with_cap(ctx.module_cap) for p in w))
+    return u if inner_params(u) == g else None
 
 
 def recognize_inner(phi: "_endo.Endomorphism"):
     """A generator u with exp_ad(u) = phi exactly, or None.
 
-    Applies inner_generator to the generalized-inner parameters of phi;
-    u is returned only if exp_ad(u) reproduces phi.
+    recognize_ginn certifies the parameters g of phi, and inner_generator(g)
+    certifies u by inner_params(u) == g; exp_ad(u) materializes
+    inner_params(u), so it equals phi.
     """
     if not phi.is_ia():
         raise DomainError("recognize_inner expects an IA automorphism")
     g = recognize_ginn(phi)
-    if g is None:
-        return None
-    u = inner_generator(g)
-    return u if u is not None and _endo.exp_ad(u) == phi else None
+    return None if g is None else inner_generator(g)
 
 
 # -- normality ---------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import endo as _endo
 from . import liealg
-from .arith import TruncPoly, format_rational, poly_str
+from .arith import TruncPoly, format_rational, poly_str, signed_sum
 from .errors import ParseError, ValidationError
 from .liealg import BasisForm, Context, LieElement
 
@@ -286,7 +286,7 @@ def _coeff_atom(coeff: Fraction, atom: str, force_coeff: bool) -> str:
 
 
 def _print_basis(b: BasisForm) -> str:
-    parts = []  # (negative?, body)
+    parts = []
     for i, coeff in enumerate(b.linear, start=1):
         if coeff:
             parts.append((coeff < 0, _coeff_atom(coeff, f"x{i}", False)))
@@ -294,15 +294,7 @@ def _print_basis(b: BasisForm) -> str:
         coeff = b.comm[tup]
         atom = "[" + ",".join(f"x{i}" for i in tup) + "]"
         parts.append((coeff < 0, _coeff_atom(coeff, atom, True)))
-    if not parts:
-        return "0"
-    out = []
-    for neg, body in parts:
-        if not out:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(out)
+    return signed_sum(parts)
 
 
 def _print_wreath(u: LieElement) -> str:
@@ -314,15 +306,7 @@ def _print_wreath(u: LieElement) -> str:
         full = u.full_poly(i)
         if not full.is_zero():
             parts.append((False, f"a{i}*({poly_str(full)})"))
-    if not parts:
-        return "0"
-    out = []
-    for neg, body in parts:
-        if not out:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(out)
+    return signed_sum(parts)
 
 
 # -- automorphism JSON ----------------------------------------------------------------

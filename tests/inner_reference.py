@@ -1,13 +1,17 @@
-"""The degree-peeling recognize_inner and ginn_invert that lmc.normal
-replaced: the references for tests/test_inner_parity.py.
+"""The bracket-series exp_ad, and the degree-peeling recognize_inner and
+ginn_invert, that lmc replaced: the references for
+tests/test_inner_parity.py.
 
-The lowest nonvanishing graded part of the residual exp_ad(-u) phi - id
-determines the next graded piece of u by an exact linear solve against the
-ad-images of the basis of that degree; the residual is recomputed by a full
-composition every round.  It shares no step with the closed form of
-normal.inner_params.  ginn_invert cancels the lowest graded part of the
-running parameters one degree at a time through normal.ginn_compose,
-where normal.ginn_invert sums the geometric series in closed form.
+exp_ad sums 1 + ad u + ... + ad^(c-1) u/(c-1)! on every generator, one
+bracket per term, where endo.exp_ad materializes normal.inner_params.
+In recognize_inner the lowest nonvanishing graded part of the residual
+exp_ad(-u) phi - id determines the next graded piece of u by an exact
+linear solve against the ad-images of the basis of that degree; the
+residual is recomputed by a full composition every round.  Neither shares
+a step with the closed form of normal.inner_params.  ginn_invert cancels
+the lowest graded part of the running parameters one degree at a time
+through normal.ginn_compose, where normal.ginn_invert sums the geometric
+series in closed form.
 """
 
 from fractions import Fraction
@@ -21,6 +25,23 @@ from lmc.normal import GInnAut, ginn_compose
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def exp_ad(u: LieElement) -> "_endo.Endomorphism":
+    """exp(ad u) as the series x_i + [x_i, u] + [x_i, u, u]/2! + ..., the
+    terms built by repeated brackets."""
+    ctx = u.ctx
+    images = []
+    for i in range(1, ctx.m + 1):
+        acc = liealg.generator(ctx, i)
+        term = acc
+        for k in range(1, ctx.c):
+            term = liealg.bracket(term, u).scale(Fraction(1, k))
+            if term.is_zero():
+                break
+            acc = acc + term
+        images.append(acc)
+    return _endo.Endomorphism(ctx, tuple(images))
 
 
 def _ad_solver(ctx: Context, d: int) -> SparseSolver:
@@ -100,7 +121,7 @@ def recognize_inner(phi: "_endo.Endomorphism"):
         if v.is_zero():
             return None  # no progress possible: not inner
         u = u + v
-        residual = _endo.compose(_endo.exp_ad(-u), phi)
+        residual = _endo.compose(exp_ad(-u), phi)
     return u
 
 

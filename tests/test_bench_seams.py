@@ -2,10 +2,11 @@
 
 perfbench/tracer.py looks up its spans (module functions, methods and
 normal._AD_SOLVERS) when it is installed, so a renamed or deleted seam
-crashes a traced benchmark run.  Installing the tracer here, around one
-recognize_inner call, one witness search and two pairs of coset
-reductions, turns that crash into a failing test, and so does a witness
-search that no longer goes through normal.preserves_ideal, a coset
+crashes a traced benchmark run.  Installing the tracer here, around
+recognize_inner and exp_ad calls, one witness search and two pairs of coset
+reductions, turns that crash into a failing test, and so does an exp_ad
+or recognize_inner that brackets, a witness search that no longer goes
+through normal.preserves_ideal, a coset
 reduction that inverts, exponentiates or builds a solver per input, or a
 composition or group commutator of IA maps that goes through the bracket.
 """
@@ -18,6 +19,7 @@ if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
 import ideal_reference as ref  # noqa: E402
+import inner_reference as inner_ref  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 from lmc import cosets, endo, liealg, normal  # noqa: E402
@@ -43,6 +45,24 @@ def test_tracer_installs_and_counts_recognize_inner():
     assert counts["normal.recognize_inner.peel_steps"] <= 1
     assert counts["normal.ad_solver.builds"] == 0
     assert normal.recognize_inner.__module__ == "lmc.normal"  # uninstalled
+
+
+def test_exp_ad_and_recognize_inner_make_no_bracket_call():
+    ctx = Context(3, 4)
+    u = sample("element", ctx, "seams-inner", 2)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        phi = endo.exp_ad(u)
+        got = normal.recognize_inner(phi)
+        counts = tracer.counts()
+    finally:
+        tracer.uninstall()
+    assert inner_ref.exp_ad(got) == phi == inner_ref.exp_ad(u)
+    assert tracer.calls["endo.exp_ad"] == 1
+    assert counts["normal.recognize_inner.calls"] == 1
+    assert counts["normal.recognize_inner.peel_steps"] == 0
+    assert counts["liealg.bracket.calls"] == 0
 
 
 def test_tracer_counts_the_witness_search():

@@ -177,3 +177,20 @@ def test_group_commutator_frozen():
     assert endo.group_commutator(psi, psi) == endo.Endomorphism.identity(ctx)
     theta = aut(2, 3, "x1 + 7*[x1,x2,x2]", "x2 - 3*[x1,x2,x1]")
     assert endo.group_commutator(gc, theta) == endo.Endomorphism.identity(ctx)
+
+
+def test_is_unipotent_reads_constant_terms():
+    """Each entry is swapped into the identity at (1,1) and (1,2), and the
+    packed-numerator read must agree with the constant term as a Fraction;
+    the entries share denominators with their higher terms."""
+    ctx = Context(2, 3)
+    t1 = TruncPoly.var(2, 2, 1)
+    entries = [TruncPoly.const(2, 2, k) for k in (0, 1, 2, -1, F(1, 2))]
+    entries += [p + t1.scale(F(1, 2)) for p in list(entries)]
+    ident = endo.JacobianMatrix.identity(ctx)
+    for p in entries:
+        for i, j in ((0, 0), (0, 1)):
+            rows = [list(row) for row in ident.rows]
+            rows[i][j] = p
+            expected = p.constant_term() == (1 if i == j else 0)
+            assert endo.JacobianMatrix(ctx, rows).is_unipotent() == expected, (p, i, j)

@@ -1,11 +1,13 @@
-"""recognize_inner and ginn_invert against the degree-peeling versions
-they replaced.
+"""exp_ad, recognize_inner and ginn_invert against the bracket-series and
+degree-peeling versions they replaced.
 
-tests/inner_reference.py keeps the recognizer that peels exp(ad u) one
-degree at a time with linear solves against the ad-images of the basis.
-normal.recognize_inner inverts the closed form of normal.inner_params
-instead.  Both must give the same verdict and the same generator on inner
-maps of zero, linear-only, derived-only, mixed and fractional elements, on
+tests/inner_reference.py keeps exp_ad as the bracket series and the
+recognizer that peels exp(ad u) one degree at a time with linear solves
+against the ad-images of the basis.  endo.exp_ad materializes the closed
+form of normal.inner_params, and normal.recognize_inner inverts it; it
+must equal the series on zero, linear-only, derived-only, mixed and
+fractional elements.  Both recognizers must give the same verdict and the
+same generator on inner maps (built by the series) of those elements, on
 generalized inner maps that are not inner (among them the section-3 map),
 on sampled IA maps that are not generalized inner, and on the identity, in
 contexts with c = 1 and c = 2.  normal.ginn_invert sums the geometric
@@ -61,7 +63,7 @@ def non_ginn_ia(ctx, tag):
 
 
 def maps(ctx, tag):
-    out = {f"exp_ad {name}": endo.exp_ad(u) for name, u in elements(ctx, tag).items()}
+    out = {f"exp_ad {name}": ref.exp_ad(u) for name, u in elements(ctx, tag).items()}
     out["identity"] = endo.Endomorphism.identity(ctx)
     out["ginn"] = normal.ginn_to_endo(sample("ginn", ctx, tag))
     out["ia"] = sample("ia", ctx, tag)
@@ -108,7 +110,9 @@ def test_inner_params_materialize_to_exp_ad(m, c):
     ctx = Context(m, c)
     for trial in range(2):
         for name, u in elements(ctx, f"params-{m}-{c}-{trial}").items():
-            assert normal.ginn_to_endo(normal.inner_params(u)) == endo.exp_ad(u), name
+            series = ref.exp_ad(u)
+            assert normal.ginn_to_endo(normal.inner_params(u)) == series, name
+            assert endo.exp_ad(u) == series, name
 
 
 @pytest.mark.parametrize("m,c", [(2, 3), (3, 4), (2, 5), (4, 4)])

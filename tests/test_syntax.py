@@ -2,12 +2,25 @@ import json
 
 import pytest
 from fractions import Fraction as F
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmc import endo, liealg, syntax
-from lmc.arith import TruncPoly
+from lmc.arith import TruncPoly, all_monomials
 from lmc.errors import ParseError, ValidationError
 from lmc.liealg import Context
+from lmc.linalg import mat_inv
 from lmc.verify import sample
+
+CHECK = settings(max_examples=150, deadline=None, database=None)
+
+# Zero, units, small fractions of either sign, and integers past 2^64.
+COEFFS = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1)]),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(F, st.integers(-(10**25), 10**25)),
+)
+CONTEXTS = st.sampled_from([(2, 1), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 3)])
 
 
 def test_parse_element_frozen():
@@ -50,6 +63,58 @@ def test_print_parse_fixed_point_fuzz():
             v = syntax.parse_element(ctx, s1)
             assert v == u
             assert syntax.print_element(v, "basis") == s1
+
+
+@st.composite
+def sparse_elements(draw, ctx):
+    """A few linear and left-normed basis coordinates, every other one zero."""
+    linear = tuple(draw(COEFFS) if draw(st.booleans()) else F(0) for _ in range(ctx.m))
+    tuples = [t for k in range(2, ctx.c + 1) for t in liealg.enumerate_basis(ctx, k)]
+    picked = draw(st.lists(st.sampled_from(tuples), max_size=4)) if tuples else []
+    comm = {t: draw(COEFFS) for t in picked}
+    return liealg.from_basis(liealg.BasisForm(ctx, linear, comm))
+
+
+@CHECK
+@given(st.data(), CONTEXTS)
+def test_element_print_parse_fixed_point(data, mc):
+    ctx = Context(*mc)
+    u = data.draw(sparse_elements(ctx))
+    text = syntax.print_element(u, "basis")
+    assert syntax.parse_element(ctx, text) == u
+    assert syntax.print_element(syntax.parse_element(ctx, text), "basis") == text
+
+
+@CHECK
+@given(st.data(), st.integers(1, 4), st.integers(0, 4))
+def test_poly_print_parse_fixed_point(data, nv, cap):
+    monomials = list(all_monomials(nv, cap))
+    picked = data.draw(st.lists(st.sampled_from(monomials), max_size=6))
+    p = TruncPoly(nv, cap, {e: data.draw(COEFFS) for e in picked})
+    text = syntax.print_poly(p)
+    assert syntax.parse_poly(text, nv, cap) == p
+    assert syntax.print_poly(syntax.parse_poly(text, nv, cap)) == text
+
+
+@CHECK
+@given(st.data(), CONTEXTS)
+def test_non_ia_automorphism_print_parse_fixed_point(data, mc):
+    ctx = Context(*mc)
+    a = [[data.draw(COEFFS) for _ in range(ctx.m)] for _ in range(ctx.m)]
+    identity = [[F(int(k == i)) for i in range(ctx.m)] for k in range(ctx.m)]
+    assume(a != identity and mat_inv(a) is not None)
+    derived = [data.draw(sparse_elements(ctx)) for _ in range(ctx.m)]
+    phi = endo.Endomorphism(
+        ctx,
+        tuple(
+            liealg.LieElement(ctx, tuple(a[k][i] for k in range(ctx.m)), w.mod)
+            for i, w in enumerate(derived)
+        ),
+    )
+    assert not phi.is_ia()
+    text = syntax.print_automorphism(phi, "json")
+    assert syntax.parse_automorphism(text) == phi
+    assert syntax.print_automorphism(syntax.parse_automorphism(text), "json") == text
 
 
 def test_semantic_round_trip_example():
