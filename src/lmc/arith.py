@@ -438,6 +438,40 @@ def t_dot(polys, cap: int) -> TruncPoly:
     return acc
 
 
+class LinearSubstitution:
+    """The ring map t_r -> sum_k forms[r-1][k-1] t_k on TruncPoly at (nv,
+    cap), over forms scaled to integers by one denominator den.  The image
+    of a monomial of degree d, times den^d, is tabulated on first use: the
+    image of the monomial over t_j times the form of t_j, where t_j is its
+    variable of largest index (lowest set bit)."""
+
+    def __init__(self, nv: int, cap: int, forms):
+        self.nv, self.cap = nv, cap
+        self.den = lcm(*(c.denominator for row in forms for c in row))
+        self._forms = [TruncPoly.linear(nv, cap, [c * self.den for c in row]).nums for row in forms]
+        self._lim = code_limit(nv, cap)
+        self._table = {0: {0: 1}}
+
+    def _image(self, code: int) -> dict:
+        img = self._table.get(code)
+        if img is None:
+            j = self.nv - ((code & -code).bit_length() - 1) // FIELD_BITS
+            lower = self._image(code - var_code(self.nv, j))
+            img = self._table[code] = _impl.pmul(lower, self._forms[j - 1], self._lim)
+        return img
+
+    def __call__(self, p: TruncPoly) -> TruncPoly:
+        if (p.nv, p.cap) != (self.nv, self.cap):
+            raise DimensionMismatch(f"substitution needs {self.nv} vars and cap {self.cap}")
+        top, den, cap = FIELD_BITS * self.nv, self.den, self.cap
+        acc = {}
+        for code, c in p.nums.items():
+            c *= den ** (cap - (code >> top))
+            for e, v in self._image(code).items():
+                acc[e] = acc.get(e, 0) + c * v
+        return _reduced(self.nv, cap, {e: c for e, c in acc.items() if c}, p.den * den**cap)
+
+
 def all_monomials(nv: int, max_deg: int):
     """Exponent tuples of total degree <= max_deg, in graded order."""
 

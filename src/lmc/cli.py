@@ -44,6 +44,9 @@ class _Parser(argparse.ArgumentParser):
 MAX_DIM = 10_000
 
 
+MAX_TRIALS = 10_000  # largest `verify --trials`; a trial takes up to seconds
+
+
 def _check_size(ctx: Context) -> None:
     """Reject a context whose polynomials exceed the exponent field (bad
     input) or whose algebra is larger than MAX_DIM (usage error)."""
@@ -215,8 +218,8 @@ def _cmd_check(args) -> int:
         verdict = normal.decide_normal(phi, search_witness=args.witness)
         payload = {"check": "normal"}
         payload.update(verdict.to_dict(_element_printer))
-        inner = phi.is_ia() and normal.recognize_inner(phi) is not None
-        payload["inner"] = inner
+        g = verdict.aut.g if verdict.normal and phi.is_ia() else None
+        payload["inner"] = g is not None and normal.inner_generator(g) is not None
         negative = not verdict.normal
     _emit(payload, _format(args, "json"))
     if args.do_assert and negative:
@@ -261,6 +264,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials {args.trials} is above {MAX_TRIALS}, the limit of lmc")
     ctx = _context(args)
     report = verify.check_law(args.law, ctx, args.trials, args.seed, args.coeff_bound)
     _emit(report.to_dict(), _format(args, "json"))

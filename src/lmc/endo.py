@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import liealg
-from .arith import TruncPoly, t_dot
+from .arith import LinearSubstitution, TruncPoly, t_dot
 from .errors import ContextMismatch, DomainError, ValidationError
 from .liealg import Context, LieElement
 from .linalg import mat_inv
@@ -220,19 +220,6 @@ class Endomorphism:
     def is_automorphism(self) -> bool:
         return self._linear_inverse() is not None
 
-    def _substituted_var(self, r: int) -> TruncPoly:
-        """Image of t_r under the induced substitution on the module ring."""
-        subs = self._cache.get("subs")
-        if subs is None:
-            subs = {}
-            self._cache["subs"] = subs
-        p = subs.get(r)
-        if p is None:
-            ctx = self.ctx
-            p = TruncPoly.linear(ctx.m, ctx.module_cap, self.images[r - 1].beta)
-            subs[r] = p
-        return p
-
     def _pair_bracket(self, i: int, j: int) -> LieElement:
         pairs = self._cache.get("pairs")
         if pairs is None:
@@ -245,16 +232,13 @@ class Endomorphism:
         return w
 
     def _substituted(self, q: TruncPoly) -> TruncPoly:
-        """q with every t_r replaced by its substituted linear form."""
-        ctx = self.ctx
-        acc = TruncPoly.zero(ctx.m, ctx.module_cap)
-        for e, coeff in q.items():
-            term = TruncPoly.const(ctx.m, ctx.module_cap, coeff)
-            for r, k in enumerate(e, start=1):
-                for _ in range(k):
-                    term = term * self._substituted_var(r)
-            acc = acc + term
-        return acc
+        """q with every t_r replaced by the linear form of the image of x_r."""
+        sub = self._cache.get("subs")
+        if sub is None:
+            ctx = self.ctx
+            sub = LinearSubstitution(ctx.m, ctx.module_cap, [im.beta for im in self.images])
+            self._cache["subs"] = sub
+        return sub(q)
 
     # -- action ------------------------------------------------------------------
 

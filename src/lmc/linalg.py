@@ -15,9 +15,10 @@ The pivot of a row is its largest key.  The module coordinates of the
 left-normed basis commutator [x_i1, x_i2, ...] are a_i1 * t_i2 ... minus
 a_i2 * t_i1 ..., and the first key is both the larger one and owned by that
 commutator alone, so the basis solvers of liealg come out diagonal with
-entries +1 and -1 and never eliminate.  Rows stay fully reduced (zero at
-every other row's pivot), so the pivot keys of a vector can be cleared in
-any order.
+entries +1 and -1 and never eliminate.  SparseSolver rows stay fully
+reduced (zero at every other row's pivot).  SpanBasis rows are echelon,
+with distinct pivots, and are never touched again: a vector is reduced at
+its largest key while that key is a pivot, and integer input is not scaled.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class SparseSolver:
 
 
 class SpanBasis:
-    """Incremental row-reduced basis of a subspace of sparse vectors."""
+    """Incremental echelon basis of a subspace of sparse vectors."""
 
     def __init__(self):
         self.rows = {}  # pivot key -> primitive int row, positive at the pivot
@@ -175,13 +176,13 @@ class SpanBasis:
     def reduce(self, vec):
         """Integer residual of vec against the current basis (fresh dict):
         empty iff vec lies in the span, otherwise a nonzero multiple of vec
-        minus a combination of rows, zero at every pivot."""
-        out, _ = _integral(vec)
+        minus a combination of rows, whose largest key is no pivot."""
+        ints = all(type(v) is int for v in vec.values())
+        out = {k: v for k, v in vec.items() if v} if ints else _integral(vec)[0]
         rows = self.rows
-        for key in [k for k in out if k in rows]:
-            row = rows[key]
-            a, b = _cofactors(row[key], out[key])
-            _combine(out, a, row, -b)
+        while out and (key := max(out)) in rows:
+            a, b = _cofactors(rows[key][key], out[key])
+            _combine(out, a, rows[key], -b)
         return out
 
     def add(self, vec) -> bool:
@@ -191,13 +192,6 @@ class SpanBasis:
             return False
         pivot = max(res)
         _primitive(pivot, res)
-        p = res[pivot]
-        for okey, row in self.rows.items():
-            f = row.get(pivot)
-            if f:
-                a, b = _cofactors(p, f)
-                _combine(row, a, res, -b)
-                _primitive(okey, row)
         self.rows[pivot] = res
         return True
 

@@ -35,7 +35,13 @@ an ideal; so phi(gens) in I implies phi(I) in I.  An automorphism is
 injective, so then dim phi(I) = dim I and phi(I) = I.  The span of I comes
 from liealg.ideal_span, which uses that the derived algebra is a module:
 for derived w, [w, x_j] = w t_j, a shift of the packed monomial codes, so
-only the generators outside the derived algebra are bracketed.
+only the generators outside the derived algebra are bracketed.  The
+ideal of one linear element g = sum gamma_j x_j is Q g plus the module N =
+{gamma (h.t) - h s}, s = sum gamma_j t_j, as [g, x_j] has module vector
+gamma t_j - e_j s.  So an automorphism preserves it iff A gamma is a
+multiple of gamma (A the linear part) and, D the module vector of phi(g)
+and gamma_q != 0, s divides every gamma_q D_i - gamma_i D_q: each vanishes
+under t_q -> -(sum_{j != q} gamma_j t_j)/gamma_q.  No span is built.
 
 decide_normal implements the case table: the linear part must be a scalar
 alpha; alpha != 1 survives only on L_{m,1}, L_{2,2} and L_{2,3}, and in the
@@ -54,7 +60,7 @@ from math import factorial
 
 from . import endo as _endo
 from . import liealg
-from .arith import TruncPoly, format_rational, t_dot
+from .arith import LinearSubstitution, TruncPoly, format_rational, t_dot
 from .errors import ContextMismatch, DomainError, UsageError, ValidationError
 from .liealg import Context, LieElement
 
@@ -352,7 +358,8 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     Only the images of the generators are applied: phi(gens) in I gives
     phi(I) in I, and an automorphism is injective, so then phi(I) = I (see
     the module docstring).  A singular linear part falls through to
-    comparing the dimension of the span of the images with dim I.
+    comparing the dimension of the span of the images with dim I.  One
+    linear generator on an automorphism is decided in closed form.
     """
     gens = list(gens)
     if any(g.ctx != phi.ctx for g in gens):
@@ -360,6 +367,8 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return True
+    if len(gens) == 1 and all(p.is_zero() for p in gens[0].mod) and phi.is_automorphism():
+        return _preserves_linear_ideal(phi, gens[0])
     span = liealg.ideal_span(gens)
     if any(not span.contains(liealg.element_row(phi.apply(g))) for g in gens):
         return False
@@ -368,6 +377,20 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     ctx = phi.ctx
     basis = [liealg.row_element(ctx, row) for row in span.rows.values()]
     return liealg.span_of(phi.apply(w) for w in basis).dim() == span.dim()
+
+
+def _preserves_linear_ideal(phi: "_endo.Endomorphism", g: LieElement) -> bool:
+    """preserves_ideal for an automorphism and one generator g = sum gamma_j
+    x_j, in closed form (see the module docstring)."""
+    ctx, m, gamma, u = phi.ctx, phi.ctx.m, g.beta, phi.apply(g)
+    q = max(k for k in range(m) if gamma[k])
+    if any(u.beta[k] * gamma[q] != u.beta[q] * gamma[k] for k in range(m)):
+        return False
+    forms = [[_ONE if j == k else _ZERO for j in range(m)] for k in range(m)]
+    forms[q] = [_ZERO if j == q else -gamma[j] / gamma[q] for j in range(m)]
+    sub = LinearSubstitution(m, ctx.module_cap, forms)
+    d_q = sub(u.mod[q])
+    return all(sub(d).scale(gamma[q]) == d_q.scale(gamma[i]) for i, d in enumerate(u.mod) if i != q)
 
 
 def _scaling_witness(ctx: Context) -> list:

@@ -6,6 +6,9 @@ solver (tests/linalg_reference.py), and each basis commutator [x_i1, ...,
 x_ik] maps to the bracket of the two leading images acted on by the product
 of the substituted linear forms of the remaining letters.
 
+substituted: the term-by-term substitution t_r -> linear form of the image
+of x_r that Endomorphism.apply made on maps that are not IA.
+
 compose, group_commutator and neumann_inverse: the bracket-based forms that
 endo.compose and endo.group_commutator now bypass on IA maps, and the sum of
 powers that endo's Neumann iteration replaced.
@@ -58,6 +61,21 @@ def substituted_var(phi, r: int) -> TruncPoly:
             e[k] = 1
             terms[tuple(e)] = coeff
     return TruncPoly(ctx.m, ctx.module_cap, terms)
+
+
+def substituted(phi, q) -> TruncPoly:
+    """q with every t_r replaced by substituted_var(phi, r), one term and
+    one factor at a time: the loop that arith.LinearSubstitution replaced
+    in Endomorphism._substituted."""
+    ctx = phi.ctx
+    acc = TruncPoly.zero(ctx.m, ctx.module_cap)
+    for e, coeff in q.items():
+        term = TruncPoly.const(ctx.m, ctx.module_cap, coeff)
+        for r, k in enumerate(e, start=1):
+            for _ in range(k):
+                term = term * substituted_var(phi, r)
+        acc = acc + term
+    return acc
 
 
 def apply(phi, u):

@@ -5,14 +5,22 @@ coordinates; tests/endo_reference.py expands over the left-normed basis
 with the Fraction reference solver.  Both must give the same element for
 IA, generalized-inner, inner, linear and linear-after-IA maps, on zero,
 linear-only, derived-only and mixed elements.
+
+On maps that are not IA, apply substitutes the linear form of the image of
+x_r for t_r with arith.LinearSubstitution, a table of monomial images; the
+term-by-term loop it replaced is the reference for sparse and dense
+polynomials with fractional coefficients and fractional linear forms.
 """
 
 from fractions import Fraction as F
 
 import endo_reference as ref
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmc import endo, liealg, normal
+from lmc.arith import TruncPoly, all_monomials
 from lmc.errors import ValidationError
 from lmc.liealg import Context, LieElement
 from lmc.linalg import mat_inv
@@ -93,3 +101,31 @@ def test_malformed_elements_are_rejected_without_invariant_checks(monkeypatch):
             liealg.to_basis(u)
         with pytest.raises(ValidationError):
             phi.apply(u)
+
+
+fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+
+
+@st.composite
+def polys(draw, ctx):
+    """A sparse (a few terms) or dense (every monomial) polynomial at the
+    module cap, with fractional coefficients."""
+    monos = all_monomials(ctx.m, ctx.module_cap)
+    if draw(st.booleans()):
+        monos = draw(st.lists(st.sampled_from(monos), max_size=4))
+    return TruncPoly(ctx.m, ctx.module_cap, {e: draw(fractions) for e in monos})
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_substitution_kernel_matches_term_by_term(data):
+    m, c = data.draw(st.sampled_from([(2, 3), (3, 4), (4, 4)]))
+    ctx = Context(m, c)
+    a = data.draw(st.lists(st.lists(fractions, min_size=m, max_size=m), min_size=m, max_size=m))
+    phi = endo.linear_endo(ctx, a)
+    assume(not phi.is_ia())
+    if data.draw(st.booleans()):
+        phi = endo.compose(phi, sample("ia", ctx, f"subst-{m}-{c}"))
+    # several polynomials through one map share its table of monomial images
+    for q in data.draw(st.lists(polys(ctx), min_size=1, max_size=3)):
+        assert phi._substituted(q) == ref.substituted(phi, q)

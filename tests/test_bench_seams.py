@@ -6,7 +6,7 @@ crashes a traced benchmark run.  Installing the tracer here, around
 recognize_inner and exp_ad calls, one witness search and two pairs of coset
 reductions, turns that crash into a failing test, and so does an exp_ad
 or recognize_inner that brackets, a witness search that no longer goes
-through normal.preserves_ideal, a coset
+through normal.preserves_ideal or that builds a span, a coset
 reduction that inverts, exponentiates or builds a solver per input, or a
 composition or group commutator of IA maps that goes through the bracket.
 """
@@ -92,6 +92,26 @@ def test_tracer_counts_the_witness_search():
     assert verdict.witness == [expected]
     assert tried == candidates.index(expected) + 1
     assert normal.preserves_ideal.__module__ == "lmc.normal"  # uninstalled
+
+
+def test_witness_search_on_an_automorphism_builds_no_span():
+    # every candidate a x_p + x_q is one linear generator, decided in closed
+    # form; an ideal of a non-linear generator still goes through SpanBasis
+    ctx = Context(3, 4)
+    x = [liealg.generator(ctx, i) for i in range(1, 4)]
+    phi = endo.Endomorphism(ctx, (x[0] + liealg.bracket(x[1], x[2]), x[1], x[2]))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        verdict = normal.decide_normal(phi, search_witness=True)
+        counts = tracer.counts()
+        normal.preserves_ideal(phi, [x[0] + liealg.bracket(x[1], x[0])])
+        spanned = tracer.counts()
+    finally:
+        tracer.uninstall()
+    assert verdict.witness and counts["normal.witness.ideals_tried"] >= 1
+    assert counts["linalg.span.add.calls"] == 0
+    assert spanned["linalg.span.add.calls"] > 0
 
 
 def _traced_reductions(ctx, seed):

@@ -3,12 +3,14 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmc import cli, cosets, endo, liealg, normal, syntax, verify
+from lmc.arith import TruncPoly
 from lmc.liealg import Context
 
 
@@ -123,6 +125,42 @@ def test_check_exit_codes(tmp_path, capsys):
     assert data["witness"] == ["x1 - 1*[x3,x2]"]
 
 
+def test_check_normal_reads_inner_off_the_verdict(tmp_path, capsys, monkeypatch):
+    # inner is normal, IA and an inner_generator of the verdict's parameters:
+    # the old rule, recognize_inner on the map, must agree without being run
+    x = lambda ctx, i: liealg.generator(ctx, i)
+    ctx21, ctx23, ctx33 = Context(2, 1), Context(2, 3), Context(3, 3)
+    g23 = normal.GInnAut(ctx23, (TruncPoly.zero(2, 1), TruncPoly.var(2, 1, 2)))
+    cases = {
+        "c1-identity": endo.Endomorphism(ctx21, (x(ctx21, 1), x(ctx21, 2))),
+        "c1-scaled": endo.linear_endo(ctx21, [[2, 0], [0, 2]]),
+        "scaled-normal": normal.NormalAut(F(2), g23).to_endo(),
+        "section3": syntax.parse_automorphism(SECTION3),
+        "inner": endo.exp_ad(x(ctx33, 1) + liealg.bracket(x(ctx33, 2), x(ctx33, 3))),
+        "not-ginn": endo.Endomorphism(
+            ctx33, (x(ctx33, 1) + liealg.bracket(x(ctx33, 2), x(ctx33, 3)), x(ctx33, 2), x(ctx33, 3))
+        ),
+        "not-ia": endo.linear_endo(ctx33, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    }
+    expected = {
+        name: phi.is_ia() and normal.recognize_inner(phi) is not None for name, phi in cases.items()
+    }
+    assert expected == {
+        "c1-identity": True, "c1-scaled": False, "scaled-normal": False,
+        "section3": False, "inner": True, "not-ginn": False, "not-ia": False,
+    }
+
+    def refuse(phi):
+        raise AssertionError("check normal ran recognize_inner")
+
+    monkeypatch.setattr(normal, "recognize_inner", refuse)
+    for name, phi in cases.items():
+        path = write_aut(tmp_path, f"{name}.json", syntax.automorphism_dict(phi))
+        code, out, err = run(capsys, "check", "normal", path, "--witness")
+        assert (code, err) == (0, ""), name
+        assert json.loads(out)["inner"] is expected[name], name
+
+
 def test_check_ia(tmp_path, capsys):
     path = write_aut(tmp_path, "aut.json", SECTION3)
     code, out, _ = run(capsys, "check", "ia", path)
@@ -228,6 +266,18 @@ def test_format_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "bracket", "--m", "2", "--c", "3", "x1", "x2")
     assert code == 0
     assert json.loads(out)["basis"] == "-1*[x2,x1]"
+
+
+def test_verify_trials_above_the_bound_exit_at_once(capsys):
+    start = time.perf_counter()
+    for trials in (cli.MAX_TRIALS + 1, 10**12):
+        code, out, err = run(
+            capsys, "verify", "--law", "abelian", "--m", "3", "--c", "2", "--trials", str(trials)
+        )
+        assert code == 64
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(cli.MAX_TRIALS) in err
+    assert time.perf_counter() - start < 2
 
 
 def test_verify_usage_error(capsys):
@@ -469,3 +519,75 @@ def test_every_input_ends_in_a_known_exit_code(tmp_path_factory, line):
     if code in (64, 65):
         assert out == ""
         assert len(err.splitlines()) == 1, err
+
+
+# Raw automorphism JSON: any JSON value where a field is expected, fields
+# missing or extra, NaN and huge numbers, and text that is no JSON at all.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.floats(), st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+POLY_TEXT = st.one_of(st.sampled_from(["0", "1", "t1", "-t2", "1/2*t1*t2", "t3^2"]), st.text(max_size=8))
+
+
+@st.composite
+def raw_automorphism_text(draw):
+    """Automorphism JSON text, mostly well formed, so that the commands get
+    past the parser; any field may hold any JSON value or be missing."""
+    often = st.sampled_from([True] * 4 + [False])
+    m = draw(st.integers(2, 3) if draw(often) else st.one_of(st.integers(-1, 4), JSON_VALUES))
+    c = draw(st.integers(1, 4) if draw(often) else st.one_of(st.integers(-1, 5), JSON_VALUES))
+    n = m if type(m) is int and 0 <= m <= 4 else draw(st.integers(0, 3))
+    near_identity = st.lists(COMMUTATORS, min_size=n, max_size=n).map(
+        lambda tails: [f"x{i}{tail}" for i, tail in enumerate(tails, start=1)]
+    )
+    unipotent = st.lists(
+        st.lists(POLY_TEXT, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: [["1" if i == j else p for j, p in enumerate(r)] for i, r in enumerate(rows)])
+    obj = {"m": m, "c": c}
+    body = draw(st.sampled_from(["images", "jacobian", "both", "neither"]))
+    if body in ("images", "both"):
+        obj["images"] = draw(st.one_of(near_identity, st.lists(TEXT, min_size=n, max_size=n), JSON_VALUES))
+    if body in ("jacobian", "both"):
+        obj["jacobian"] = draw(st.one_of(unipotent, JSON_VALUES))
+    for key in ("m", "c"):
+        if not draw(often):
+            del obj[key]
+    if draw(st.booleans()):
+        obj[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    text = json.dumps(obj)
+    shape = draw(st.sampled_from(["text"] * 8 + ["cut", "other"]))
+    if shape == "cut":
+        return text[: draw(st.integers(0, len(text)))]
+    return json.dumps(draw(JSON_VALUES)) if shape == "other" else text
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    argv=st.sampled_from([
+        ["check", "ia", AUT_FILE],
+        ["check", "inner", AUT_FILE],
+        ["check", "ginner", AUT_FILE],
+        ["check", "normal", "--witness", AUT_FILE],
+        ["aut", "invert", AUT_FILE],
+        ["aut", "jacobian", AUT_FILE],
+        ["aut", "compose", AUT_FILE, AUT_FILE],
+        ["aut", "commutator", AUT_FILE, AUT_FILE],
+        ["aut", "apply", AUT_FILE, "[x2,x1]"],
+        ["reduce", "--modulo", "in", AUT_FILE],
+        ["reduce", "--modulo", "inn", AUT_FILE],
+    ]),
+    aut_text=raw_automorphism_text(),
+)
+@example(argv=["check", "ia", AUT_FILE], aut_text='{"m": NaN, "c": 3, "images": []}')
+@example(argv=["aut", "invert", AUT_FILE], aut_text='{"m": 2, "c": 2, "jacobian": [["1", "t2"], []]}')
+def test_raw_automorphism_json_ends_in_a_known_exit_code(tmp_path_factory, argv, aut_text):
+    code, out, err = run_line(tmp_path_factory.getbasetemp(), argv, aut_text)
+    assert code in (0, 2, 64, 65)
+    assert len(err.splitlines()) <= 1, err
+    if code in (64, 65):
+        assert out == ""

