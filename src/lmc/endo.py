@@ -1,26 +1,29 @@
 """Endomorphisms and automorphisms of L_{m,c}.
 
 Composition convention, used repo-wide: compose(phi, psi) applies psi
-first, compose(phi, psi)(x) = phi(psi(x)).  With this convention the
-Jacobian map is multiplicative, jacobian(compose(phi, psi)) =
-jacobian(phi) @ jacobian(psi), and matches the juxtaposition order of
-the worked identities this package reproduces.
+first, compose(phi, psi)(x) = phi(psi(x)), which matches the
+juxtaposition order of the worked identities this package reproduces.
 
 Jacobian entries live in Q[t]/Omega^c (cap c-1); entry (i, j) is the full
-a_i-coordinate of the image of x_j.  IA maps (identity modulo the derived
-algebra) correspond exactly to matrices I + S where every column of S
-satisfies sum_i t_i s_ij = 0 modulo Omega^(c+1); on that subsemigroup the
-Jacobian is a faithful semigroup isomorphism, which is what makes the
+a_i-coordinate of the image of x_j.  The Jacobian determines the map: its
+constant terms are the linear part A, and every column of J - A satisfies
+sum_i t_i s_ij = 0 modulo Omega^(c+1) (the module vector of the image of
+x_j).  With this convention the chain rule holds for any two maps,
+
+    jacobian(compose(phi, psi)) = jacobian(phi) @ sigma_A(jacobian(psi)),
+
+where A is the linear part of phi and sigma_A replaces t_r by sum_k A_kr
+t_k, the substitution Endomorphism.apply makes.  IA maps (identity modulo
+the derived algebra) are the case A = I, matrices I + S on which the
+Jacobian is a faithful semigroup isomorphism; that is what makes the
 Neumann-series inverse below exact.
 
-So IA maps are handled as matrices: compose of two IA maps is
-ia_from_jacobian(J(phi) @ J(psi)), and their group commutator is
-(BA)^-1 AB = I + X for A = J(phi), B = J(psi), found from BA X = AB - BA
-by the iteration X = D - N X (N = BA - I) that also gives the Neumann
-inverse.  Endomorphism.apply is the one action built from the bracket;
-maps that are not IA compose through it.  exp_ad is no bracket series: it
-materializes the closed-form parameters normal.inner_params(u) of the
-generalized inner map exp(ad u).
+So every map is handled as a matrix: compose is the chain rule, and
+group_commutator solves for the Jacobian of the commutator by the
+iteration that also gives the Neumann inverse.  Endomorphism.apply is the
+one action built from the bracket, and no composition calls it.  exp_ad is
+no bracket series: it materializes the closed-form parameters
+normal.inner_params(u) of the generalized inner map exp(ad u).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import liealg
-from .arith import LinearSubstitution, TruncPoly, t_dot
+from .arith import FIELD_BITS, LinearSubstitution, TruncPoly, t_dot
 from .errors import ContextMismatch, DomainError, ValidationError
 from .liealg import Context, LieElement
 from .linalg import mat_inv
@@ -113,9 +116,12 @@ class JacobianMatrix:
         return True
 
     def column_defect(self, j: int) -> TruncPoly:
-        """sum_i t_i * (self - I)[i][j] at cap c (1-based column j)."""
+        """sum_i t_i * (self - A)[i][j] at cap c (1-based column j), A the
+        constant part: zero on every column of a Jacobian."""
         ctx = self.ctx
-        return t_dot([row[j - 1] for row in self.rows], ctx.c) - TruncPoly.var(ctx.m, ctx.c, j)
+        col = [row[j - 1] for row in self.rows]
+        linear = TruncPoly.linear(ctx.m, ctx.c, [p.constant_term() for p in col])
+        return t_dot(col, ctx.c) - linear
 
     def satisfies_s_condition(self) -> bool:
         """Unipotent with every column of J - I summing to zero against t."""
@@ -275,14 +281,22 @@ class Endomorphism:
 
 
 def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
-    """phi after psi: compose(phi, psi)(x) = phi(psi(x)).  Two IA maps
-    compose as the product of their Jacobians; any other pair goes through
-    phi.apply."""
+    """phi after psi: compose(phi, psi)(x) = phi(psi(x)), the map whose
+    Jacobian is J(phi) @ sigma_A(J(psi)) by the chain rule (A the linear
+    part of phi)."""
     if phi.ctx != psi.ctx:
         raise ContextMismatch(f"{phi.ctx} vs {psi.ctx}")
-    if phi.is_ia() and psi.is_ia():
-        return ia_from_jacobian(jacobian(phi) @ jacobian(psi))
-    return Endomorphism(phi.ctx, tuple(phi.apply(im) for im in psi.images))
+    return _from_jacobian(jacobian(phi) @ _sigma(phi, jacobian(psi)))
+
+
+def _sigma(phi: Endomorphism, jac: JacobianMatrix) -> JacobianMatrix:
+    """sigma_A(jac) for A the linear part of phi: every t_r replaced by the
+    linear form of the image of x_r, which leaves jac as it is when phi is IA."""
+    if phi.is_ia():
+        return jac
+    return JacobianMatrix(
+        jac.ctx, tuple(tuple(phi._substituted(p) for p in row) for row in jac.rows)
+    )
 
 
 def jacobian(phi: Endomorphism) -> JacobianMatrix:
@@ -295,26 +309,32 @@ def jacobian(phi: Endomorphism) -> JacobianMatrix:
     return JacobianMatrix(ctx, tuple(rows))
 
 
-def ia_from_jacobian(jac: JacobianMatrix) -> Endomorphism:
-    """Inverse of `jacobian` on IA maps; validates the I + S form."""
+def _from_jacobian(jac: JacobianMatrix) -> Endomorphism:
+    """Inverse of `jacobian`: column j's constant terms are the linear part
+    of the image of x_j, and the rest is its module vector, which must
+    satisfy the S-condition."""
     ctx = jac.ctx
-    if not jac.is_unipotent():
-        raise ValidationError("jacobian must have identity constant part")
+    images = []
     for j in range(1, ctx.m + 1):
         if not jac.column_defect(j).is_zero():
             raise ValidationError(
                 f"column {j} violates the S-condition sum_i t_i*s_ij = 0"
             )
-    one = TruncPoly.const(ctx.m, ctx.module_cap, 1)
-    images = []
-    for j in range(1, ctx.m + 1):
-        beta = tuple(_ONE if i == j else _ZERO for i in range(1, ctx.m + 1))
+        col = [row[j - 1] for row in jac.rows]
+        beta = tuple(p.constant_term() for p in col)
         mod = tuple(
-            jac.rows[i - 1][j - 1] - one if i == j else jac.rows[i - 1][j - 1]
-            for i in range(1, ctx.m + 1)
+            p - TruncPoly.const(ctx.m, ctx.module_cap, b) if b else p
+            for p, b in zip(col, beta)
         )
         images.append(LieElement(ctx, beta, mod))
     return Endomorphism(ctx, tuple(images))
+
+
+def ia_from_jacobian(jac: JacobianMatrix) -> Endomorphism:
+    """Inverse of `jacobian` on IA maps; validates the I + S form."""
+    if not jac.is_unipotent():
+        raise ValidationError("jacobian must have identity constant part")
+    return _from_jacobian(jac)
 
 
 def exp_ad(u: LieElement) -> Endomorphism:
@@ -361,15 +381,30 @@ def invert(phi: Endomorphism) -> Endomorphism:
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     """phi^-1 psi^-1 phi psi under the repo composition order (psi first).
 
-    For IA maps with A = J(phi), B = J(psi) this is (BA)^-1 AB = I + X with
-    BA X = D, D = AB - BA.  D starts in degree 2, so X = D - (BA - I) X
-    from X = D is exact after c-3 steps.  Other pairs go through invert
-    and compose.
+    With P = J(phi psi) and Q = J(psi phi) from the chain rule, and K =
+    (BA)^-1 the inverse of Q's constant part, this is (K psi phi)^-1 (K phi
+    psi) = I + X, where U X = D for the unipotent U = J(K psi phi) = K
+    sigma_K(Q) and D = J(K phi psi) - U.  X = D - (U - I) X from X = D gains
+    a degree per step, so it is exact after c-1-d steps for d the lowest
+    degree of D.  On IA pairs K = I, so its products are skipped, and D
+    starts in degree 2: c-3 steps.
     """
-    if phi.is_ia() and psi.is_ia():
-        a, b = jacobian(phi), jacobian(psi)
-        ab, ba = a @ b, b @ a
-        ident = JacobianMatrix.identity(phi.ctx)
-        x = _neumann_solve(ident - ba, ab - ba, phi.ctx.c - 3)
-        return ia_from_jacobian(ident + x)
-    return compose(compose(compose(invert(phi), invert(psi)), phi), psi)
+    if phi.ctx != psi.ctx:
+        raise ContextMismatch(f"{phi.ctx} vs {psi.ctx}")
+    ctx = phi.ctx
+    ja, jb = jacobian(phi), jacobian(psi)
+    p, q = ja @ _sigma(phi, jb), jb @ _sigma(psi, ja)
+    if not q.is_unipotent():
+        k = mat_inv([[x.constant_term() for x in row] for row in q.rows])
+        if k is None:
+            raise DomainError(
+                "group_commutator needs automorphisms (invertible linear parts)"
+            )
+        k = linear_endo(ctx, k)
+        jk = jacobian(k)
+        p, q = jk @ _sigma(k, p), jk @ _sigma(k, q)
+    d = p - q
+    top = FIELD_BITS * ctx.m  # codes ascend in degree, so this is D's lowest degree
+    low = min((min(x.nums) >> top for row in d.rows for x in row if x.nums), default=ctx.c)
+    ident = JacobianMatrix.identity(ctx)
+    return _from_jacobian(ident + _neumann_solve(ident - q, d, ctx.c - 1 - low))

@@ -15,14 +15,14 @@ proved for, so a report can never reflect a vacuous domain:
   ginn_normal_oracle sampled GInn maps preserve
                      sampled principal ideals         any
 
-Group commutators and compositions of IA maps are Jacobian products
-(lmc.endo), and a sign-flipped bracket is still a Lie bracket, so these
-laws alone cannot see a broken bracket.  Their inputs are therefore
-certified against it: every GInn map of abelian, nilpotent2 and
-metabelian must agree on the generators with ginn_apply, which brackets;
-jacobian_functorial builds phi psi through phi.apply, not compose, and
-applies phi to the images of phi^-1.  A failed certificate is a
-counterexample like a failed law.
+Group commutators and compositions are Jacobian products (lmc.endo),
+and a sign-flipped bracket is still a Lie bracket, so these laws alone
+cannot see a broken bracket.  Their inputs are therefore certified
+against it: every GInn map of abelian, nilpotent2 and metabelian, and the
+GInn part of every scaled normal map of class2_by_abelian, must agree on
+the generators with ginn_apply, which brackets; jacobian_functorial builds
+phi psi through phi.apply, not compose, and applies phi to the images of
+phi^-1.  A failed certificate is a counterexample like a failed law.
 
 Sampling is deterministic in (kind, ctx, seed): coefficients are integers
 in [-coeff_bound, coeff_bound], and per-trial seeds are derived from the
@@ -176,16 +176,21 @@ def _describe(*objs) -> str:
 
 def _certified_ginn_maps(ctx, seeds, bound, count):
     """`count` sampled GInn maps, materialized in closed form, and whether
-    each one agrees on every generator with ginn_apply, which brackets (the
-    certificate the module docstring describes)."""
+    they pass _agree_with_ginn_apply."""
     gs = [sample("ginn", ctx, seeds(k), bound) for k in range(count)]
     maps = tuple(normal.ginn_to_endo(g) for g in gs)
-    certified = all(
-        normal.ginn_apply(g, liealg.generator(ctx, i)) == im
+    return maps, _agree_with_ginn_apply(gs, maps)
+
+
+def _agree_with_ginn_apply(gs, maps) -> bool:
+    """Whether each map agrees on every generator with ginn_apply of its
+    GInn parameters, which brackets (the certificate the module docstring
+    describes)."""
+    return all(
+        normal.ginn_apply(g, liealg.generator(g.ctx, i)) == im
         for g, phi in zip(gs, maps)
         for i, im in enumerate(phi.images, start=1)
     )
-    return maps, certified
 
 
 def _law_abelian(ctx, seeds, bound):
@@ -211,11 +216,15 @@ def _law_metabelian(ctx, seeds, bound):
 
 
 def _law_class2_by_abelian(ctx, seeds, bound):
-    ns = [sample("normal_scaled", ctx, seeds(k), bound).to_endo() for k in range(6)]
+    auts = [sample("normal_scaled", ctx, seeds(k), bound) for k in range(6)]
+    ok = _agree_with_ginn_apply(
+        [n.g for n in auts], [normal.ginn_to_endo(n.g) for n in auts]
+    )
+    ns = [n.to_endo() for n in auts]
     c1 = _endo.group_commutator(ns[0], ns[1])
     c2 = _endo.group_commutator(ns[2], ns[3])
     c3 = _endo.group_commutator(ns[4], ns[5])
-    ok = (
+    ok = ok and (
         _endo.group_commutator(_endo.group_commutator(c1, c2), c3)
         == _endo.Endomorphism.identity(ctx)
     )

@@ -9,9 +9,13 @@ of the substituted linear forms of the remaining letters.
 substituted: the term-by-term substitution t_r -> linear form of the image
 of x_r that Endomorphism.apply made on maps that are not IA.
 
-compose, group_commutator and neumann_inverse: the bracket-based forms that
-endo.compose and endo.group_commutator now bypass on IA maps, and the sum of
-powers that endo's Neumann iteration replaced.
+compose, decompose, invert and group_commutator: the bracket-based chains
+that endo replaced with the Jacobian chain rule.  compose sends each image
+through apply, invert splits off the linear part as decompose did and
+inverts the IA part by iterating apply, and group_commutator chains these
+inverses and compositions, so no reference here calls endo's compose,
+invert or group_commutator.  neumann_inverse: the sum of powers that
+endo's Neumann iteration replaced.
 """
 
 from fractions import Fraction
@@ -21,6 +25,7 @@ from linalg_reference import SparseSolver
 from lmc import endo, liealg
 from lmc.arith import TruncPoly
 from lmc.errors import ValidationError
+from lmc.linalg import mat_inv
 
 _ONE = Fraction(1)
 
@@ -99,9 +104,36 @@ def compose(phi, psi):
     return endo.Endomorphism(phi.ctx, tuple(phi.apply(im) for im in psi.images))
 
 
+def decompose(phi):
+    """(A, chi) with phi = linear_endo(A) after chi and chi IA."""
+    a = phi.linear_matrix()
+    return a, compose(endo.linear_endo(phi.ctx, mat_inv(a)), phi)
+
+
+def invert_ia(phi):
+    """Inverse of an IA map: the preimage of x_j is the limit of y <- y +
+    (x_j - phi(y)) from y = x_j.  phi - 1 raises the degree, so each step
+    pushes the residual one degree up, and c - 1 steps clear it."""
+    ctx = phi.ctx
+    images = []
+    for j in range(1, ctx.m + 1):
+        x = y = liealg.generator(ctx, j)
+        for _ in range(ctx.c - 1):
+            y = y + (x - phi.apply(y))
+        assert phi.apply(y) == x
+        images.append(y)
+    return endo.Endomorphism(ctx, tuple(images))
+
+
+def invert(phi):
+    """phi^-1 = chi^-1 after linear_endo(A^-1), for (A, chi) = decompose(phi)."""
+    a, chi = decompose(phi)
+    return compose(invert_ia(chi), endo.linear_endo(phi.ctx, mat_inv(a)))
+
+
 def group_commutator(phi, psi):
     """phi^-1 psi^-1 phi psi as a chain of inverses and compositions."""
-    return compose(compose(compose(endo.invert(phi), endo.invert(psi)), phi), psi)
+    return compose(compose(compose(invert(phi), invert(psi)), phi), psi)
 
 
 def neumann_inverse(jac):

@@ -7,8 +7,10 @@ recognize_inner and exp_ad calls, one witness search and two pairs of coset
 reductions, turns that crash into a failing test, and so does an exp_ad
 or recognize_inner that brackets, a witness search that no longer goes
 through normal.preserves_ideal or that builds a span, a coset
-reduction that inverts, exponentiates or builds a solver per input, or a
-composition or group commutator of IA maps that goes through the bracket.
+reduction that inverts, exponentiates or builds a solver per input, a
+composition, inverse or group commutator that goes through apply or the
+bracket (IA maps, linear maps after IA maps, scaled normal maps), or an IA
+group commutator that takes more than 2 + max(0, c-3) matrix products.
 """
 
 import sys
@@ -161,3 +163,51 @@ def test_ia_compose_and_commutator_call_neither_apply_nor_bracket():
     assert counts["endo.apply.calls"] == 0
     assert counts["liealg.bracket.calls"] == 0
     assert endo.group_commutator.__module__ == "lmc.endo"  # uninstalled
+
+
+def _traced(*calls):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for call in calls:
+            call()
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def _maps_that_are_not_ia():
+    ctx = Context(3, 3)
+    upper = [[1 if k in (i, i + 1) else 0 for i in range(3)] for k in range(3)]
+    lower = [[2 if k == i else -1 if k == i - 1 else 0 for i in range(3)] for k in range(3)]
+    yield (
+        endo.compose(endo.linear_endo(ctx, upper), sample("ia", ctx, "seams-c", 2)),
+        endo.compose(sample("ia", ctx, "seams-d", 2), endo.linear_endo(ctx, lower)),
+    )
+    ctx = Context(2, 3)
+    scaled = [sample("normal_scaled", ctx, f"seams-n{k}", 3) for k in range(2)]
+    assert all(n.alpha != 1 for n in scaled)
+    yield tuple(n.to_endo() for n in scaled)
+
+
+def test_compositions_of_maps_that_are_not_ia_call_neither_apply_nor_bracket():
+    for phi, psi in _maps_that_are_not_ia():
+        assert not (phi.is_ia() or psi.is_ia())
+        tracer = _traced(
+            lambda: endo.compose(phi, psi),
+            lambda: endo.invert(phi),
+            lambda: endo.group_commutator(phi, psi),
+        )
+        assert tracer.calls["endo.group_commutator"] == 1
+        assert tracer.calls["endo.invert"] >= 1
+        assert tracer.calls["endo.compose"] >= 1
+        assert tracer.calls["endo.apply"] == 0
+        assert tracer.calls["liealg.bracket"] == 0
+
+
+def test_ia_commutator_takes_two_products_and_c_minus_3_steps():
+    for (m, c), products in {(3, 2): 2, (3, 3): 2, (3, 4): 3, (4, 6): 5}.items():
+        ctx = Context(m, c)
+        phi, psi = sample("ia", ctx, "seams-e", 1), sample("ia", ctx, "seams-f", 1)
+        tracer = _traced(lambda: endo.group_commutator(phi, psi))
+        assert tracer.calls["endo.__matmul__"] == products == 2 + max(0, c - 3), (m, c)

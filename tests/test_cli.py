@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction as F
 
+import endo_reference as ref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -94,6 +95,50 @@ def test_aut_subcommands_match_library(tmp_path, capsys):
     assert out.strip() == syntax.print_element(
         phi.apply(syntax.parse_element(Context(2, 3), "[x1,x2]")), "basis"
     )
+
+
+
+def test_aut_subcommands_on_maps_that_are_not_ia(tmp_path, capsys):
+    ctx = Context(3, 3)
+    upper = [[F(1) if k in (i, i + 1) else F(0) for i in range(3)] for k in range(3)]
+    lower = [[F(2) if k == i else F(-1, 3) if k == i - 1 else F(0) for i in range(3)] for k in range(3)]
+    general = (
+        ref.compose(endo.linear_endo(ctx, upper), verify.sample("ia", ctx, "cli-gl-a", 2)),
+        ref.compose(verify.sample("ia", ctx, "cli-gl-b", 2), endo.linear_endo(ctx, lower)),
+    )
+    ctx = Context(2, 3)
+    scaled = tuple(
+        ref.compose(
+            endo.linear_endo(ctx, [[alpha, 0], [0, alpha]]),
+            normal.ginn_to_endo(verify.sample("ginn", ctx, f"cli-ns-{k}")),
+        )
+        for k, alpha in enumerate((F(3, 2), F(-2)))
+    )
+    for tag, (phi, psi) in (("general", general), ("scaled", scaled)):
+        assert not (phi.is_ia() or psi.is_ia())
+        a = tmp_path / f"{tag}-a.json"
+        b = tmp_path / f"{tag}-b.json"
+        a.write_text(syntax.print_automorphism(phi, "json"), encoding="utf-8")
+        b.write_text(syntax.print_automorphism(psi, "json"), encoding="utf-8")
+        for argv, want in (
+            (["compose", a, b], ref.compose(phi, psi)),
+            (["invert", a], ref.invert(phi)),
+            (["commutator", a, b], ref.group_commutator(phi, psi)),
+        ):
+            code, out, err = run(capsys, "aut", *map(str, argv))
+            assert (code, err) == (0, ""), (tag, argv[0])
+            assert out.strip() == syntax.print_automorphism(want, "json"), (tag, argv[0])
+
+
+def test_aut_commutator_of_a_singular_map_is_bad_input(tmp_path, capsys):
+    a = write_aut(tmp_path, "a.json", {"m": 2, "c": 3, "images": ["x1 + x2 + [x1,x2]", "2*x1 + 2*x2"]})
+    b = write_aut(tmp_path, "b.json", SECTION3)
+    for argv in ((a, b), (b, a)):
+        code, out, err = run(capsys, "aut", "commutator", *argv)
+        assert code == 65
+        assert out == ""
+        assert err.startswith("lmc: bad input: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_check_normal_section3(tmp_path, capsys):

@@ -1,11 +1,14 @@
-"""endo.compose and endo.group_commutator against the bracket-based chains
-they replaced on IA maps (tests/endo_reference.py).
+"""endo.compose, endo.invert and endo.group_commutator against the
+bracket-based chains they replaced (tests/endo_reference.py).
 
-Two IA maps compose as a Jacobian product, and their commutator is
-(BA)^-1 AB from the X = D - N X iteration; every other pair keeps the
-apply path.  Both must give the same map as the chain through apply, on
-dense sampled IA maps, GInn maps, exp_ad maps, sparse maps, mixed IA/GInn
-pairs and pairs that are not IA, at c <= 3 (no iteration step) and above.
+Every pair composes by the Jacobian chain rule J(phi) @ sigma_A(J(psi)),
+and every commutator is (K psi phi)^-1 (K phi psi) for K = (BA)^-1 from
+the X = D - N X iteration.  Both must give the same map as the chain
+through apply, on dense sampled IA maps, GInn maps, exp_ad maps, sparse
+maps, mixed IA/GInn pairs, linear maps after IA maps with linear parts that
+do not commute, and scaled normal maps, at c <= 3 (no iteration step for
+IA pairs) and above.  compose also takes a left factor with a singular
+linear part, where invert and the commutator raise DomainError.
 """
 
 import random
@@ -15,6 +18,7 @@ import endo_reference as ref
 import pytest
 
 from lmc import endo, liealg, normal
+from lmc.errors import DomainError
 from lmc.liealg import Context
 from lmc.verify import sample
 
@@ -34,11 +38,23 @@ def sparse_ia(ctx, rnd):
     return endo.Endomorphism(ctx, tuple(images))
 
 
-def linear(ctx):
-    """x_i -> x_i + x_(i+1): invertible, not IA."""
-    return endo.linear_endo(
-        ctx, [[F(1) if k in (i, i + 1) else F(0) for i in range(ctx.m)] for k in range(ctx.m)]
-    )
+def linear(ctx, kind="upper"):
+    """Not IA: "upper" x_i -> x_i + x_(i+1) and "lower" x_i -> 2 x_i - x_(i-1)/3
+    are invertible and do not commute; "singular" sends x_1 to 0 and x_i to
+    x_1 + x_i for i > 1."""
+    entry = {
+        "upper": lambda k, i: F(1) if k in (i, i + 1) else F(0),
+        "lower": lambda k, i: F(2) if k == i else F(-1, 3) if k == i - 1 else F(0),
+        "singular": lambda k, i: F(1) if k in (0, i) and i else F(0),
+    }[kind]
+    return endo.linear_endo(ctx, [[entry(k, i) for i in range(ctx.m)] for k in range(ctx.m)])
+
+
+def scaled_normal(ctx, seed, alpha):
+    """The normal map alpha * g for a sampled GInn map g, composed through apply."""
+    scalar = [[alpha if i == k else F(0) for i in range(ctx.m)] for k in range(ctx.m)]
+    g = normal.ginn_to_endo(sample("ginn", ctx, seed))
+    return ref.compose(endo.linear_endo(ctx, scalar), g)
 
 
 def pairs(ctx, tag):
@@ -54,12 +70,16 @@ def pairs(ctx, tag):
         "sparse": sparse,
         "ia-ginn": [ia[0], ginn[1]],
         "ginn-inner": [ginn[0], inner[1]],
-        "linear-after-ia": [endo.compose(linear(ctx), ia[0]), ia[1]],
+        "linear-after-ia": [ref.compose(linear(ctx), ia[0]), ia[1]],
         "ia-linear": [ia[0], linear(ctx)],
+        "noncommuting": [
+            ref.compose(linear(ctx), ia[0]),
+            ref.compose(ginn[1], linear(ctx, "lower")),
+        ],
     }
     if ctx.c == 1 or (ctx.m, ctx.c) in ((2, 2), (2, 3)):
         out["normal-scaled"] = [
-            sample("normal_scaled", ctx, f"{tag}-ns-{k}").to_endo() for k in range(2)
+            scaled_normal(ctx, f"{tag}-ns-{k}", alpha) for k, alpha in enumerate((F(3, 2), F(-2)))
         ]
     return out
 
@@ -70,6 +90,20 @@ def test_compose_and_commutator_match_the_apply_chain(m, c):
     for name, (phi, psi) in pairs(ctx, f"gc-{m}-{c}").items():
         assert endo.compose(phi, psi) == ref.compose(phi, psi), name
         assert endo.group_commutator(phi, psi) == ref.group_commutator(phi, psi), name
+        assert endo.invert(phi) == ref.invert(phi), name
+
+
+@pytest.mark.parametrize("m,c", [(2, 1), (2, 3), (3, 3), (3, 4)])
+def test_singular_left_factor_composes_like_the_apply_chain(m, c):
+    ctx = Context(m, c)
+    ia = [sample("ia", ctx, f"sing-{m}-{c}-{k}") for k in range(2)]
+    phi = ref.compose(linear(ctx, "singular"), ia[0])
+    assert not phi.is_automorphism()
+    for psi in (ia[1], linear(ctx, "lower"), phi):
+        assert endo.compose(phi, psi) == ref.compose(phi, psi)
+    for call in (lambda: endo.invert(phi), lambda: endo.group_commutator(phi, ia[1])):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_the_inputs_cover_both_paths():
@@ -77,8 +111,12 @@ def test_the_inputs_cover_both_paths():
     kinds = pairs(ctx, "cover")
     for name in ("ia", "ginn", "inner", "sparse", "ia-ginn", "ginn-inner"):
         assert all(phi.is_ia() for phi in kinds[name]), name
-    for name in ("linear-after-ia", "ia-linear"):
+    for name in ("linear-after-ia", "ia-linear", "noncommuting"):
         assert not all(phi.is_ia() for phi in kinds[name]), name
+    upper, lower = linear(ctx), linear(ctx, "lower")
+    assert ref.compose(upper, lower) != ref.compose(lower, upper)
+    phi, psi = pairs(Context(2, 3), "cover")["normal-scaled"]
+    assert not phi.is_ia() and not psi.is_ia()
     phi, psi = kinds["ia"]
     assert endo.group_commutator(phi, psi) != endo.Endomorphism.identity(ctx)
 

@@ -88,6 +88,8 @@ def test_broken_bracket_is_caught(monkeypatch):
     json.loads(report.counterexample)  # serialized inputs
     report = check_law("jacobian_functorial", Context(2, 3), 100, seed=2)
     assert not report.ok
+    report = check_law("class2_by_abelian", Context(2, 3), 100, seed=2)
+    assert not report.ok
 
 
 def test_jacobian_functorial_composes_through_apply(monkeypatch):
