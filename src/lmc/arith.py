@@ -25,6 +25,16 @@ Monagan and Pearce's sparse polynomial multiplication).
 
 Coefficients become Fraction only at the API edge: coeff, constant_term,
 items() and printing.
+
+The matrix kernel: poly_matmul multiplies two square matrices of TruncPoly
+entries (the Jacobians of lmc.endo) in one integer pass, _impl.mmul.  Each
+operand's numerators go over one common denominator, each row of the
+right operand is packed into (code, column, numerator) terms in ascending
+code order, and every term of the left operand runs down the row it
+selects and stops at the first code past the cap, the ordered product of
+Monagan and Pearce applied row by row.  Each entry is wrapped once.
+t_dot, the sum_i t_i p_i of the membership and S-conditions, is likewise
+one pass that adds the code of t_i to every code of p_i.
 """
 
 from __future__ import annotations
@@ -49,8 +59,9 @@ _EXACT = (int, Fraction)
 
 
 class _impl:
-    """The per-term loops, over numerator maps {code: nonzero int}.  They
-    return fresh maps without zero entries and never mutate their inputs.
+    """The per-term loops, over numerator maps {code: nonzero int} (mmul
+    over square matrices of them).  They return fresh maps without zero
+    entries and never mutate their inputs.
     TruncPoly looks them up here at call time, so instrumentation can wrap
     them in place."""
 
@@ -94,6 +105,42 @@ class _impl:
                 if e < lim:
                     out[e] = get(e, 0) + ca * cb
         return {e: c for e, c in out.items() if c}
+
+    @staticmethod
+    def mmul(a, b, lim):
+        """Product of two square matrices of numerator maps (lists of rows),
+        with every code >= lim discarded; the result is a fresh matrix of
+        maps.  Each row k of b is packed into one list of (code, key, num)
+        terms in ascending code order, key = j * lim + code for column j,
+        so a term of a with code ca in column k runs down row k of b and
+        stops at the first code >= lim - ca.  The sums of a row are keyed
+        by key + ca, which holds the pair (j, code) in one integer."""
+        packed = []
+        for row in b:
+            terms = [(e, j * lim + e, c) for j, p in enumerate(row) for e, c in p.items()]
+            terms.sort()
+            packed.append(terms)
+        out = []
+        for row in a:
+            acc = {}
+            get = acc.get
+            for p, terms in zip(row, packed):
+                if not terms:
+                    continue
+                for ca, na in p.items():
+                    room = lim - ca
+                    for cb, key, nb in terms:
+                        if cb >= room:
+                            break
+                        e = key + ca
+                        acc[e] = get(e, 0) + na * nb
+            sums = [{} for _ in packed]
+            for e, c in acc.items():
+                if c:
+                    j, code = divmod(e, lim)
+                    sums[j][code] = c
+            out.append(sums)
+        return out
 
 
 def _shifts(nv: int):
@@ -288,6 +335,17 @@ class TruncPoly:
         nums = {e: c * p for e, c in self.nums.items()} if p != 1 else self.nums
         return _reduced(self.nv, self.cap, nums, self.den * s.denominator)
 
+    def dilate(self, s) -> "TruncPoly":
+        """self(s t_1, ..., s t_nv): each degree-d term times s^d, over the
+        denominator times q^cap for s = p/q."""
+        if type(s) not in _EXACT:
+            s = Fraction(s)
+        p, q = s.numerator, s.denominator
+        cap, top = self.cap, FIELD_BITS * self.nv
+        powers = [p**d * q ** (cap - d) for d in range(cap + 1)]
+        nums = {e: v for e, c in self.nums.items() if (v := c * powers[e >> top])}
+        return _reduced(self.nv, cap, nums, self.den * q**cap)
+
     def _var_field(self, j: int):
         """Bit offset of the exponent field of t_j, and the code of t_j."""
         if not 1 <= j <= self.nv:
@@ -429,13 +487,53 @@ _set_nv, _set_cap, _set_nums, _set_den = (
 )
 
 
-def t_dot(polys, cap: int) -> TruncPoly:
-    """sum_i t_i * polys[i-1] at the given cap (1-based i)."""
-    acc = None
+def t_dot(polys, cap: int, skip_constants: bool = False) -> TruncPoly:
+    """sum_i t_i * polys[i-1] at the given cap (1-based i; polys nonempty,
+    at most nv of them), in one pass that adds the code of t_i to every
+    code of polys[i-1] over their common denominator.  skip_constants
+    leaves out each constant term (code 0)."""
+    nv = polys[0].nv
+    _check_dims(nv, cap)
+    if len(polys) > nv or any(p.nv != nv for p in polys):
+        raise DimensionMismatch(f"need at most {nv} polynomials in {nv} vars")
+    lim = code_limit(nv, cap)
+    low = int(skip_constants)
+    den = lcm(*(p.den for p in polys))
+    acc = {}
+    get = acc.get
     for i, p in enumerate(polys, start=1):
-        term = p.with_cap(cap).mul_var(i)
-        acc = term if acc is None else acc + term
-    return acc
+        step = var_code(nv, i)
+        room = lim - step
+        f = den // p.den
+        for e, c in p.nums.items():
+            if low <= e < room:
+                e += step
+                acc[e] = get(e, 0) + c * f
+    return _reduced(nv, cap, {e: c for e, c in acc.items() if c}, den)
+
+
+def poly_matmul(a, b) -> list:
+    """Product of two square matrices (lists of rows) of TruncPoly entries
+    at one (nv, cap): one _impl.mmul over each operand's numerators on one
+    common denominator, and each entry wrapped once."""
+    nv, cap = a[0][0].nv, a[0][0].cap
+    (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
+    den = da * db
+    return [
+        [_reduced(nv, cap, nums, den) for nums in row]
+        for row in _impl.mmul(na, nb, code_limit(nv, cap))
+    ]
+
+
+def _over_one_den(rows):
+    """The numerator maps of a matrix over the lcm of its denominators, and
+    that denominator."""
+    den = lcm(*(p.den for row in rows for p in row))
+    return [
+        [p.nums if p.den == den else {e: c * (den // p.den) for e, c in p.nums.items()}
+         for p in row]
+        for row in rows
+    ], den
 
 
 class LinearSubstitution:

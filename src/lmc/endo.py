@@ -20,7 +20,9 @@ Neumann-series inverse below exact.
 
 So every map is handled as a matrix: compose is the chain rule, and
 group_commutator solves for the Jacobian of the commutator by the
-iteration that also gives the Neumann inverse.  Endomorphism.apply is the
+iteration that also gives the Neumann inverse.  A product is one pass of
+the matrix kernel arith.poly_matmul, a map built from a Jacobian keeps it,
+and sigma_A for A = alpha I is the dilation t -> alpha t.  Endomorphism.apply is the
 one action built from the bracket, and no composition calls it.  exp_ad is
 no bracket series: it materializes the closed-form parameters
 normal.inner_params(u) of the generalized inner map exp(ad u).
@@ -31,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import liealg
-from .arith import FIELD_BITS, LinearSubstitution, TruncPoly, t_dot
+from .arith import FIELD_BITS, LinearSubstitution, TruncPoly, poly_matmul, t_dot
 from .errors import ContextMismatch, DomainError, ValidationError
 from .liealg import Context, LieElement
 from .linalg import mat_inv
@@ -73,19 +75,7 @@ class JacobianMatrix:
     def __matmul__(self, other: "JacobianMatrix") -> "JacobianMatrix":
         if self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        zero = TruncPoly.zero(self.ctx.m, self.ctx.module_cap)
-        cols = tuple(zip(*other.rows))
-        rows = []
-        for row in self.rows:
-            out = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = a * b if acc is zero else acc + a * b
-                out.append(acc)
-            rows.append(tuple(out))
-        return JacobianMatrix(self.ctx, tuple(rows))
+        return JacobianMatrix(self.ctx, poly_matmul(self.rows, other.rows))
 
     def __sub__(self, other: "JacobianMatrix") -> "JacobianMatrix":
         if self.ctx != other.ctx:
@@ -118,10 +108,7 @@ class JacobianMatrix:
     def column_defect(self, j: int) -> TruncPoly:
         """sum_i t_i * (self - A)[i][j] at cap c (1-based column j), A the
         constant part: zero on every column of a Jacobian."""
-        ctx = self.ctx
-        col = [row[j - 1] for row in self.rows]
-        linear = TruncPoly.linear(ctx.m, ctx.c, [p.constant_term() for p in col])
-        return t_dot(col, ctx.c) - linear
+        return t_dot([row[j - 1] for row in self.rows], self.ctx.c, skip_constants=True)
 
     def satisfies_s_condition(self) -> bool:
         """Unipotent with every column of J - I summing to zero against t."""
@@ -238,11 +225,16 @@ class Endomorphism:
         return w
 
     def _substituted(self, q: TruncPoly) -> TruncPoly:
-        """q with every t_r replaced by the linear form of the image of x_r."""
+        """q with every t_r replaced by the linear form of the image of x_r:
+        q(alpha t) when the linear part is alpha I, else a table."""
         sub = self._cache.get("subs")
         if sub is None:
-            ctx = self.ctx
-            sub = LinearSubstitution(ctx.m, ctx.module_cap, [im.beta for im in self.images])
+            m, a = self.ctx.m, self.linear_matrix()
+            alpha = a[0][0]
+            if all(a[k][i] == (alpha if k == i else _ZERO) for k in range(m) for i in range(m)):
+                sub = lambda p: p.dilate(alpha)
+            else:
+                sub = LinearSubstitution(m, self.ctx.module_cap, [im.beta for im in self.images])
             self._cache["subs"] = sub
         return sub(q)
 
@@ -301,12 +293,16 @@ def _sigma(phi: Endomorphism, jac: JacobianMatrix) -> JacobianMatrix:
 
 def jacobian(phi: Endomorphism) -> JacobianMatrix:
     """Partial-derivative matrix: entry (i, j) reads the a_i coordinate of
-    the image of x_j, constant term included."""
-    ctx = phi.ctx
-    rows = []
-    for i in range(1, ctx.m + 1):
-        rows.append(tuple(phi.images[j - 1].full_poly(i) for j in range(1, ctx.m + 1)))
-    return JacobianMatrix(ctx, tuple(rows))
+    the image of x_j, constant term included.  Kept with the map, which
+    _from_jacobian builds with the matrix it was read from."""
+    jac = phi._cache.get("jacobian")
+    if jac is None:
+        ctx = phi.ctx
+        rows = []
+        for i in range(1, ctx.m + 1):
+            rows.append(tuple(phi.images[j - 1].full_poly(i) for j in range(1, ctx.m + 1)))
+        jac = phi._cache["jacobian"] = JacobianMatrix(ctx, tuple(rows))
+    return jac
 
 
 def _from_jacobian(jac: JacobianMatrix) -> Endomorphism:
@@ -327,7 +323,9 @@ def _from_jacobian(jac: JacobianMatrix) -> Endomorphism:
             for p, b in zip(col, beta)
         )
         images.append(LieElement(ctx, beta, mod))
-    return Endomorphism(ctx, tuple(images))
+    phi = Endomorphism(ctx, tuple(images))
+    phi._cache["jacobian"] = jac
+    return phi
 
 
 def ia_from_jacobian(jac: JacobianMatrix) -> Endomorphism:

@@ -10,9 +10,11 @@ g o psi^-1 as inner.  Both return the same forms as lmc.cosets.
 from fractions import Fraction
 from operator import add
 
+from kernel_reference import t_dot
+
 from lmc import endo as _endo
 from lmc import normal
-from lmc.arith import TruncPoly, all_monomials, t_dot
+from lmc.arith import TruncPoly, all_monomials
 from lmc.cosets import PsiForm, ThetaForm, shape_check
 from lmc.errors import DomainError, ValidationError
 from lmc.liealg import LieElement

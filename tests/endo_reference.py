@@ -1,5 +1,6 @@
 """The map operations that lmc.endo replaced: the references for
-tests/test_apply_parity.py and tests/test_compose_parity.py.
+tests/test_apply_parity.py, tests/test_compose_parity.py and
+tests/test_matrix_kernel_parity.py.
 
 apply: u is expanded over the left-normed basis with the Fraction reference
 solver (tests/linalg_reference.py), and each basis commutator [x_i1, ...,
@@ -16,10 +17,16 @@ inverts the IA part by iterating apply, and group_commutator chains these
 inverses and compositions, so no reference here calls endo's compose,
 invert or group_commutator.  neumann_inverse: the sum of powers that
 endo's Neumann iteration replaced.
+
+matmul: the Jacobian product that arith.poly_matmul replaced, one
+TruncPoly product and sum per term of each entry; column_defect: the
+S-condition defect as the reference t_dot minus the linear form of the
+constant terms.  neumann_inverse multiplies with this matmul.
 """
 
 from fractions import Fraction
 
+from kernel_reference import t_dot
 from linalg_reference import SparseSolver
 
 from lmc import endo, liealg
@@ -136,6 +143,31 @@ def group_commutator(phi, psi):
     return compose(compose(compose(invert(phi), invert(psi)), phi), psi)
 
 
+def matmul(a, b):
+    """a @ b, entry by entry as sums of TruncPoly products."""
+    zero = TruncPoly.zero(a.ctx.m, a.ctx.module_cap)
+    cols = tuple(zip(*b.rows))
+    rows = []
+    for row in a.rows:
+        out = []
+        for col in cols:
+            acc = zero
+            for x, y in zip(row, col):
+                if not (x.is_zero() or y.is_zero()):
+                    acc = x * y if acc is zero else acc + x * y
+            out.append(acc)
+        rows.append(tuple(out))
+    return endo.JacobianMatrix(a.ctx, tuple(rows))
+
+
+def column_defect(jac, j: int) -> TruncPoly:
+    """sum_i t_i * (jac - A)[i][j] at cap c, A the constant part."""
+    ctx = jac.ctx
+    col = [row[j - 1] for row in jac.rows]
+    linear = TruncPoly.linear(ctx.m, ctx.c, [p.constant_term() for p in col])
+    return t_dot(col, ctx.c) - linear
+
+
 def neumann_inverse(jac):
     """Inverse of a unipotent J as I + M + M^2 + ... + M^(c-1), M = I - J."""
     ident = endo.JacobianMatrix.identity(jac.ctx)
@@ -143,6 +175,6 @@ def neumann_inverse(jac):
     acc = ident + minus_n
     power = minus_n
     for _ in range(2, jac.ctx.c):
-        power = power @ minus_n
+        power = matmul(power, minus_n)
         acc = acc + power
     return acc

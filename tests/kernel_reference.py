@@ -7,9 +7,14 @@ beyond it.  Inputs are never mutated.
 
 This is the representation lmc.arith.TruncPoly used before its packed
 integer kernel; test_kernel_parity.py checks TruncPoly against it.
+
+t_dot is the TruncPoly-level sum that arith.t_dot replaced with one pass
+over packed codes: one with_cap, mul_var and addition per polynomial.
 """
 
 from fractions import Fraction
+
+from lmc.arith import TruncPoly
 
 
 def padd(a, b):
@@ -118,3 +123,12 @@ def pcanon(a, cap):
         if c:
             out[tuple(int(x) for x in e)] = c
     return out
+
+
+def t_dot(polys, cap: int) -> TruncPoly:
+    """sum_i t_i * polys[i-1] at the given cap (1-based i)."""
+    acc = None
+    for i, p in enumerate(polys, start=1):
+        term = p.with_cap(cap).mul_var(i)
+        acc = term if acc is None else acc + term
+    return acc

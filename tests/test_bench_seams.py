@@ -11,6 +11,9 @@ reduction that inverts, exponentiates or builds a solver per input, a
 composition, inverse or group commutator that goes through apply or the
 bracket (IA maps, linear maps after IA maps, scaled normal maps), or an IA
 group commutator that takes more than 2 + max(0, c-3) matrix products.
+A Jacobian product is one call of arith._impl.mmul, which a wrapper patched
+in place sees, and no call of arith._impl.pmul; a map built from a Jacobian
+keeps it, so endo.jacobian reads no images of a composite or commutator.
 """
 
 import sys
@@ -20,11 +23,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import endo_reference as endo_ref  # noqa: E402
 import ideal_reference as ref  # noqa: E402
 import inner_reference as inner_ref  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from lmc import cosets, endo, liealg, normal  # noqa: E402
+from lmc import arith, cosets, endo, liealg, normal  # noqa: E402
 from lmc.liealg import Context  # noqa: E402
 from lmc.verify import sample  # noqa: E402
 
@@ -211,3 +215,51 @@ def test_ia_commutator_takes_two_products_and_c_minus_3_steps():
         phi, psi = sample("ia", ctx, "seams-e", 1), sample("ia", ctx, "seams-f", 1)
         tracer = _traced(lambda: endo.group_commutator(phi, psi))
         assert tracer.calls["endo.__matmul__"] == products == 2 + max(0, c - 3), (m, c)
+
+
+def _counting(monkeypatch, name):
+    """Wrap arith._impl.<name> in place, as a tracer would; returns the
+    list that collects the wrapper's calls."""
+    seen = []
+    original = vars(arith._impl)[name].__func__
+
+    def wrapper(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(arith._impl, name, wrapper)
+    return seen
+
+
+def test_one_product_is_one_mmul_pass_and_no_pmul(monkeypatch):
+    ctx = Context(4, 6)
+    a = endo.jacobian(sample("ia", ctx, "seams-g", 2))
+    b = endo.jacobian(normal.ginn_to_endo(sample("ginn", ctx, "seams-h", 2)))
+    expected = endo_ref.matmul(a, b)
+    mmul, pmul = _counting(monkeypatch, "mmul"), _counting(monkeypatch, "pmul")
+    got = a @ b
+    assert got == expected
+    assert len(mmul) == 1
+    assert len(pmul) == 0
+
+
+def test_ia_commutator_makes_one_mmul_per_product(monkeypatch):
+    ctx = Context(4, 6)
+    phi, psi = sample("ia", ctx, "seams-e", 1), sample("ia", ctx, "seams-f", 1)
+    mmul = _counting(monkeypatch, "mmul")
+    tracer = _traced(lambda: endo.group_commutator(phi, psi))
+    assert tracer.calls["endo.__matmul__"] == len(mmul) == 2 + max(0, ctx.c - 3)
+
+
+def test_a_map_built_from_a_jacobian_keeps_it():
+    ctx = Context(3, 4)
+    phi, psi = sample("ia", ctx, "seams-k", 2), sample("ia", ctx, "seams-l", 2)
+    made = []
+    tracer = _traced(
+        lambda: made.append(endo.group_commutator(endo.compose(phi, psi), psi)),
+        lambda: made.append(endo.jacobian(made[0])),
+    )
+    # only J(phi) and J(psi) are read off images; the composite and the
+    # commutator keep the matrices they were built from
+    assert tracer.calls["liealg.full_poly"] == 2 * ctx.m**2
+    assert made[1] == endo.jacobian(endo.Endomorphism(ctx, made[0].images))
