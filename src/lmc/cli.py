@@ -6,7 +6,8 @@ Exit codes: 0 success; 2 when --assert is set and a verdict is negative,
 or when `verify` finds a counterexample; 64 usage errors; 65 malformed
 input.  Every path is a thin adapter over the library: JSON output is
 exactly the library serialization.  LMC_FORMAT=text|json overrides the
-default output format.
+default output format; an empty LMC_FORMAT counts as unset, and any other
+value is a usage error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_ASSERT = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
+FORMATS = ("text", "json")  # values of --format and LMC_FORMAT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,10 +90,17 @@ def _emit(payload, fmt: str) -> None:
         print(json.dumps(payload, indent=2))
 
 
+def _env_format():
+    """LMC_FORMAT, or None when it is unset or empty; any value but text
+    and json is a usage error."""
+    value = os.environ.get("LMC_FORMAT", "")
+    if value and value not in FORMATS:
+        raise UsageError(f"LMC_FORMAT must be text or json, got {value!r}")
+    return value or None
+
+
 def _format(args, default: str) -> str:
-    if getattr(args, "format", None):
-        return args.format
-    return os.environ.get("LMC_FORMAT", default)
+    return args.format or _env_format() or default
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -275,70 +285,98 @@ def _cmd_verify(args) -> int:
 # -- wiring -----------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lmc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_ctx(p):
+    p.add_argument("--m", type=int, required=True, help="number of generators")
+    p.add_argument("--c", type=int, required=True, help="nilpotency class")
 
-    def add_ctx(p):
-        p.add_argument("--m", type=int, required=True, help="number of generators")
-        p.add_argument("--c", type=int, required=True, help="nilpotency class")
 
-    def add_fmt(p):
-        p.add_argument("--format", choices=("text", "json"), default=None)
+def _add_fmt(p):
+    p.add_argument("--format", choices=FORMATS, default=None)
 
-    p = sub.add_parser("eval", help="parse an element, print basis and wreath forms")
-    add_ctx(p)
+
+def _eval_args(p):
+    _add_ctx(p)
     p.add_argument("expr")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_eval)
+    _add_fmt(p)
 
-    p = sub.add_parser("bracket", help="Lie bracket of two elements, basis form")
-    add_ctx(p)
+
+def _bracket_args(p):
+    _add_ctx(p)
     p.add_argument("e1")
     p.add_argument("e2")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_bracket)
+    _add_fmt(p)
 
-    p = sub.add_parser("basis", help="basis tuples and dimension table")
-    add_ctx(p)
+
+def _basis_args(p):
+    _add_ctx(p)
     p.add_argument("--degree", type=int, default=None)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_basis)
+    _add_fmt(p)
 
-    p = sub.add_parser("aut", help="automorphism algebra on JSON files")
+
+def _aut_args(p):
     p.add_argument("op", choices=("compose", "invert", "commutator", "jacobian", "apply"))
     p.add_argument(
         "args",
         nargs="+",
         help="automorphism JSON files ('-' for stdin); aut apply takes FILE EXPR",
     )
-    add_fmt(p)
-    p.set_defaults(func=_cmd_aut)
+    _add_fmt(p)
 
-    p = sub.add_parser("check", help="ia / inner / ginner / normal verdicts")
+
+def _check_args(p):
     p.add_argument("kind", choices=("ia", "inner", "ginner", "normal"))
     p.add_argument("file")
     p.add_argument("--witness", action="store_true", help="search for a witness ideal")
     p.add_argument("--assert", dest="do_assert", action="store_true")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_check)
+    _add_fmt(p)
 
-    p = sub.add_parser("reduce", help="canonical coset representative")
+
+def _reduce_args(p):
     p.add_argument("--modulo", choices=("in", "inn"), required=True)
     p.add_argument("file")
-    add_fmt(p)
-    p.set_defaults(func=_cmd_reduce)
+    _add_fmt(p)
 
-    p = sub.add_parser("verify", help="seeded randomized law checking")
+
+def _verify_args(p):
     p.add_argument("--law", choices=verify.LAW_NAMES, required=True)
-    add_ctx(p)
+    _add_ctx(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coeff-bound", type=int, default=3)
-    add_fmt(p)
-    p.set_defaults(func=_cmd_verify)
+    _add_fmt(p)
 
+
+# name -> (help, function adding the arguments, handler), in help order.
+SUBCOMMANDS = {
+    "eval": ("parse an element, print basis and wreath forms", _eval_args, _cmd_eval),
+    "bracket": ("Lie bracket of two elements, basis form", _bracket_args, _cmd_bracket),
+    "basis": ("basis tuples and dimension table", _basis_args, _cmd_basis),
+    "aut": ("automorphism algebra on JSON files", _aut_args, _cmd_aut),
+    "check": ("ia / inner / ginner / normal verdicts", _check_args, _cmd_check),
+    "reduce": ("canonical coset representative", _reduce_args, _cmd_reduce),
+    "verify": ("seeded randomized law checking", _verify_args, _cmd_verify),
+}
+
+
+def _build_parser(names=SUBCOMMANDS) -> _Parser:
+    """The parser of `lmc` with the subcommands named (all by default)."""
+    parser = _Parser(prog="lmc", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_args, func = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
+
+
+def _parser_for(argv) -> _Parser:
+    """A parser for argv: one that knows only the subcommand argv[0] names,
+    or, for any other argv (help, '--', an unknown name, nothing), the full
+    parser, so that every help text and error message is the full one's."""
+    if argv and argv[0] in SUBCOMMANDS:
+        return _build_parser((argv[0],))
+    return _build_parser()
 
 
 def _report(kind: str, exc: Exception) -> None:
@@ -347,8 +385,10 @@ def _report(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
+        _env_format()
         return args.func(args)
     except UsageError as exc:
         _report("usage error", exc)

@@ -328,6 +328,25 @@ def _tuple_module_terms(ctx: Context, tup, coeff):
     return (i1, tuple(e1), coeff), (i2, tuple(e2), -coeff)
 
 
+def commutator(ctx: Context, idx) -> LieElement:
+    """The left-normed commutator [x_i1, x_i2, ..., x_ik] of generators
+    (1-based indices in any order, k >= 2), in closed form: module term
+    t_i2 t_i3...t_ik of a_i1 and its negative with t_i1 for t_i2 in a_i2
+    (_tuple_module_terms).  Zero when i1 == i2 or k > c."""
+    idx = tuple(idx)
+    if len(idx) < 2:
+        raise DomainError("bracket needs at least two arguments")
+    for i in idx:
+        if not 1 <= i <= ctx.m:
+            raise DomainError(f"generator index {i} out of range 1..{ctx.m}")
+    if idx[0] == idx[1] or len(idx) > ctx.c:
+        return zero(ctx)
+    mod = [ctx.zero_poly()] * ctx.m
+    for i, e, coeff in _tuple_module_terms(ctx, idx, 1):
+        mod[i - 1] = TruncPoly(ctx.m, ctx.module_cap, {e: coeff})
+    return LieElement(ctx, (_ZERO,) * ctx.m, mod)
+
+
 def from_basis(b: BasisForm) -> LieElement:
     """Image of the basis coordinates under the wreath embedding."""
     ctx = b.ctx

@@ -41,7 +41,9 @@ ideal of one linear element g = sum gamma_j x_j is Q g plus the module N =
 gamma t_j - e_j s.  So an automorphism preserves it iff A gamma is a
 multiple of gamma (A the linear part) and, D the module vector of phi(g)
 and gamma_q != 0, s divides every gamma_q D_i - gamma_i D_q: each vanishes
-under t_q -> -(sum_{j != q} gamma_j t_j)/gamma_q.  No span is built.
+under t_q -> -(sum_{j != q} gamma_j t_j)/gamma_q.  The condition for one i
+!= q follows from the others and the membership condition of phi(g), so it
+is not tested (see _preserves_linear_ideal).  No span is built.
 
 decide_normal implements the case table: the linear part must be a scalar
 alpha; alpha != 1 survives only on L_{m,1}, L_{2,2} and L_{2,3}, and in the
@@ -381,16 +383,31 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
 
 def _preserves_linear_ideal(phi: "_endo.Endomorphism", g: LieElement) -> bool:
     """preserves_ideal for an automorphism and one generator g = sum gamma_j
-    x_j, in closed form (see the module docstring)."""
+    x_j, in closed form (see the module docstring).
+
+    Of the conditions E_i = gamma_q sigma(D_i) - gamma_i sigma(D_q) = 0,
+    i != q, with sigma the substitution t_q -> -(sum_{j != q} gamma_j
+    t_j)/gamma_q, the one for p = the first index other than q is skipped:
+    it follows from the others.  sigma kills s and fixes t_p, so applying
+    it to the membership condition sum_i t_i D_i = 0 of phi(g) gives
+    sum_i sigma(t_i) E_i = gamma_q sigma(sum_i t_i D_i) - sigma(D_q)
+    sigma(s) = 0, where E_q = 0; once E_i = 0 for i != p, q this leaves
+    t_p E_p = 0.  D_i has degree at most c-1, so the membership condition
+    holds untruncated at cap c and sigma keeps degrees; t_p E_p = 0 in the
+    polynomial ring, a domain, so E_p = 0."""
     ctx, m, gamma, u = phi.ctx, phi.ctx.m, g.beta, phi.apply(g)
     q = max(k for k in range(m) if gamma[k])
     if any(u.beta[k] * gamma[q] != u.beta[q] * gamma[k] for k in range(m)):
         return False
+    p = 1 if q == 0 else 0
+    rest = [i for i in range(m) if i not in (p, q)]
+    if not rest:
+        return True
     forms = [[_ONE if j == k else _ZERO for j in range(m)] for k in range(m)]
     forms[q] = [_ZERO if j == q else -gamma[j] / gamma[q] for j in range(m)]
     sub = LinearSubstitution(m, ctx.module_cap, forms)
     d_q = sub(u.mod[q])
-    return all(sub(d).scale(gamma[q]) == d_q.scale(gamma[i]) for i, d in enumerate(u.mod) if i != q)
+    return all(sub(u.mod[i]).scale(gamma[q]) == d_q.scale(gamma[i]) for i in rest)
 
 
 def _scaling_witness(ctx: Context) -> list:

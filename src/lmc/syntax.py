@@ -8,6 +8,9 @@ Element grammar (left-normed brackets, 1-based generator indices):
     rational:= INT ['/' INT]
 
 The single literal '0' is also accepted and denotes the zero element.
+A bracket of bare generators '[xa,xb,...]', the form the printers write,
+is built in closed form by liealg.commutator; any other bracket is the
+bracket_chain of its parsed arguments.
 Brackets nest at most MAX_NESTING deep; deeper input is a ParseError.
 Polynomial text uses variables t1..tm, '*' for products, '^' for powers and
 rational coefficients 'p/q', e.g. '1/2*t1^2*t3 - t2'.
@@ -194,6 +197,9 @@ def _parse_atom(ctx, cur) -> LieElement:
             raise ParseError(
                 tok.line, tok.col, f"at most {MAX_NESTING} nested brackets", tok.describe()
             )
+        gens = _generator_chain(ctx, cur)
+        if gens is not None:
+            return liealg.commutator(ctx, gens)
         cur.next()
         cur.depth += 1
         args = [_parse_element(ctx, cur)]
@@ -206,6 +212,29 @@ def _parse_atom(ctx, cur) -> LieElement:
         cur.depth -= 1
         return liealg.bracket_chain(*args)
     cur.fail("a generator or '['")
+
+
+def _generator_chain(ctx, cur):
+    """The indices of a bracket of bare in-range generators '[xa, xb, ...]'
+    at the cursor, which then moves past its ']'; None, with the cursor
+    left at the '[', for any other bracket, whose parse reports errors."""
+    tokens, pos = cur.tokens, cur.pos + 1
+    idx = []
+    while True:
+        tok = tokens[pos]
+        if tok.kind != "name" or tok.value[0] != "x" or not 1 <= tok.value[1] <= ctx.m:
+            return None
+        idx.append(tok.value[1])
+        sep = tokens[pos + 1].kind
+        pos += 2
+        if sep == "]":
+            break
+        if sep != ",":
+            return None
+    if len(idx) < 2:
+        return None
+    cur.pos = pos
+    return idx
 
 
 # -- polynomial parsing -----------------------------------------------------------

@@ -14,8 +14,12 @@ group commutator that takes more than 2 + max(0, c-3) matrix products.
 A Jacobian product is one call of arith._impl.mmul, which a wrapper patched
 in place sees, and no call of arith._impl.pmul; a map built from a Jacobian
 keeps it, so endo.jacobian reads no images of a composite or commutator.
+Basis-form text (generator commutators such as [x2,x1,x1]) parses
+without a bracket call, and lmc.cli.main registers only the subparser
+of the subcommand it runs.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -28,7 +32,7 @@ import ideal_reference as ref  # noqa: E402
 import inner_reference as inner_ref  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from lmc import arith, cosets, endo, liealg, normal  # noqa: E402
+from lmc import arith, cli, cosets, endo, liealg, normal, syntax  # noqa: E402
 from lmc.liealg import Context  # noqa: E402
 from lmc.verify import sample  # noqa: E402
 
@@ -263,3 +267,35 @@ def test_a_map_built_from_a_jacobian_keeps_it():
     # commutator keep the matrices they were built from
     assert tracer.calls["liealg.full_poly"] == 2 * ctx.m**2
     assert made[1] == endo.jacobian(endo.Endomorphism(ctx, made[0].images))
+
+
+def test_basis_form_text_parses_without_a_bracket_call():
+    ctx = Context(3, 4)
+    x = lambda i: liealg.generator(ctx, i)
+    phi = sample("ia", ctx, "seams-p", 2)
+    made = []
+    tracer = _traced(
+        lambda: made.append(syntax.parse_element(ctx, "x1 - 3*[x2,x1,x1]")),
+        lambda: made.append(syntax.parse_automorphism(syntax.automorphism_dict(phi))),
+    )
+    assert tracer.calls["syntax.parse_element"] == 1 + ctx.m
+    assert tracer.calls["liealg.bracket"] == tracer.calls["liealg.bracket_chain"] == 0
+    assert made[0] == x(1) - liealg.bracket_chain(x(2), x(1), x(1)).scale(3)
+    assert made[1] == phi
+
+
+def test_main_registers_only_the_subparser_it_runs(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert cli.main(["basis", "--m", "2", "--c", "3"]) == 0
+    assert added == ["basis"]
+    added.clear()
+    assert cli.main(["foo"]) == 64  # an unknown name gets the full parser
+    assert added == list(cli.SUBCOMMANDS)
+    assert "invalid choice: 'foo'" in capsys.readouterr().err

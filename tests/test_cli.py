@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lmc import cli, cosets, endo, liealg, normal, syntax, verify
 from lmc.arith import TruncPoly
+from lmc.errors import UsageError
 from lmc.liealg import Context
 
 
@@ -311,6 +312,84 @@ def test_format_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "bracket", "--m", "2", "--c", "3", "x1", "x2")
     assert code == 0
     assert json.loads(out)["basis"] == "-1*[x2,x1]"
+
+
+@pytest.mark.parametrize("value", ["xml", "JSON", " json", "text\nxml"])
+def test_an_unknown_lmc_format_is_a_usage_error_before_any_work(
+    tmp_path, capsys, monkeypatch, value
+):
+    fa = write_aut(tmp_path, "a.json", SECTION3)
+    monkeypatch.setenv("LMC_FORMAT", value)
+    monkeypatch.setattr(syntax, "parse_element", None)  # any work would crash
+    monkeypatch.setattr(cli, "_load_aut", None)
+    message = f"lmc: usage error: LMC_FORMAT must be text or json, got {value!r}\n"
+    for argv in (
+        ["eval", "--m", "2", "--c", "3", "--", "[x2,x1]"],
+        ["eval", "--m", "2", "--c", "3", "--format", "json", "--", "[x2,x1]"],
+        ["check", "ia", fa],
+        ["reduce", "--modulo", "in", fa],
+    ):
+        assert run(capsys, *argv) == (64, "", message), argv
+
+
+def test_an_empty_lmc_format_counts_as_unset(tmp_path, capsys, monkeypatch):
+    fa = write_aut(tmp_path, "a.json", SECTION3)
+    lines = (["eval", "--m", "2", "--c", "3", "--", "[x2,x1]"], ["check", "ia", fa])
+    monkeypatch.delenv("LMC_FORMAT", raising=False)
+    unset = [run(capsys, *argv) for argv in lines]
+    monkeypatch.setenv("LMC_FORMAT", "")
+    assert [run(capsys, *argv) for argv in lines] == unset
+    assert unset[0][0] == unset[1][0] == 0
+
+
+def _parse_outcome(parser, argv):
+    """What one parse gives: the Namespace, the UsageError text or the
+    SystemExit code, with everything printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", parser.parse_args(argv))
+        except UsageError as exc:
+            result = ("usage error", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGVS = [
+    *([name, "-h"] for name in cli.SUBCOMMANDS),
+    ["eval", "--m", "2", "--c", "3", "x1"],
+    ["eval", "x1"],
+    ["eval"],
+    ["reduce", "a.json"],
+    ["verify", "--m", "3", "--c", "2"],
+    ["basis", "--m", "2", "--c", "3", "--bogus"],
+    ["check", "ia", "a.json", "--nope"],
+    ["reduce", "--mod", "in", "a.json"],
+    ["check", "normal", "a.json", "--wit"],
+    ["verify", "--law", "abelian", "--m", "3", "--c", "2", "--tri", "5", "--coeff", "2"],
+    ["eval", "--m", "2", "--c", "3", "x1", "x2"],
+    ["bracket", "--m", "2", "--c", "3", "x1", "x2", "x3"],
+    ["aut", "transpose", "a.json"],
+    ["aut", "compose", "a.json", "b.json", "--format", "json"],
+    ["aut", "apply", "--", "a.json", "-[x2,x1]"],
+    ["basis", "--m", "2", "--c", "3", "--format", "xml"],
+    ["basis", "--m", "two", "--c", "3"],
+    ["check", "ginner", "-", "--assert", "--format", "text"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["foo"],
+    ["-x", "eval"],
+    ["--", "basis", "--m", "2", "--c", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_parser_for_one_subcommand_parses_like_the_full_one(argv):
+    assert _parse_outcome(cli._parser_for(argv), argv) == _parse_outcome(
+        cli._build_parser(), argv
+    )
 
 
 def test_verify_trials_above_the_bound_exit_at_once(capsys):

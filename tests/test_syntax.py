@@ -212,3 +212,62 @@ def test_automorphism_json_round_trip():
             {"m": m, "c": c, "jacobian": data["jacobian"]}
         )
         assert via_jac == phi
+
+
+# -- generator commutators in closed form ----------------------------------------
+
+
+@CHECK
+@given(st.data())
+def test_generator_commutators_in_closed_form_match_bracket_chain(data):
+    m, c = data.draw(st.sampled_from([(2, 3), (3, 3), (3, 4), (4, 5)]))
+    ctx = Context(m, c)
+    idx = data.draw(st.lists(st.integers(1, m), min_size=2, max_size=c + 2))
+    want = liealg.bracket_chain(*(liealg.generator(ctx, i) for i in idx))
+    assert liealg.commutator(ctx, idx) == want
+    assert syntax.parse_element(ctx, "[" + ",".join(f"x{i}" for i in idx) + "]") == want
+
+
+def test_generator_commutators_cover_every_head_and_length():
+    for m, c in [(2, 3), (3, 3), (3, 4), (4, 5)]:
+        ctx = Context(m, c)
+        x = lambda i: liealg.generator(ctx, i)
+        for head in [(1, 2), (2, 1), (m, m), (1, m)]:
+            for tail in range(c + 1):
+                idx = head + (m,) * tail
+                want = liealg.bracket_chain(*map(x, idx))
+                assert liealg.commutator(ctx, idx) == want, idx
+                assert want.is_zero() == (head[0] == head[1] or len(idx) > c), idx
+        text = "x1 - 3*[x2, x1,x1] + 1/2*[x1,x2]"
+        want = x(1) - liealg.bracket_chain(x(2), x(1), x(1)).scale(3) + liealg.bracket(
+            x(1), x(2)
+        ).scale(F(1, 2))
+        assert syntax.parse_element(ctx, text) == want
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("[x1]", 1, 4, "1:4: expected ',' inside a bracket, found ']'"),
+        ("[x1,]", 1, 5, "1:5: expected a generator or '[', found ']'"),
+        ("[x1,x9]", 1, 5, "1:5: expected a generator index in 1..3, found x9"),
+        ("[x1, x2 x3]", 1, 9, "1:9: expected ']' closing the bracket, found \"('x', 3)\""),
+        ("[[x1,x2],x3", 1, 12, "1:12: expected ']' closing the bracket, found end of input"),
+        ("[x1,t2]", 1, 5, "1:5: expected a generator 'xN', found \"('t', 2)\""),
+        ("[x1,x2]]", 1, 8, "1:8: expected end of input, found ']'"),
+        ("x1 + [x2,\n x1,x4]", 2, 5, "2:5: expected a generator index in 1..3, found x4"),
+    ],
+)
+def test_brackets_that_are_not_generator_chains_keep_their_parse_errors(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        syntax.parse_element(Context(3, 3), text)
+    assert (exc.value.line, exc.value.column, str(exc.value)) == (line, col, message)
+
+
+def test_a_bracket_with_a_coefficient_inside_takes_the_general_path():
+    ctx = Context(3, 3)
+    x = lambda i: liealg.generator(ctx, i)
+    assert syntax.parse_element(ctx, "[x1,2*x2]") == liealg.bracket(x(1), x(2).scale(2))
+    assert syntax.parse_element(ctx, "[x1,x2+x3,x1]") == liealg.bracket_chain(
+        x(1), x(2) + x(3), x(1)
+    )
