@@ -7,7 +7,8 @@ or when `verify` finds a counterexample; 64 usage errors; 65 malformed
 input.  Every path is a thin adapter over the library: JSON output is
 exactly the library serialization.  LMC_FORMAT=text|json overrides the
 default output format; an empty LMC_FORMAT counts as unset, and any other
-value is a usage error.
+value is a usage error.  One '--' before a subcommand name is dropped, so
+`lmc -- basis ...` runs `lmc basis ...`.
 """
 
 from __future__ import annotations
@@ -386,6 +387,8 @@ def _report(kind: str, exc: Exception) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in SUBCOMMANDS:
+        argv = argv[1:]  # argparse would take the '--' for the subcommand name
     try:
         args = _parser_for(argv).parse_args(argv)
         _env_format()

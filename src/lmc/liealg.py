@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .arith import TruncPoly, code_limit, t_dot, var_code
+from .arith import FIELD_BITS, TruncPoly, code_limit, t_dot, var_code
 from .errors import ContextMismatch, DomainError, ValidationError
 from .linalg import SparseSolver, SpanBasis
 
@@ -252,11 +252,17 @@ class BasisForm:
         self.linear = tuple(Fraction(b) for b in self.linear)
         if len(self.linear) != self.ctx.m:
             raise ValidationError(f"need {self.ctx.m} linear coordinates")
+        terms = _basis_terms(self.ctx.m, self.ctx.c)
         clean = {}
         for tup, coeff in self.comm.items():
-            tup = tuple(int(i) for i in tup)
-            _validate_tuple(self.ctx, tup)
-            coeff = Fraction(coeff)
+            found = terms.get(tup)
+            if found is None:
+                tup = tuple(int(i) for i in tup)
+                _validate_tuple(self.ctx, tup)
+            else:
+                tup = found[0]  # the int tuple, also for an equal key like (2.0, 1.0)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
                 clean[tup] = coeff
         self.comm = clean
@@ -315,24 +321,29 @@ def algebra_dim(ctx: Context, bound: int | None = None) -> int:
     return total
 
 
-def _tuple_module_terms(ctx: Context, tup, coeff):
-    """Module term contributions of coeff * [x_{i1},...,x_{ik}]."""
+def _tuple_codes(m: int, tup):
+    """The module terms of [x_i1, x_i2, ..., x_ik] (i1 != i2): t_i2 t_i3...t_ik
+    in a_i1 and minus t_i1 t_i3...t_ik in a_i2, as (i1 - 1, code1, i2 - 1,
+    code2).  The code of a monomial is the sum of the var_codes of its
+    variables."""
     i1, i2 = tup[0], tup[1]
-    base = [0] * ctx.m
-    for r in tup[2:]:
-        base[r - 1] += 1
-    e1 = list(base)
-    e1[i2 - 1] += 1
-    e2 = list(base)
-    e2[i1 - 1] += 1
-    return (i1, tuple(e1), coeff), (i2, tuple(e2), -coeff)
+    base = sum(var_code(m, r) for r in tup[2:])
+    return i1 - 1, base + var_code(m, i2), i2 - 1, base + var_code(m, i1)
+
+
+@lru_cache(maxsize=None)
+def _basis_terms(m: int, c: int) -> dict:
+    """{t: (t, *_tuple_codes(m, t))} over the basis tuples t of degrees
+    2..c.  A key equal to t, such as (2.0, 1.0), finds t with its int
+    entries."""
+    return {t: (t, *_tuple_codes(m, t)) for k in range(2, c + 1) for t in _tuples(m, k)}
 
 
 def commutator(ctx: Context, idx) -> LieElement:
     """The left-normed commutator [x_i1, x_i2, ..., x_ik] of generators
     (1-based indices in any order, k >= 2), in closed form: module term
     t_i2 t_i3...t_ik of a_i1 and its negative with t_i1 for t_i2 in a_i2
-    (_tuple_module_terms).  Zero when i1 == i2 or k > c."""
+    (_tuple_codes).  Zero when i1 == i2 or k > c."""
     idx = tuple(idx)
     if len(idx) < 2:
         raise DomainError("bracket needs at least two arguments")
@@ -341,25 +352,36 @@ def commutator(ctx: Context, idx) -> LieElement:
             raise DomainError(f"generator index {i} out of range 1..{ctx.m}")
     if idx[0] == idx[1] or len(idx) > ctx.c:
         return zero(ctx)
+    i1, code1, i2, code2 = _tuple_codes(ctx.m, idx)
     mod = [ctx.zero_poly()] * ctx.m
-    for i, e, coeff in _tuple_module_terms(ctx, idx, 1):
-        mod[i - 1] = TruncPoly(ctx.m, ctx.module_cap, {e: coeff})
+    mod[i1] = TruncPoly.from_codes(ctx.m, ctx.module_cap, {code1: 1})
+    mod[i2] = TruncPoly.from_codes(ctx.m, ctx.module_cap, {code2: -1})
     return LieElement(ctx, (_ZERO,) * ctx.m, mod)
 
 
 def from_basis(b: BasisForm) -> LieElement:
-    """Image of the basis coordinates under the wreath embedding."""
+    """Image of the basis coordinates under the wreath embedding: the
+    integer numerators of the coefficients over their common denominator,
+    summed into each module coordinate at the codes of _tuple_codes."""
     ctx = b.ctx
+    terms = _basis_terms(ctx.m, ctx.c)
+    den = math.lcm(*(c.denominator for c in b.comm.values()))
     mods = [{} for _ in range(ctx.m)]
     for tup, coeff in b.comm.items():
-        for i, e, c in _tuple_module_terms(ctx, tup, coeff):
-            d = mods[i - 1]
-            cur = d.get(e, _ZERO) + c
-            if cur:
-                d[e] = cur
-            elif e in d:
-                del d[e]
-    mod = tuple(TruncPoly(ctx.m, ctx.module_cap, d) for d in mods)
+        found = terms.get(tup)
+        if found is None:  # a key set after BasisForm validated its own
+            raise ValidationError(f"tuple {tup} is not a basis tuple of degree 2..{ctx.c}")
+        _, i1, code1, i2, code2 = found
+        n = coeff.numerator * (den // coeff.denominator)
+        for d, code, v in ((mods[i1], code1, n), (mods[i2], code2, -n)):
+            v += d.get(code, 0)
+            if v:
+                d[code] = v
+            else:
+                d.pop(code, None)
+    mod = tuple(TruncPoly.from_codes(ctx.m, ctx.module_cap, d) for d in mods)
+    if den != 1:
+        mod = tuple(p.scale(Fraction(1, den)) for p in mod)
     return LieElement(ctx, b.linear, mod)
 
 
@@ -367,18 +389,19 @@ def from_basis(b: BasisForm) -> LieElement:
 def _basis_solver(ctx: Context, k: int) -> SparseSolver:
     cols = []
     for tup in _tuples(ctx.m, k):
-        (i1, e1, c1), (i2, e2, c2) = _tuple_module_terms(ctx, tup, 1)
-        cols.append({(i1, e1): c1, (i2, e2): c2})
+        i1, code1, i2, code2 = _tuple_codes(ctx.m, tup)
+        cols.append({(i1, code1): 1, (i2, code2): -1})
     return SparseSolver(cols)
 
 
 def to_basis(u: LieElement) -> BasisForm:
     """Unique left-normed basis coordinates; inverse of from_basis."""
     ctx = u.ctx
+    top = FIELD_BITS * ctx.m  # a code's total degree sits above this bit
     by_degree = {}
-    for i in range(1, ctx.m + 1):
-        for e, c in u.mod[i - 1].items():
-            by_degree.setdefault(sum(e) + 1, {})[(i, e)] = c
+    for i, p in enumerate(u.mod):
+        for code, c in p.nums.items():
+            by_degree.setdefault((code >> top) + 1, {})[(i, code)] = Fraction(c, p.den)
     comm = {}
     for k, rhs in by_degree.items():
         if k < 2 or k > ctx.c:

@@ -123,12 +123,22 @@ def _ginn_s(g: GInnAut):
 def ginn_to_endo(g: GInnAut) -> "_endo.Endomorphism":
     """Materialize: x_j -> x_j + sum_k [x_j,x_k] f_k, whose module vector is
     column j of S."""
+    return _scaled_ginn_endo(_ONE, g)
+
+
+def _scaled_ginn_endo(alpha, g: GInnAut) -> "_endo.Endomorphism":
+    """x_j -> alpha x_j + alpha S_j(alpha t), S_j column j of S: the scalar
+    map alpha I after ginn_to_endo(g).  It multiplies a commutator of
+    degree d by alpha^d, and a term t^e of a module coordinate belongs to
+    degree |e| + 1."""
     ctx = g.ctx
     cols = zip(*_ginn_s(g))
+    if alpha != 1:
+        cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)
     return _endo.Endomorphism(
         ctx,
         tuple(
-            LieElement(ctx, tuple(_ONE if k == j else _ZERO for k in range(ctx.m)), col)
+            LieElement(ctx, tuple(alpha if k == j else _ZERO for k in range(ctx.m)), col)
             for j, col in enumerate(cols)
         ),
     )
@@ -158,14 +168,28 @@ def ginn_apply(g: GInnAut, u: LieElement) -> LieElement:
     """Closed-form action psi(u) = u + sum_j [u, x_j] f_j."""
     if g.ctx != u.ctx:
         raise ContextMismatch(f"{g.ctx} vs {u.ctx}")
-    ctx = g.ctx
-    acc = u
-    for j in range(1, ctx.m + 1):
-        if g.f[j - 1].is_zero():
+    return ginn_sum(u, lambda j: liealg.bracket(u, liealg.generator(g.ctx, j)), g.f)
+
+
+def ginn_sum(u: LieElement, bracket_with, f) -> LieElement:
+    """u + sum_j bracket_with(j) f_j(ad x_1,...,ad x_m) over the 1-based j
+    with f_j != 0, bracket_with(j) standing for [u, x_j]: the GInn action
+    assembled from given brackets.  On the derived algebra f_j(ad x) is
+    multiplication by f_j, so each nonzero module coordinate of a bracket
+    adds one product to the same coordinate of u."""
+    ctx = u.ctx
+    mod = list(u.mod)
+    for j, p in enumerate(f, start=1):
+        if p.is_zero():
             continue
-        w = liealg.bracket(u, liealg.generator(ctx, j))
-        acc = acc + liealg.ad_polynomial_action(w, g.f[j - 1])
-    return acc
+        w = bracket_with(j)
+        if not w.in_derived():
+            raise DomainError("ad-polynomial action is defined on the derived algebra only")
+        q = p.with_cap(ctx.module_cap)
+        for k, coord in enumerate(w.mod):
+            if not coord.is_zero():
+                mod[k] = mod[k] + coord * q
+    return LieElement(ctx, u.beta, mod)
 
 
 def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":
@@ -321,12 +345,9 @@ class NormalAut:
             )
 
     def to_endo(self) -> "_endo.Endomorphism":
-        ctx = self.g.ctx
-        scalar = [
-            [self.alpha if i == j else _ZERO for j in range(ctx.m)]
-            for i in range(ctx.m)
-        ]
-        return _endo.compose(_endo.linear_endo(ctx, scalar), ginn_to_endo(self.g))
+        """The scalar map alpha I after ginn_to_endo(g), in closed form
+        (_scaled_ginn_endo)."""
+        return _scaled_ginn_endo(self.alpha, self.g)
 
 
 @dataclass

@@ -19,14 +19,23 @@ Group commutators and compositions are Jacobian products (lmc.endo),
 and a sign-flipped bracket is still a Lie bracket, so these laws alone
 cannot see a broken bracket.  Their inputs are therefore certified
 against it: every GInn map of abelian, nilpotent2 and metabelian, and the
-GInn part of every scaled normal map of class2_by_abelian, must agree on
-the generators with ginn_apply, which brackets; jacobian_functorial builds
-phi psi through phi.apply, not compose, and applies phi to the images of
-phi^-1.  A failed certificate is a counterexample like a failed law.
+GInn part of every scaled normal map of class2_by_abelian, must send each
+generator x_i to x_i + sum_j [x_i, x_j] f_j, the assembly of ginn_apply
+(normal.ginn_sum); jacobian_functorial builds phi psi through phi.apply,
+not compose, and applies phi to the images of phi^-1.  A failed
+certificate is a counterexample like a failed law.
+
+The brackets [x_i, x_j] come from one table of liealg.bracket over all m^2
+ordered generator pairs, looked up at call time and built afresh by each
+certificate call, so once per trial.  That is as strong as bracketing per
+map: the certificate only ever brackets generator pairs, and their
+arguments are the same for every map.  No entry stands in for another:
+[x_j, x_i] is bracketed, not read as -[x_i, x_j].
 
 Sampling is deterministic in (kind, ctx, seed): coefficients are integers
-in [-coeff_bound, coeff_bound], and per-trial seeds are derived from the
-trial index, so reports are reproducible and trials independent.
+in [-coeff_bound, coeff_bound], drawn in a fixed order, and per-trial
+seeds are derived from the trial index, so reports are reproducible and
+trials independent.
 """
 
 from __future__ import annotations
@@ -36,10 +45,11 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import endo as _endo
 from . import liealg, normal, syntax
-from .arith import TruncPoly, all_monomials
+from .arith import TruncPoly, all_monomials, var_code
 from .errors import UsageError
 from .liealg import Context
 
@@ -130,15 +140,26 @@ def _sample_element(ctx, rnd, bound):
 def _sample_ginn(ctx, rnd, bound):
     if ctx.c == 1:
         return normal.GInnAut.identity(ctx)
+    codes = _monomial_codes(ctx.m, ctx.param_cap)
     fs = []
     for _ in range(ctx.m):
-        terms = {}
-        for e in all_monomials(ctx.m, ctx.param_cap):
+        nums = {}
+        for code in codes:
             v = rnd.randint(-bound, bound)
             if v:
-                terms[e] = Fraction(v)
-        fs.append(TruncPoly(ctx.m, ctx.param_cap, terms))
+                nums[code] = v
+        fs.append(TruncPoly.from_codes(ctx.m, ctx.param_cap, nums))
     return normal.GInnAut(ctx, tuple(fs))
+
+
+@lru_cache(maxsize=None)
+def _monomial_codes(m: int, cap: int) -> tuple:
+    """The codes of all_monomials(m, cap), in its order, which is the order
+    of the draws: the code of t^e is sum_j e_j var_code(m, j)."""
+    return tuple(
+        sum(x * var_code(m, j) for j, x in enumerate(e, start=1))
+        for e in all_monomials(m, cap)
+    )
 
 
 def _sample_ia(ctx, rnd, bound):
@@ -183,13 +204,18 @@ def _certified_ginn_maps(ctx, seeds, bound, count):
 
 
 def _agree_with_ginn_apply(gs, maps) -> bool:
-    """Whether each map agrees on every generator with ginn_apply of its
-    GInn parameters, which brackets (the certificate the module docstring
-    describes)."""
+    """Whether each map sends every generator x_i to x_i + sum_j [x_i, x_j]
+    f_j, the assembly of normal.ginn_apply, with its GInn parameters f and
+    the brackets read from one table of liealg.bracket over the ordered
+    generator pairs, built afresh by each call (the certificate the module
+    docstring describes)."""
+    ctx = gs[0].ctx
+    x = [liealg.generator(ctx, i) for i in range(1, ctx.m + 1)]
+    table = [[liealg.bracket(xi, xj) for xj in x] for xi in x]
     return all(
-        normal.ginn_apply(g, liealg.generator(g.ctx, i)) == im
+        normal.ginn_sum(x[i], lambda j: table[i][j - 1], g.f) == im
         for g, phi in zip(gs, maps)
-        for i, im in enumerate(phi.images, start=1)
+        for i, im in enumerate(phi.images)
     )
 
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from kernel_reference import t_dot
 from linalg_reference import SparseSolver
+from verify_reference import tuple_module_terms
 
 from lmc import endo, liealg
 from lmc.arith import TruncPoly
@@ -51,7 +52,7 @@ def to_basis(u) -> dict:
         tuples = liealg.enumerate_basis(ctx, k)
         cols = []
         for tup in tuples:
-            (i1, e1, c1), (i2, e2, c2) = liealg._tuple_module_terms(ctx, tup, _ONE)
+            (i1, e1, c1), (i2, e2, c2) = tuple_module_terms(ctx, tup, _ONE)
             cols.append({(i1, e1): c1, (i2, e2): c2})
         coeffs = SparseSolver(cols).solve(rhs)
         if coeffs is None:

@@ -16,7 +16,9 @@ in place sees, and no call of arith._impl.pmul; a map built from a Jacobian
 keeps it, so endo.jacobian reads no images of a composite or commutator.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, and lmc.cli.main registers only the subparser
-of the subcommand it runs.
+of the subcommand it runs.  The bracket certificate of a law trial reads
+one table of generator brackets: m^2 bracket calls per trial, not per map.
+Every name in the tracer's SPANS exists where Tracer.install looks it up.
 """
 
 import argparse
@@ -30,11 +32,11 @@ if str(PERFBENCH) not in sys.path:
 import endo_reference as endo_ref  # noqa: E402
 import ideal_reference as ref  # noqa: E402
 import inner_reference as inner_ref  # noqa: E402
-from tracer import Tracer  # noqa: E402
+from tracer import SPANS, Tracer  # noqa: E402
 
 from lmc import arith, cli, cosets, endo, liealg, normal, syntax  # noqa: E402
 from lmc.liealg import Context  # noqa: E402
-from lmc.verify import sample  # noqa: E402
+from lmc.verify import check_law, sample  # noqa: E402
 
 
 def test_tracer_installs_and_counts_recognize_inner():
@@ -299,3 +301,23 @@ def test_main_registers_only_the_subparser_it_runs(monkeypatch, capsys):
     assert cli.main(["foo"]) == 64  # an unknown name gets the full parser
     assert added == list(cli.SUBCOMMANDS)
     assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_every_traced_name_exists():
+    # Tracer.install reads vars(owner)[name], so a missing seam would crash
+    # every traced benchmark run
+    for layer, owner, names in SPANS:
+        for name in names:
+            assert name in vars(owner), f"{layer}: {owner.__name__}.{name}"
+    names = {name for _, _, names in SPANS for name in names}
+    assert {"ginn_apply", "from_basis", "sample", "to_endo"} <= names
+
+
+def test_a_law_trial_brackets_each_ordered_generator_pair_once():
+    ctx = Context(3, 4)
+    for seed in (1, 2, 3):
+        reports = []
+        tracer = _traced(lambda: reports.append(check_law("metabelian", ctx, 1, seed)))
+        assert reports[0].ok
+        assert tracer.calls["verify.sample"] == 4
+        assert tracer.calls["liealg.bracket"] == ctx.m**2 == 9

@@ -392,6 +392,30 @@ def test_the_parser_for_one_subcommand_parses_like_the_full_one(argv):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--m", "2", "--c", "3"],
+        ["eval", "--m", "2", "--c", "3", "--", "[x2,x1]"],
+        ["bracket", "--m", "3", "--c", "3", "x2", "x1 + x3"],
+    ],
+)
+def test_one_leading_double_dash_before_a_subcommand_is_dropped(capsys, argv):
+    assert run(capsys, "--", *argv) == run(capsys, *argv)
+    code, out, err = run(capsys, "--", *argv)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--"], ["--", "--help"], ["--", "--", "basis", "--m", "2", "--c", "3"], ["--", "foo"]]
+)
+def test_a_double_dash_without_a_subcommand_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("lmc: usage error: ")
+
+
 def test_verify_trials_above_the_bound_exit_at_once(capsys):
     start = time.perf_counter()
     for trials in (cli.MAX_TRIALS + 1, 10**12):

@@ -206,6 +206,50 @@ def test_basisform_validation():
         BasisForm(ctx, (0, 0), {(2, 1, 1, 1): F(1)})  # degree 4 > c
 
 
+@pytest.mark.parametrize(
+    "key,expected",
+    [
+        ((2.0, 1.0), (2, 1)),
+        ((2, True, 2), (2, 1, 2)),
+        ((F(2), F(1), 1), (2, 1, 1)),
+        ((2, 1), (2, 1)),
+    ],
+)
+def test_basisform_keeps_int_keys(key, expected):
+    # (2.0, 1.0) and (2, True, 2) hash and compare equal to the int tuples,
+    # so a lookup among the valid tuples must hand back the int tuple itself
+    bf = BasisForm(ctx23(), (0, 0), {key: F(3)})
+    (got,) = bf.comm
+    assert got == expected
+    assert [type(i) for i in got] == [int] * len(expected)
+    assert bf.comm[expected] == F(3)
+
+
+@pytest.mark.parametrize(
+    "key,message",
+    [
+        ((1, 2), "tuple (1, 2) violates i1 > i2 <= i3 <= ... <= ik"),
+        ((1.0, 2.0), "tuple (1, 2) violates i1 > i2 <= i3 <= ... <= ik"),
+        ((2, 1, 1, 1), "tuple (2, 1, 1, 1) has degree 4, allowed 2..3"),
+        ((2,), "tuple (2,) has degree 1, allowed 2..3"),
+        ((3, 1), "tuple (3, 1) has indices outside 1..2"),
+        ((2, 1, True, 0), "tuple (2, 1, 1, 0) has degree 4, allowed 2..3"),
+        ((2, 2, 1), "tuple (2, 2, 1) violates i1 > i2 <= i3 <= ... <= ik"),
+    ],
+)
+def test_basisform_rejects_invalid_tuples_with_the_same_message(key, message):
+    with pytest.raises(ValidationError) as exc:
+        BasisForm(ctx23(), (0, 0), {key: F(1)})
+    assert str(exc.value) == message
+
+
+def test_from_basis_rejects_a_tuple_added_after_validation():
+    bf = BasisForm(ctx23(), (0, 0), {(2, 1): F(1)})
+    bf.comm[(1, 2)] = F(1)
+    with pytest.raises(ValidationError, match=r"tuple \(1, 2\) is not a basis tuple"):
+        from_basis(bf)
+
+
 def test_ideal_closure_frozen_spans():
     ctx = Context(3, 2)
     x = [generator(ctx, i) for i in (1, 2, 3)]

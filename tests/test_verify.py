@@ -90,6 +90,35 @@ def test_broken_bracket_is_caught(monkeypatch):
     assert not report.ok
     report = check_law("class2_by_abelian", Context(2, 3), 100, seed=2)
     assert not report.ok
+    for m, c in ((3, 4), (2, 5)):
+        report = check_law("metabelian", Context(m, c), 100, seed=2)
+        assert not report.ok, (m, c)
+
+
+def test_bracket_broken_on_one_ordered_pair_is_caught(monkeypatch):
+    # only [x2, x1] flips its sign, [x1, x2] stays right: a certificate that
+    # took -[x1, x2] for [x2, x1] would miss it
+    original = liealg.bracket
+
+    def broken(u, v):
+        x = lambda i: liealg.generator(u.ctx, i)
+        w = original(u, v)
+        return w.scale(-1) if u == x(2) and v == x(1) else w
+
+    monkeypatch.setattr(liealg, "bracket", broken)
+    ctx = Context(3, 2)
+    x1, x2 = liealg.generator(ctx, 1), liealg.generator(ctx, 2)
+    assert liealg.bracket(x2, x1) == liealg.bracket(x1, x2) == original(x1, x2)
+    for law, m, c in (
+        ("abelian", 3, 2),
+        ("nilpotent2", 3, 3),
+        ("metabelian", 3, 4),
+        ("metabelian", 2, 5),
+        ("class2_by_abelian", 2, 3),
+    ):
+        report = check_law(law, Context(m, c), 100, seed=2)
+        assert not report.ok, (law, m, c)
+        json.loads(report.counterexample)
 
 
 def test_jacobian_functorial_composes_through_apply(monkeypatch):

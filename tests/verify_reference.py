@@ -1,0 +1,145 @@
+"""The law inputs that lmc replaced: the references for
+tests/test_verify_parity.py (tuple_module_terms is also the basis formula
+of tests/endo_reference.py).
+
+tuple_module_terms and from_basis: each basis commutator contributes two
+module terms keyed by exponent tuples, summed as Fractions, where
+liealg.from_basis sums integer numerators at packed codes over one
+denominator.
+
+agree_with_ginn_apply: every generator image of every map checked against
+a ginn_apply that calls the bracket [x_i, x_j] afresh for each map and
+each nonzero f_j, where verify._agree_with_ginn_apply reads one table of
+brackets per call.
+
+sample: the sampler as it was, drawing GInn parameters over a freshly
+sorted all_monomials and building elements with the from_basis above.
+
+to_endo: a scaled normal map as the chain-rule composite of the scalar
+map alpha I after ginn_to_endo(g), where NormalAut.to_endo dilates the
+columns of S in closed form.
+"""
+
+import random
+from fractions import Fraction
+
+from lmc import endo, liealg, normal
+from lmc.arith import TruncPoly, all_monomials
+from lmc.errors import UsageError
+
+_ZERO = Fraction(0)
+
+
+def tuple_module_terms(ctx, tup, coeff):
+    """Module term contributions of coeff * [x_{i1},...,x_{ik}]."""
+    i1, i2 = tup[0], tup[1]
+    base = [0] * ctx.m
+    for r in tup[2:]:
+        base[r - 1] += 1
+    e1 = list(base)
+    e1[i2 - 1] += 1
+    e2 = list(base)
+    e2[i1 - 1] += 1
+    return (i1, tuple(e1), coeff), (i2, tuple(e2), -coeff)
+
+
+def from_basis(b):
+    """Image of the basis coordinates under the wreath embedding."""
+    ctx = b.ctx
+    mods = [{} for _ in range(ctx.m)]
+    for tup, coeff in b.comm.items():
+        for i, e, c in tuple_module_terms(ctx, tup, coeff):
+            d = mods[i - 1]
+            cur = d.get(e, _ZERO) + c
+            if cur:
+                d[e] = cur
+            elif e in d:
+                del d[e]
+    mod = tuple(TruncPoly(ctx.m, ctx.module_cap, d) for d in mods)
+    return liealg.LieElement(ctx, b.linear, mod)
+
+
+def ginn_apply(g, u):
+    """psi(u) = u + sum_j [u, x_j] f_j, one bracket per nonzero f_j."""
+    acc = u
+    for j in range(1, g.ctx.m + 1):
+        if g.f[j - 1].is_zero():
+            continue
+        w = liealg.bracket(u, liealg.generator(g.ctx, j))
+        acc = acc + liealg.ad_polynomial_action(w, g.f[j - 1])
+    return acc
+
+
+def agree_with_ginn_apply(gs, maps) -> bool:
+    return all(
+        ginn_apply(g, liealg.generator(g.ctx, i)) == im
+        for g, phi in zip(gs, maps)
+        for i, im in enumerate(phi.images, start=1)
+    )
+
+
+def to_endo(n):
+    ctx = n.g.ctx
+    scalar = [[n.alpha if i == j else _ZERO for j in range(ctx.m)] for i in range(ctx.m)]
+    return endo.compose(endo.linear_endo(ctx, scalar), normal.ginn_to_endo(n.g))
+
+
+def sample(kind, ctx, seed, coeff_bound=3):
+    if coeff_bound < 1:
+        raise UsageError("coeff_bound must be >= 1")
+    rnd = random.Random(f"{kind}:{ctx.m}:{ctx.c}:{seed}")
+    if kind == "element":
+        return _sample_element(ctx, rnd, coeff_bound)
+    if kind == "ginn":
+        return _sample_ginn(ctx, rnd, coeff_bound)
+    if kind == "ia":
+        return _sample_ia(ctx, rnd, coeff_bound)
+    if kind == "inner":
+        return endo.exp_ad(_sample_element(ctx, rnd, coeff_bound))
+    if kind == "normal_scaled":
+        if ctx.c >= 2 and (ctx.m, ctx.c) not in ((2, 2), (2, 3)):
+            raise UsageError(
+                f"scaled normal automorphisms do not exist on L_{{{ctx.m},{ctx.c}}}"
+            )
+        num = rnd.choice([k for k in range(-coeff_bound, coeff_bound + 1) if k])
+        den = rnd.randint(1, coeff_bound)
+        return normal.NormalAut(Fraction(num, den), _sample_ginn(ctx, rnd, coeff_bound))
+    raise UsageError(f"unknown sample kind {kind!r}")
+
+
+def _sample_comm(ctx, rnd, bound):
+    comm = {}
+    for k in range(2, ctx.c + 1):
+        for tup in liealg.enumerate_basis(ctx, k):
+            v = rnd.randint(-bound, bound)
+            if v:
+                comm[tup] = Fraction(v)
+    return comm
+
+
+def _sample_element(ctx, rnd, bound):
+    beta = tuple(Fraction(rnd.randint(-bound, bound)) for _ in range(ctx.m))
+    return from_basis(liealg.BasisForm(ctx, beta, _sample_comm(ctx, rnd, bound)))
+
+
+def _sample_ginn(ctx, rnd, bound):
+    if ctx.c == 1:
+        return normal.GInnAut.identity(ctx)
+    fs = []
+    for _ in range(ctx.m):
+        terms = {}
+        for e in all_monomials(ctx.m, ctx.param_cap):
+            v = rnd.randint(-bound, bound)
+            if v:
+                terms[e] = Fraction(v)
+        fs.append(TruncPoly(ctx.m, ctx.param_cap, terms))
+    return normal.GInnAut(ctx, tuple(fs))
+
+
+def _sample_ia(ctx, rnd, bound):
+    images = []
+    for j in range(1, ctx.m + 1):
+        comm = _sample_comm(ctx, rnd, bound)
+        w = from_basis(liealg.BasisForm(ctx, (_ZERO,) * ctx.m, comm))
+        images.append(liealg.generator(ctx, j) + w)
+    return endo.Endomorphism(ctx, tuple(images))
