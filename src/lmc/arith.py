@@ -33,6 +33,16 @@ right operand is packed into (code, column, numerator) terms in ascending
 code order, and every term of the left operand runs down the row it
 selects and stops at the first code past the cap, the ordered product of
 Monagan and Pearce applied row by row.  Each entry is wrapped once.
+
+The solve kernel: poly_solve gives Y = Q^-1 P for a unipotent Q = I + N
+in one integer pass, _impl.msolve.  N has no constant term, so the
+degree-d part of Y is P_d - sum_{e>=1} N_e Y_(d-e), power-series division
+applied to matrices: each degree needs only the parts of Y below it, and
+the pairs of terms multiplied are those of the one product N Y.  Over a
+common denominator a, Z_d = a^(d+1) Y_d obeys the integer recursion Z_d =
+a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e).  poly_commutator feeds the two
+products AB and BA of mmul to msolve as they are.
+
 t_dot, the sum_i t_i p_i of the membership and S-conditions, is likewise
 one pass that adds the code of t_i to every code of p_i.
 """
@@ -60,8 +70,8 @@ _EXACT = (int, Fraction)
 
 class _impl:
     """The per-term loops, over numerator maps {code: nonzero int} (mmul
-    over square matrices of them).  They return fresh maps without zero
-    entries and never mutate their inputs.
+    and msolve over square matrices of them).  They return fresh maps
+    without zero entries and never mutate their inputs.
     TruncPoly looks them up here at call time, so instrumentation can wrap
     them in place."""
 
@@ -139,6 +149,59 @@ class _impl:
                 if c:
                     j, code = divmod(e, lim)
                     sums[j][code] = c
+            out.append(sums)
+        return out
+
+    @staticmethod
+    def msolve(q, p, lim, top, a):
+        """Numerators of Y = Q^-1 P over a^(cap+1), cap = (lim >> top) - 1,
+        for square matrices q and p of numerator maps over one denominator
+        a and Q = I + N unipotent (the constant terms of q, code 0, are a I
+        and are not read); the degree of a code is code >> top.  N has no
+        constant term, so Y_d = P_d - sum_{e>=1} N_e Y_(d-e) reads only the
+        parts of Y below degree d.  Z_d = a^(d+1) Y_d keeps it in integers,
+        Z_d = a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e), and Z is kept packed
+        per row and degree as (key, num) terms, key = j * lim + code as in
+        mmul: the pairs multiplied are those of the one product N Y."""
+        cap = (lim >> top) - 1
+        size = range(len(q))
+        powers = [a**d for d in range(cap + 1)]
+        n_rows = []  # per row: (degree e, column k, [(code, a^(e-1) num)]) by e
+        for row in q:
+            terms = {}
+            for k, nums in enumerate(row):
+                for code, c in nums.items():
+                    e = code >> top
+                    if e:
+                        terms.setdefault((e, k), []).append((code, c * powers[e - 1]))
+            n_rows.append(sorted((e, k, t) for (e, k), t in terms.items()))
+        z = [[[] for _ in range(cap + 1)] for _ in size]  # z[i][d]: terms of Z_d in row i
+        for i in size:
+            for j, nums in enumerate(p[i]):
+                for code, c in nums.items():
+                    d = code >> top
+                    z[i][d].append((j * lim + code, c * powers[d]))
+        for d in range(1, cap + 1):
+            for i in size:
+                acc = dict(z[i][d])
+                get = acc.get
+                for e, k, terms in n_rows[i]:
+                    if e > d:
+                        break
+                    below = z[k][d - e]
+                    for cn, nn in terms:
+                        for key, nz in below:
+                            x = key + cn
+                            acc[x] = get(x, 0) - nn * nz
+                z[i][d] = [(x, c) for x, c in acc.items() if c]
+        out = []
+        for row in z:
+            sums = [{} for _ in size]
+            for d, terms in enumerate(row):
+                f = powers[cap - d]
+                for x, c in terms:
+                    j, code = divmod(x, lim)
+                    sums[j][code] = c * f
             out.append(sums)
         return out
 
@@ -275,11 +338,12 @@ class TruncPoly:
         return _make(nv, cap, nums, den)
 
     @classmethod
-    def from_codes(cls, nv: int, cap: int, nums: dict) -> "TruncPoly":
-        """sum nums[code] * t^code over integer coefficients; nums maps
-        codes below code_limit(nv, cap) to nonzero ints and is not copied."""
+    def from_codes(cls, nv: int, cap: int, nums: dict, den: int = 1) -> "TruncPoly":
+        """sum nums[code] * t^code / den; nums maps codes below
+        code_limit(nv, cap) to nonzero ints and is not copied unless nums
+        and the positive int den have a common factor, which is cancelled."""
         _check_dims(nv, cap)
-        return _make(nv, cap, nums)
+        return _reduced(nv, cap, nums, den)
 
     @classmethod
     def monomial(cls, nv: int, cap: int, exps, coeff=1) -> "TruncPoly":
@@ -525,15 +589,51 @@ def poly_matmul(a, b) -> list:
     ]
 
 
+def poly_solve(q, p) -> list:
+    """Q^-1 P for square matrices of TruncPoly entries at one (nv, cap) with
+    Q unipotent: one _impl.msolve over the numerators of both on one
+    common denominator, and each entry wrapped once."""
+    nv, cap = q[0][0].nv, q[0][0].cap
+    den = lcm(*(x.den for rows in (q, p) for row in rows for x in row))
+    return _solved(_over_den(q, den), _over_den(p, den), den, nv, cap)
+
+
+def poly_commutator(a, b) -> list:
+    """(BA)^-1 AB for square matrices A and B of TruncPoly entries at one
+    (nv, cap) with BA unipotent: AB and BA are two _impl.mmul passes over
+    one denominator, that of A times that of B, and go into _impl.msolve
+    as they are, so only the result is wrapped."""
+    nv, cap = a[0][0].nv, a[0][0].cap
+    (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
+    lim = code_limit(nv, cap)
+    return _solved(_impl.mmul(nb, na, lim), _impl.mmul(na, nb, lim), da * db, nv, cap)
+
+
+def _solved(q, p, den, nv, cap) -> list:
+    """_impl.msolve on numerator matrices q and p over den, each entry of
+    the result wrapped once over den^(cap+1)."""
+    out_den = den ** (cap + 1)
+    return [
+        [_reduced(nv, cap, nums, out_den) for nums in row]
+        for row in _impl.msolve(q, p, code_limit(nv, cap), FIELD_BITS * nv, den)
+    ]
+
+
 def _over_one_den(rows):
     """The numerator maps of a matrix over the lcm of its denominators, and
     that denominator."""
     den = lcm(*(p.den for row in rows for p in row))
+    return _over_den(rows, den), den
+
+
+def _over_den(rows, den):
+    """The numerator maps of a matrix over den, a multiple of the
+    denominator of every entry."""
     return [
         [p.nums if p.den == den else {e: c * (den // p.den) for e, c in p.nums.items()}
          for p in row]
         for row in rows
-    ], den
+    ]
 
 
 class LinearSubstitution:

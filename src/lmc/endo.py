@@ -15,14 +15,16 @@ x_j).  With this convention the chain rule holds for any two maps,
 where A is the linear part of phi and sigma_A replaces t_r by sum_k A_kr
 t_k, the substitution Endomorphism.apply makes.  IA maps (identity modulo
 the derived algebra) are the case A = I, matrices I + S on which the
-Jacobian is a faithful semigroup isomorphism; that is what makes the
-Neumann-series inverse below exact.
+Jacobian is a faithful semigroup isomorphism.
 
 So every map is handled as a matrix: compose is the chain rule, and
-group_commutator solves for the Jacobian of the commutator by the
-iteration that also gives the Neumann inverse.  A product is one pass of
-the matrix kernel arith.poly_matmul, a map built from a Jacobian keeps it,
-and sigma_A for A = alpha I is the dilation t -> alpha t.  Endomorphism.apply is the
+group_commutator and the inverse of an IA map solve Q Y = P for a
+unipotent Q = I + N.  N has no constant term, so the degree-d part of Y
+is P_d - sum_{e>=1} N_e Y_(d-e), which needs only the parts of Y below
+degree d: power-series division, with the work of the one product N Y.
+A product is one pass of the matrix kernel arith.poly_matmul, a solve one
+pass of arith.poly_solve, a map built from a Jacobian keeps it, and
+sigma_A for A = alpha I is the dilation t -> alpha t.  Endomorphism.apply is the
 one action built from the bracket, and no composition calls it.  exp_ad is
 no bracket series: it materializes the closed-form parameters
 normal.inner_params(u) of the generalized inner map exp(ad u).
@@ -33,7 +35,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import liealg
-from .arith import FIELD_BITS, LinearSubstitution, TruncPoly, poly_matmul, t_dot
+from .arith import (
+    LinearSubstitution,
+    TruncPoly,
+    poly_commutator,
+    poly_matmul,
+    poly_solve,
+    t_dot,
+)
 from .errors import ContextMismatch, DomainError, ValidationError
 from .liealg import Context, LieElement
 from .linalg import mat_inv
@@ -119,12 +128,12 @@ class JacobianMatrix:
         )
 
     def neumann_inverse(self) -> "JacobianMatrix":
-        """Exact inverse of a unipotent matrix I + N: X = I - N X, iterated
-        from X = I, gains a degree per step and is exact after c-1."""
+        """Exact inverse of a unipotent matrix I + N, degree by degree: X_d
+        = I_d - sum_{e>=1} N_e X_(d-e) (arith.poly_solve with P = I)."""
         if not self.is_unipotent():
             raise DomainError("Neumann inverse needs a unipotent matrix")
         ident = JacobianMatrix.identity(self.ctx)
-        return _neumann_solve(ident - self, ident, self.ctx.c - 1)
+        return JacobianMatrix(self.ctx, poly_solve(self.rows, ident.rows))
 
     def __add__(self, other: "JacobianMatrix") -> "JacobianMatrix":
         if self.ctx != other.ctx:
@@ -142,18 +151,6 @@ class JacobianMatrix:
             "[" + ", ".join(str(p) for p in row) + "]" for row in self.rows
         )
         return f"JacobianMatrix(m={self.ctx.m}, c={self.ctx.c}, {body})"
-
-
-def _neumann_solve(minus_n: JacobianMatrix, d: JacobianMatrix, steps: int) -> JacobianMatrix:
-    """X with (I + N) X = D, for N with entries in Omega: X = D - N X
-    unrolled `steps` times from X = D, as the sum of (-N)^k D for k <= steps.
-    The error is (-N)^(steps+1) X, so each step fixes one more degree; the
-    power (-N)^k D starts k degrees above D, which keeps its products small."""
-    x = term = d
-    for _ in range(steps):
-        term = minus_n @ term
-        x = x + term
-    return x
 
 
 class Endomorphism:
@@ -204,14 +201,17 @@ class Endomorphism:
         return self._cache["linear_inv"]
 
     def is_ia(self) -> bool:
-        a = self.linear_matrix()
-        m = self.ctx.m
-        return all(
-            a[k][i] == (_ONE if k == i else _ZERO) for k in range(m) for i in range(m)
-        )
+        ia = self._cache.get("ia")
+        if ia is None:
+            a, m = self.linear_matrix(), self.ctx.m
+            ia = self._cache["ia"] = all(
+                a[k][i] == (_ONE if k == i else _ZERO) for k in range(m) for i in range(m)
+            )
+        return ia
 
     def is_automorphism(self) -> bool:
-        return self._linear_inverse() is not None
+        """Invertible linear part; an IA map's is I, so it needs no inverse."""
+        return self.is_ia() or self._linear_inverse() is not None
 
     def _pair_bracket(self, i: int, j: int) -> LieElement:
         pairs = self._cache.get("pairs")
@@ -379,18 +379,20 @@ def invert(phi: Endomorphism) -> Endomorphism:
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     """phi^-1 psi^-1 phi psi under the repo composition order (psi first).
 
-    With P = J(phi psi) and Q = J(psi phi) from the chain rule, and K =
-    (BA)^-1 the inverse of Q's constant part, this is (K psi phi)^-1 (K phi
-    psi) = I + X, where U X = D for the unipotent U = J(K psi phi) = K
-    sigma_K(Q) and D = J(K phi psi) - U.  X = D - (U - I) X from X = D gains
-    a degree per step, so it is exact after c-1-d steps for d the lowest
-    degree of D.  On IA pairs K = I, so its products are skipped, and D
-    starts in degree 2: c-3 steps.
+    With P = J(phi psi) and Q = J(psi phi) from the chain rule, this is the
+    map with Jacobian Q^-1 P, solved degree by degree (arith.poly_solve):
+    for Q = I + N, Y_d = P_d - sum_{e>=1} N_e Y_(d-e).  On IA pairs Q is
+    unipotent, and P and Q go into the solve as the kernel's integer
+    numerators (arith.poly_commutator).  Otherwise K = (BA)^-1, the inverse
+    of Q's constant part, makes the unipotent K sigma_K(Q), and the map is
+    (K psi phi)^-1 (K phi psi).
     """
     if phi.ctx != psi.ctx:
         raise ContextMismatch(f"{phi.ctx} vs {psi.ctx}")
     ctx = phi.ctx
     ja, jb = jacobian(phi), jacobian(psi)
+    if phi.is_ia() and psi.is_ia():
+        return _from_jacobian(JacobianMatrix(ctx, poly_commutator(ja.rows, jb.rows)))
     p, q = ja @ _sigma(phi, jb), jb @ _sigma(psi, ja)
     if not q.is_unipotent():
         k = mat_inv([[x.constant_term() for x in row] for row in q.rows])
@@ -401,8 +403,4 @@ def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
         k = linear_endo(ctx, k)
         jk = jacobian(k)
         p, q = jk @ _sigma(k, p), jk @ _sigma(k, q)
-    d = p - q
-    top = FIELD_BITS * ctx.m  # codes ascend in degree, so this is D's lowest degree
-    low = min((min(x.nums) >> top for row in d.rows for x in row if x.nums), default=ctx.c)
-    ident = JacobianMatrix.identity(ctx)
-    return _from_jacobian(ident + _neumann_solve(ident - q, d, ctx.c - 1 - low))
+    return _from_jacobian(JacobianMatrix(ctx, poly_solve(q.rows, p.rows)))

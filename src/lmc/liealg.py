@@ -257,7 +257,7 @@ class BasisForm:
         for tup, coeff in self.comm.items():
             found = terms.get(tup)
             if found is None:
-                tup = tuple(int(i) for i in tup)
+                tup = _int_indices(self.ctx, tup)
                 _validate_tuple(self.ctx, tup)
             else:
                 tup = found[0]  # the int tuple, also for an equal key like (2.0, 1.0)
@@ -266,6 +266,21 @@ class BasisForm:
             if coeff:
                 clean[tup] = coeff
         self.comm = clean
+
+
+def _int_indices(ctx: Context, tup) -> tuple:
+    """tup with each index as an int; an index that does not equal its
+    int(), such as 2.5 or '2', lies outside 1..m."""
+    out = []
+    for i in tup:
+        try:
+            k = int(i)
+        except (TypeError, ValueError, OverflowError):
+            k = None
+        if k is None or k != i:
+            raise ValidationError(f"tuple {tup} has indices outside 1..{ctx.m}")
+        out.append(k)
+    return tuple(out)
 
 
 def _validate_tuple(ctx: Context, tup):

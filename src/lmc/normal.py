@@ -58,11 +58,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from . import endo as _endo
 from . import liealg
-from .arith import LinearSubstitution, TruncPoly, format_rational, t_dot
+from .arith import LinearSubstitution, TruncPoly, format_rational, t_dot, var_code
 from .errors import ContextMismatch, DomainError, UsageError, ValidationError
 from .liealg import Context, LieElement
 
@@ -106,18 +106,42 @@ class GInnAut:
         return f"GInnAut(m={self.ctx.m}, c={self.ctx.c}, f=({', '.join(map(str, self.f))}))"
 
 
-def _ginn_s(g: GInnAut):
-    """S = J - I of the materialized map, rows i and columns j at cap c-1:
-    sum_{r != i} t_r f_r on the diagonal, -t_j f_i off it.  It satisfies
-    the S-condition by construction."""
-    cap = g.ctx.module_cap
-    f = [p.with_cap(cap) for p in g.f]
-    weight = t_dot(f, cap)
-    js = range(1, g.ctx.m + 1)
-    return [
-        [weight - f_i.mul_var(j) if i == j else -f_i.mul_var(j) for j in js]
-        for i, f_i in enumerate(f, start=1)
-    ]
+def _ginn_s(g: GInnAut, unit: int = 0):
+    """S = J - I of the materialized map, or J = I + S for unit 1: rows i
+    and columns j at cap c-1, unit + sum_{r != i} t_r f_r on the diagonal,
+    -t_j f_i off it.  Each entry is read off the numerators of the f_i and
+    wrapped once: t_j f_i adds the code of t_j to every code of f_i, and
+    the diagonal is weight - t_i f_i for weight = sum_r t_r f_r over the
+    lcm of the denominators.  S satisfies the S-condition by construction."""
+    m, cap = g.ctx.m, g.ctx.module_cap
+    den = lcm(*(p.den for p in g.f))
+    steps = [var_code(m, j) for j in range(1, m + 1)]
+    weight = {}
+    own = []  # t_i f_i over den
+    for p, step in zip(g.f, steps):
+        k = den // p.den
+        nums = {e + step: c * k for e, c in p.nums.items()}
+        for e, c in nums.items():
+            weight[e] = weight.get(e, 0) + c
+        own.append(nums)
+    zero = TruncPoly.zero(m, cap)
+    rows = []
+    for i, p in enumerate(g.f):
+        row = []
+        for j, step in enumerate(steps):
+            if i != j:
+                nums = {e + step: -c for e, c in p.nums.items()}
+                row.append(TruncPoly.from_codes(m, cap, nums, p.den) if nums else zero)
+                continue
+            diag = dict(weight)
+            for e, c in own[i].items():
+                diag[e] -= c
+            nums = {e: c for e, c in diag.items() if c}
+            if unit:
+                nums[0] = unit * den
+            row.append(TruncPoly.from_codes(m, cap, nums, den))
+        rows.append(row)
+    return rows
 
 
 def ginn_to_endo(g: GInnAut) -> "_endo.Endomorphism":
@@ -126,13 +150,13 @@ def ginn_to_endo(g: GInnAut) -> "_endo.Endomorphism":
     return _scaled_ginn_endo(_ONE, g)
 
 
-def _scaled_ginn_endo(alpha, g: GInnAut) -> "_endo.Endomorphism":
-    """x_j -> alpha x_j + alpha S_j(alpha t), S_j column j of S: the scalar
-    map alpha I after ginn_to_endo(g).  It multiplies a commutator of
-    degree d by alpha^d, and a term t^e of a module coordinate belongs to
-    degree |e| + 1."""
+def _scaled_ginn_endo(alpha, g: GInnAut, s=None) -> "_endo.Endomorphism":
+    """x_j -> alpha x_j + alpha S_j(alpha t), S_j column j of S (s, if
+    given, else _ginn_s(g)): the scalar map alpha I after ginn_to_endo(g).
+    It multiplies a commutator of degree d by alpha^d, and a term t^e of a
+    module coordinate belongs to degree |e| + 1."""
     ctx = g.ctx
-    cols = zip(*_ginn_s(g))
+    cols = zip(*(_ginn_s(g) if s is None else s))
     if alpha != 1:
         cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)
     return _endo.Endomorphism(
@@ -194,12 +218,7 @@ def ginn_sum(u: LieElement, bracket_with, f) -> LieElement:
 
 def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":
     """Closed-form Jacobian I + S (see _ginn_s)."""
-    ctx = g.ctx
-    one = TruncPoly.const(ctx.m, ctx.module_cap, 1)
-    rows = _ginn_s(g)
-    for i, row in enumerate(rows):
-        row[i] = row[i] + one
-    return _endo.JacobianMatrix(ctx, rows)
+    return _endo.JacobianMatrix(g.ctx, _ginn_s(g, unit=1))
 
 
 def ginn_pattern(jac: "_endo.JacobianMatrix"):
@@ -348,6 +367,12 @@ class NormalAut:
         """The scalar map alpha I after ginn_to_endo(g), in closed form
         (_scaled_ginn_endo)."""
         return _scaled_ginn_endo(self.alpha, self.g)
+
+    def with_ginn_endo(self):
+        """(ginn_to_endo(g), to_endo()), both from one build of S."""
+        s = _ginn_s(self.g)
+        ginn = _scaled_ginn_endo(_ONE, self.g, s)
+        return ginn, ginn if self.alpha == 1 else _scaled_ginn_endo(self.alpha, self.g, s)
 
 
 @dataclass

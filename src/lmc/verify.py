@@ -243,10 +243,8 @@ def _law_metabelian(ctx, seeds, bound):
 
 def _law_class2_by_abelian(ctx, seeds, bound):
     auts = [sample("normal_scaled", ctx, seeds(k), bound) for k in range(6)]
-    ok = _agree_with_ginn_apply(
-        [n.g for n in auts], [normal.ginn_to_endo(n.g) for n in auts]
-    )
-    ns = [n.to_endo() for n in auts]
+    ginn, ns = zip(*(n.with_ginn_endo() for n in auts))
+    ok = _agree_with_ginn_apply([n.g for n in auts], ginn)
     c1 = _endo.group_commutator(ns[0], ns[1])
     c2 = _endo.group_commutator(ns[2], ns[3])
     c3 = _endo.group_commutator(ns[4], ns[5])
@@ -254,7 +252,7 @@ def _law_class2_by_abelian(ctx, seeds, bound):
         _endo.group_commutator(_endo.group_commutator(c1, c2), c3)
         == _endo.Endomorphism.identity(ctx)
     )
-    return ok, tuple(ns)
+    return ok, ns
 
 
 def _law_jacobian_functorial(ctx, seeds, bound):

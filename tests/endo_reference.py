@@ -22,6 +22,13 @@ matmul: the Jacobian product that arith.poly_matmul replaced, one
 TruncPoly product and sum per term of each entry; column_defect: the
 S-condition defect as the reference t_dot minus the linear form of the
 constant terms.  neumann_inverse multiplies with this matmul.
+
+neumann_solve and solve_commutator: the unrolled iteration X = D - N X
+that arith.poly_solve replaced in JacobianMatrix.neumann_inverse and
+endo.group_commutator, c-1-d full matrix products for d the lowest
+degree of D.  ginn_s and ginn_jacobian: the closed-form S and I + S of a
+generalized inner map as TruncPoly sums, which normal._ginn_s replaced by
+one wrap per entry read off the numerators of the f_i.
 """
 
 from fractions import Fraction
@@ -35,6 +42,7 @@ from lmc.arith import TruncPoly
 from lmc.errors import ValidationError
 from lmc.linalg import mat_inv
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -179,3 +187,79 @@ def neumann_inverse(jac):
         power = matmul(power, minus_n)
         acc = acc + power
     return acc
+
+
+def neumann_solve(minus_n, d, steps: int):
+    """X with (I + N) X = D, for N with entries in Omega: X = D - N X
+    unrolled `steps` times from X = D, as the sum of (-N)^k D for k <= steps.
+    The error is (-N)^(steps+1) X, so each step fixes one more degree."""
+    x = term = d
+    for _ in range(steps):
+        term = minus_n @ term
+        x = x + term
+    return x
+
+
+def solve_inverse(jac):
+    """Inverse of a unipotent J by neumann_solve: X = I - (J - I) X."""
+    ident = endo.JacobianMatrix.identity(jac.ctx)
+    return neumann_solve(ident - jac, ident, jac.ctx.c - 1)
+
+
+def solve_commutator(phi, psi):
+    """The Jacobian of phi^-1 psi^-1 phi psi as I + X, U X = D, for U =
+    J(K psi phi) and D = J(K phi psi) - U with K = (BA)^-1 (skipped on IA
+    pairs), by neumann_solve in c-1-d steps for d the lowest degree of D."""
+    ctx = phi.ctx
+    sigma = endo._sigma
+    ja, jb = endo.jacobian(phi), endo.jacobian(psi)
+    p, q = ja @ sigma(phi, jb), jb @ sigma(psi, ja)
+    if not q.is_unipotent():
+        k = endo.linear_endo(ctx, mat_inv([[x.constant_term() for x in row] for row in q.rows]))
+        jk = endo.jacobian(k)
+        p, q = jk @ sigma(k, p), jk @ sigma(k, q)
+    d = p - q
+    ident = endo.JacobianMatrix.identity(ctx)
+    return ident + neumann_solve(ident - q, d, ctx.c - 1 - lowest_degree(d))
+
+
+def lowest_degree(jac) -> int:
+    """The lowest degree of a term of an entry of jac, c if all are zero."""
+    return min(
+        (sum(e) for row in jac.rows for x in row for e, _ in x.items()),
+        default=jac.ctx.c,
+    )
+
+
+def ginn_s(g):
+    """S = J - I of the materialized GInn map: sum_{r != i} t_r f_r on the
+    diagonal, -t_j f_i off it, rows i and columns j at cap c-1."""
+    cap = g.ctx.module_cap
+    f = [p.with_cap(cap) for p in g.f]
+    weight = t_dot(f, cap)
+    js = range(1, g.ctx.m + 1)
+    return [
+        [weight - f_i.mul_var(j) if i == j else -f_i.mul_var(j) for j in js]
+        for i, f_i in enumerate(f, start=1)
+    ]
+
+
+def ginn_jacobian(g):
+    """I + ginn_s(g)."""
+    one = TruncPoly.const(g.ctx.m, g.ctx.module_cap, 1)
+    rows = ginn_s(g)
+    for i, row in enumerate(rows):
+        row[i] = row[i] + one
+    return endo.JacobianMatrix(g.ctx, rows)
+
+
+def ginn_to_endo(g):
+    """x_j -> x_j + column j of ginn_s(g)."""
+    ctx = g.ctx
+    return endo.Endomorphism(
+        ctx,
+        tuple(
+            liealg.LieElement(ctx, tuple(_ONE if k == j else _ZERO for k in range(ctx.m)), col)
+            for j, col in enumerate(zip(*ginn_s(g)))
+        ),
+    )

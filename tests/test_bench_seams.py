@@ -9,11 +9,13 @@ or recognize_inner that brackets, a witness search that no longer goes
 through normal.preserves_ideal or that builds a span, a coset
 reduction that inverts, exponentiates or builds a solver per input, a
 composition, inverse or group commutator that goes through apply or the
-bracket (IA maps, linear maps after IA maps, scaled normal maps), or an IA
-group commutator that takes more than 2 + max(0, c-3) matrix products.
-A Jacobian product is one call of arith._impl.mmul, which a wrapper patched
-in place sees, and no call of arith._impl.pmul; a map built from a Jacobian
-keeps it, so endo.jacobian reads no images of a composite or commutator.
+bracket (IA maps, linear maps after IA maps, scaled normal maps), an IA
+group commutator that is more than two matrix products and one solve, or
+an IA inverse that is more than one solve.  A Jacobian product is one call
+of arith._impl.mmul and a solve one call of arith._impl.msolve, which
+wrappers patched in place see, and neither calls arith._impl.pmul; a map
+built from a Jacobian keeps it, so endo.jacobian reads no images of a
+composite or commutator.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, and lmc.cli.main registers only the subparser
 of the subcommand it runs.  The bracket certificate of a law trial reads
@@ -215,14 +217,6 @@ def test_compositions_of_maps_that_are_not_ia_call_neither_apply_nor_bracket():
         assert tracer.calls["liealg.bracket"] == 0
 
 
-def test_ia_commutator_takes_two_products_and_c_minus_3_steps():
-    for (m, c), products in {(3, 2): 2, (3, 3): 2, (3, 4): 3, (4, 6): 5}.items():
-        ctx = Context(m, c)
-        phi, psi = sample("ia", ctx, "seams-e", 1), sample("ia", ctx, "seams-f", 1)
-        tracer = _traced(lambda: endo.group_commutator(phi, psi))
-        assert tracer.calls["endo.__matmul__"] == products == 2 + max(0, c - 3), (m, c)
-
-
 def _counting(monkeypatch, name):
     """Wrap arith._impl.<name> in place, as a tracer would; returns the
     list that collects the wrapper's calls."""
@@ -249,12 +243,34 @@ def test_one_product_is_one_mmul_pass_and_no_pmul(monkeypatch):
     assert len(pmul) == 0
 
 
-def test_ia_commutator_makes_one_mmul_per_product(monkeypatch):
+def _kernel_calls(monkeypatch):
+    """Counters of the three kernels a Jacobian computation may call."""
+    return {name: _counting(monkeypatch, name) for name in ("mmul", "msolve", "pmul")}
+
+
+def test_ia_commutator_is_two_mmul_passes_and_one_msolve(monkeypatch):
+    calls = _kernel_calls(monkeypatch)
+    for m, c in ((3, 2), (3, 3), (3, 4), (4, 6)):
+        ctx = Context(m, c)
+        phi, psi = sample("ia", ctx, "seams-e", 1), sample("ia", ctx, "seams-f", 1)
+        expected = endo_ref.solve_commutator(phi, psi)
+        for seen in calls.values():
+            seen.clear()
+        got = endo.group_commutator(phi, psi)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "mmul": 2, "msolve": 1, "pmul": 0
+        }, (m, c)
+        assert endo.jacobian(got) == expected
+
+
+def test_ia_invert_is_one_msolve(monkeypatch):
     ctx = Context(4, 6)
-    phi, psi = sample("ia", ctx, "seams-e", 1), sample("ia", ctx, "seams-f", 1)
-    mmul = _counting(monkeypatch, "mmul")
-    tracer = _traced(lambda: endo.group_commutator(phi, psi))
-    assert tracer.calls["endo.__matmul__"] == len(mmul) == 2 + max(0, ctx.c - 3)
+    phi = sample("ia", ctx, "seams-e", 1)
+    expected = endo_ref.solve_inverse(endo.jacobian(phi))
+    calls = _kernel_calls(monkeypatch)
+    got = endo.invert(phi)
+    assert {name: len(seen) for name, seen in calls.items()} == {"mmul": 0, "msolve": 1, "pmul": 0}
+    assert endo.jacobian(got) == expected
 
 
 def test_a_map_built_from_a_jacobian_keeps_it():

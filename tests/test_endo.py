@@ -197,3 +197,22 @@ def test_is_unipotent_reads_constant_terms():
             rows[i][j] = p
             expected = p.constant_term() == (1 if i == j else 0)
             assert endo.JacobianMatrix(ctx, rows).is_unipotent() == expected, (p, i, j)
+
+
+def test_an_ia_map_is_an_automorphism_without_a_linear_inverse(monkeypatch):
+    seen = []
+    original = endo.mat_inv
+
+    def counting(a):
+        seen.append(a)
+        return original(a)
+
+    monkeypatch.setattr(endo, "mat_inv", counting)
+    ctx = Context(3, 4)
+    assert sample("ia", ctx, "auto", 2).is_automorphism()
+    assert seen == []
+    upper = [[1 if k in (i, i + 1) else 0 for i in range(3)] for k in range(3)]
+    assert endo.linear_endo(ctx, upper).is_automorphism()
+    singular = [[1 if k == 0 else 0 for i in range(3)] for k in range(3)]
+    assert not endo.linear_endo(ctx, singular).is_automorphism()
+    assert len(seen) == 2

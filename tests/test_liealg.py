@@ -235,6 +235,12 @@ def test_basisform_keeps_int_keys(key, expected):
         ((3, 1), "tuple (3, 1) has indices outside 1..2"),
         ((2, 1, True, 0), "tuple (2, 1, 1, 0) has degree 4, allowed 2..3"),
         ((2, 2, 1), "tuple (2, 2, 1) violates i1 > i2 <= i3 <= ... <= ik"),
+        # an index is kept only if it equals its int(): 2.5 is not read as 2
+        ((2.5, 1), "tuple (2.5, 1) has indices outside 1..2"),
+        (("2", "1"), "tuple ('2', '1') has indices outside 1..2"),
+        ((2, 1.5, 2), "tuple (2, 1.5, 2) has indices outside 1..2"),
+        ((2, F(3, 2)), "tuple (2, Fraction(3, 2)) has indices outside 1..2"),
+        ((float("nan"), 1), "tuple (nan, 1) has indices outside 1..2"),
     ],
 )
 def test_basisform_rejects_invalid_tuples_with_the_same_message(key, message):

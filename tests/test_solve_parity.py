@@ -1,0 +1,146 @@
+"""The degree-by-degree solve and the GInn Jacobian build against the code
+they replaced (tests/endo_reference.py).
+
+JacobianMatrix.neumann_inverse and endo.group_commutator solve Q Y = P for
+a unipotent Q = I + N in one arith._impl.msolve pass, Y_d = P_d -
+sum_{e>=1} N_e Y_(d-e); the reference unrolls X = D - N X as c-1-d full
+matrix products.  normal._ginn_s reads S off the numerators of the f_i;
+the reference sums TruncPoly products.  Results must be equal on IA and
+non-IA pairs, fractional Jacobians, nested commutators (where D = P - Q
+starts in a high degree), zero and constant matrices, and c = 1, 2.
+"""
+
+from fractions import Fraction as F
+
+import endo_reference as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lmc import arith, endo, normal
+from lmc.arith import TruncPoly, all_monomials
+from lmc.liealg import Context
+from lmc.verify import sample
+
+CONTEXTS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4)]
+CHECK = settings(max_examples=40, deadline=None, database=None)
+
+contexts = st.sampled_from(CONTEXTS).map(lambda mc: Context(*mc))
+fractions = st.builds(F, st.integers(-5, 5), st.integers(1, 7))
+
+
+@st.composite
+def polys(draw, ctx, cap, constant=True):
+    """Zero, sparse or dense at the given cap, with fractional coefficients;
+    no constant term unless `constant`."""
+    kind = draw(st.sampled_from(["zero", "sparse", "sparse", "dense"]))
+    monos = [e for e in all_monomials(ctx.m, cap) if constant or sum(e)]
+    if kind == "zero" or not monos:
+        return TruncPoly.zero(ctx.m, cap)
+    if kind == "sparse":
+        monos = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3))
+    return TruncPoly(ctx.m, cap, {e: draw(fractions) for e in monos})
+
+
+@st.composite
+def matrices(draw, ctx, unipotent):
+    m, cap = ctx.m, ctx.module_cap
+    one = TruncPoly.const(m, cap, 1)
+    rows = [[draw(polys(ctx, cap, constant=not unipotent)) for _ in range(m)] for _ in range(m)]
+    if unipotent:
+        for i, row in enumerate(rows):
+            row[i] = row[i] + one
+    return endo.JacobianMatrix(ctx, rows)
+
+
+@CHECK
+@given(contexts, st.data())
+def test_neumann_inverse_matches_the_unrolled_solve(ctx, data):
+    q = data.draw(matrices(ctx, unipotent=True))
+    inv = q.neumann_inverse()
+    assert inv == ref.solve_inverse(q) == ref.neumann_inverse(q)
+    assert inv @ q == endo.JacobianMatrix.identity(ctx) == q @ inv
+
+
+@CHECK
+@given(contexts, st.data())
+def test_poly_solve_matches_the_unrolled_solve(ctx, data):
+    # any P, constants included: Q^-1 P = I + X for Q X = P - Q
+    q = data.draw(matrices(ctx, unipotent=True))
+    p = data.draw(matrices(ctx, unipotent=data.draw(st.booleans())))
+    ident = endo.JacobianMatrix.identity(ctx)
+    expected = ident + ref.neumann_solve(ident - q, p - q, ctx.c - 1)
+    assert endo.JacobianMatrix(ctx, arith.poly_solve(q.rows, p.rows)) == expected
+    assert q @ expected == p
+
+
+@st.composite
+def ginns(draw, ctx):
+    """A generalized inner map with fractional parameters, or the identity
+    for c = 1."""
+    if ctx.c == 1:
+        return normal.GInnAut.identity(ctx)
+    return normal.GInnAut(ctx, [draw(polys(ctx, ctx.param_cap)) for _ in range(ctx.m)])
+
+
+def _linear(ctx, kind):
+    """Invertible linear maps: x_i -> x_i + x_(i+1), x_i -> 2 x_i - x_(i-1)/3
+    and the scalar 3/2."""
+    entry = {
+        "upper": lambda k, i: F(1) if k in (i, i + 1) else F(0),
+        "lower": lambda k, i: F(2) if k == i else F(-1, 3) if k == i - 1 else F(0),
+        "scalar": lambda k, i: F(3, 2) if k == i else F(0),
+    }[kind]
+    return endo.linear_endo(ctx, [[entry(k, i) for i in range(ctx.m)] for k in range(ctx.m)])
+
+
+@st.composite
+def maps(draw, ctx):
+    """An IA map (sampled dense, or GInn with fractional parameters), or one
+    after an invertible linear map."""
+    kind = draw(st.sampled_from(["ia", "ginn", "ginn", "linear"]))
+    if kind == "ia":
+        return sample("ia", ctx, draw(st.integers(0, 99)), 2)
+    phi = normal.ginn_to_endo(draw(ginns(ctx)))
+    if kind == "linear":
+        lin = _linear(ctx, draw(st.sampled_from(["upper", "lower", "scalar"])))
+        return endo.compose(lin, phi) if draw(st.booleans()) else endo.compose(phi, lin)
+    return phi
+
+
+@CHECK
+@given(contexts, st.data())
+def test_group_commutator_matches_the_unrolled_solve(ctx, data):
+    phi, psi = data.draw(maps(ctx)), data.draw(maps(ctx))
+    got = endo.group_commutator(phi, psi)
+    assert endo.jacobian(got) == ref.solve_commutator(phi, psi)
+    assert endo.jacobian(got) == endo.jacobian(endo.Endomorphism(ctx, got.images))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.sampled_from([(2, 5), (3, 5), (2, 6)]), st.data())
+def test_nested_commutators_match_the_unrolled_solve(mc, data):
+    ctx = Context(*mc)
+    a, b, c, d = (data.draw(maps(ctx)) for _ in range(4))
+    phi, psi = endo.group_commutator(a, b), endo.group_commutator(c, d)
+    if all(x.is_ia() for x in (a, b, c, d)):
+        # commutators of IA maps are I + S with S from degree 2 on
+        ja, jb = endo.jacobian(phi), endo.jacobian(psi)
+        assert ref.lowest_degree(ja @ jb - jb @ ja) >= 4
+    assert endo.jacobian(endo.group_commutator(phi, psi)) == ref.solve_commutator(phi, psi)
+
+
+@CHECK
+@given(contexts, st.data())
+def test_ginn_jacobian_and_ginn_to_endo_match_the_sums(ctx, data):
+    g = data.draw(ginns(ctx))
+    assert normal._ginn_s(g) == ref.ginn_s(g)
+    assert normal.ginn_jacobian(g) == ref.ginn_jacobian(g)
+    assert normal.ginn_to_endo(g) == ref.ginn_to_endo(g)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), fractions, st.data())
+def test_one_build_of_s_gives_both_maps_of_a_scaled_normal_map(mc, alpha, data):
+    ctx = Context(*mc)
+    n = normal.NormalAut(alpha or F(1), data.draw(ginns(ctx)))
+    assert n.with_ginn_endo() == (ref.ginn_to_endo(n.g), n.to_endo())

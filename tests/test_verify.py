@@ -131,3 +131,18 @@ def test_jacobian_functorial_composes_through_apply(monkeypatch):
     monkeypatch.setattr(endo, "compose", no_compose)
     report = check_law("jacobian_functorial", Context(3, 3), 5, seed=3)
     assert report.ok and report.passed == 5
+
+
+def test_class2_by_abelian_builds_s_once_per_map(monkeypatch):
+    seen = []
+    original = normal._ginn_s
+
+    def counting(g, *args, **kwargs):
+        seen.append(g)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(normal, "_ginn_s", counting)
+    for seed in (1, 2):
+        seen.clear()
+        assert check_law("class2_by_abelian", Context(2, 3), 1, seed).ok
+        assert len(seen) == 6  # six scaled normal maps, each certified and used
