@@ -346,6 +346,14 @@ class TruncPoly:
         return _reduced(nv, cap, nums, den)
 
     @classmethod
+    def from_code_terms(cls, nv: int, cap: int, terms: dict) -> "TruncPoly":
+        """sum terms[code] * t^code for int or Fraction values, zeros dropped."""
+        _check_dims(nv, cap)
+        den = lcm(*(c.denominator for c in terms.values()))
+        nums = {e: n for e, c in terms.items() if (n := c.numerator * (den // c.denominator))}
+        return _reduced(nv, cap, nums, den)
+
+    @classmethod
     def monomial(cls, nv: int, cap: int, exps, coeff=1) -> "TruncPoly":
         return cls(nv, cap, {tuple(exps): coeff})
 
@@ -671,7 +679,8 @@ class LinearSubstitution:
 
 
 def all_monomials(nv: int, max_deg: int):
-    """Exponent tuples of total degree <= max_deg, in graded order."""
+    """Exponent tuples of total degree <= max_deg, in graded order, ties
+    broken so that t1 < t2 < ... within a degree."""
 
     def rec(rest, budget):
         if rest == 1:
@@ -682,12 +691,7 @@ def all_monomials(nv: int, max_deg: int):
             for tail in rec(rest - 1, budget - d):
                 yield (d,) + tail
 
-    return sorted(rec(nv, max_deg), key=monomial_sort_key)
-
-
-def monomial_sort_key(e):
-    """Graded order, ties broken so that t1 < t2 < ... within a degree."""
-    return (sum(e), tuple(-x for x in e))
+    return sorted(rec(nv, max_deg), key=lambda e: (sum(e), [-x for x in e]))
 
 
 def format_rational(q: Fraction) -> str:
@@ -702,29 +706,27 @@ def format_rational(q: Fraction) -> str:
         ) from None
 
 
-def _monomial_str(e) -> str:
-    parts = []
-    for i, x in enumerate(e):
-        if x == 1:
-            parts.append(f"t{i + 1}")
-        elif x > 1:
-            parts.append(f"t{i + 1}^{x}")
-    return "*".join(parts)
+@lru_cache(maxsize=4096)
+def _monomial_str(code: int, nv: int) -> str:
+    """'t1^2*t3' for a code; '' for the constant monomial."""
+    e = _decode(code, nv)
+    return "*".join(f"t{j}" if x == 1 else f"t{j}^{x}" for j, x in enumerate(e, 1) if x)
 
 
 def poly_str(p: TruncPoly) -> str:
-    """Canonical text form, e.g. '1/2*t1^2*t3 - t2'; zero prints as '0'."""
+    """Canonical text form, e.g. '1/2*t1^2*t3 - t2'; zero prints as '0'.
+    The terms go in the order of all_monomials, read off the codes."""
+    nv, nums, den = p.nv, p.nums, p.den
+    top = FIELD_BITS * nv
+    low = (1 << top) - 1
     parts = []
-    for e, c in sorted(p.items(), key=lambda item: monomial_sort_key(item[0])):
-        mono = _monomial_str(e)
-        mag = abs(c)
-        if not mono:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{format_rational(mag)}*{mono}"
-        parts.append((c < 0, body))
+    for code in sorted(nums, key=lambda e: (e >> top, -(e & low))):
+        c = nums[code]
+        mag = format_rational(abs(c) if den == 1 else Fraction(abs(c), den))
+        mono = _monomial_str(code, nv)
+        if mag != "1" or not mono:
+            mono = f"{mag}*{mono}" if mono else mag
+        parts.append((c < 0, mono))
     return signed_sum(parts)
 
 

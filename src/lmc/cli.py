@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,26 +48,40 @@ class _Parser(argparse.ArgumentParser):
 # a much larger L_{m,c} would run for hours or exhaust memory.
 MAX_DIM = 10_000
 
+# Largest number of term pairs a dense Jacobian product may make, which is
+# at most m^3 * C(c-1+2m, 2m): the binomial counts the pairs of monomials in
+# m variables of total degree at most c-1.  At a few million pairs a second
+# this bounds a product at seconds; every command on elements, maps or a law
+# checks it, since dimension alone admits contexts such as (3,30) where a
+# group commutator runs for minutes.
+MAX_PAIRS = 10**7
+
 
 MAX_TRIALS = 10_000  # largest `verify --trials`; a trial takes up to seconds
 
 
-def _check_size(ctx: Context) -> None:
+def _check_size(ctx: Context, pairs: bool = True) -> None:
     """Reject a context whose polynomials exceed the exponent field (bad
-    input) or whose algebra is larger than MAX_DIM (usage error)."""
+    input), or whose algebra is larger than MAX_DIM or, with pairs, whose
+    Jacobian products cost more than MAX_PAIRS (usage errors)."""
     ctx.zero_poly()
+    name = f"L_{{{ctx.m},{ctx.c}}}"
     if liealg.algebra_dim(ctx, bound=MAX_DIM) > MAX_DIM:
+        raise UsageError(f"{name} has dimension above {MAX_DIM}, the limit of lmc")
+    cost = ctx.m**3 * math.comb(ctx.c - 1 + 2 * ctx.m, 2 * ctx.m) if pairs else 0
+    if cost > MAX_PAIRS:
         raise UsageError(
-            f"L_{{{ctx.m},{ctx.c}}} has dimension above {MAX_DIM}, the limit of lmc"
+            f"{name} makes up to {cost} term pairs per Jacobian product"
+            f" (m^3 * C(c-1+2m, 2m)), above {MAX_PAIRS}, the limit of lmc"
         )
 
 
-def _context(args) -> Context:
+def _context(args, pairs: bool = True) -> Context:
     try:
         ctx = Context(args.m, args.c)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    _check_size(ctx)
+    _check_size(ctx, pairs)
     return ctx
 
 
@@ -133,7 +148,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    ctx = _context(args)
+    ctx = _context(args, pairs=False)  # enumerating tuples makes no product
     degrees = list(range(1, ctx.c + 1)) if args.degree is None else [args.degree]
     table = {}
     for k in degrees:

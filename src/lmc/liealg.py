@@ -354,26 +354,6 @@ def _basis_terms(m: int, c: int) -> dict:
     return {t: (t, *_tuple_codes(m, t)) for k in range(2, c + 1) for t in _tuples(m, k)}
 
 
-def commutator(ctx: Context, idx) -> LieElement:
-    """The left-normed commutator [x_i1, x_i2, ..., x_ik] of generators
-    (1-based indices in any order, k >= 2), in closed form: module term
-    t_i2 t_i3...t_ik of a_i1 and its negative with t_i1 for t_i2 in a_i2
-    (_tuple_codes).  Zero when i1 == i2 or k > c."""
-    idx = tuple(idx)
-    if len(idx) < 2:
-        raise DomainError("bracket needs at least two arguments")
-    for i in idx:
-        if not 1 <= i <= ctx.m:
-            raise DomainError(f"generator index {i} out of range 1..{ctx.m}")
-    if idx[0] == idx[1] or len(idx) > ctx.c:
-        return zero(ctx)
-    i1, code1, i2, code2 = _tuple_codes(ctx.m, idx)
-    mod = [ctx.zero_poly()] * ctx.m
-    mod[i1] = TruncPoly.from_codes(ctx.m, ctx.module_cap, {code1: 1})
-    mod[i2] = TruncPoly.from_codes(ctx.m, ctx.module_cap, {code2: -1})
-    return LieElement(ctx, (_ZERO,) * ctx.m, mod)
-
-
 def from_basis(b: BasisForm) -> LieElement:
     """Image of the basis coordinates under the wreath embedding: the
     integer numerators of the coefficients over their common denominator,
@@ -401,6 +381,15 @@ def from_basis(b: BasisForm) -> LieElement:
 
 
 @lru_cache(maxsize=None)
+def _leading_tuples(m: int, c: int) -> dict:
+    """{(i1 - 1, code1): (t, i2 - 1, code2)} over the basis tuples t of
+    degrees 2..c (_tuple_codes).  The leading term t_i2 t_i3...t_ik of a_i1
+    is the one term of any tuple whose lowest variable comes before i1."""
+    terms = _basis_terms(m, c).values()
+    return {(i1, code1): (t, i2, code2) for t, i1, code1, i2, code2 in terms}
+
+
+@lru_cache(maxsize=None)
 def _basis_solver(ctx: Context, k: int) -> SparseSolver:
     cols = []
     for tup in _tuples(ctx.m, k):
@@ -410,25 +399,26 @@ def _basis_solver(ctx: Context, k: int) -> SparseSolver:
 
 
 def to_basis(u: LieElement) -> BasisForm:
-    """Unique left-normed basis coordinates; inverse of from_basis."""
+    """Unique left-normed basis coordinates; inverse of from_basis.  Each
+    leading term (_leading_tuples) is its tuple's coordinate; their second
+    terms must cancel the others, degree by degree in storage order."""
     ctx = u.ctx
-    top = FIELD_BITS * ctx.m  # a code's total degree sits above this bit
-    by_degree = {}
+    lead = _leading_tuples(ctx.m, ctx.c)
+    den = math.lcm(*(p.den for p in u.mod))
+    comm, residue = {}, {}
     for i, p in enumerate(u.mod):
-        for code, c in p.nums.items():
-            by_degree.setdefault((code >> top) + 1, {})[(i, code)] = Fraction(c, p.den)
-    comm = {}
-    for k, rhs in by_degree.items():
-        if k < 2 or k > ctx.c:
-            raise ValidationError(f"module carries an impossible degree {k}")
-        coeffs = _basis_solver(ctx, k).solve(rhs)
-        if coeffs is None:
-            raise ValidationError(
-                "element is not in the embedded algebra (membership violated)"
-            )
-        for tup, coeff in zip(_tuples(ctx.m, k), coeffs):
-            if coeff:
-                comm[tup] = coeff
+        f = den // p.den
+        for code, n in p.nums.items():
+            tup, i2, code2 = lead.get((i, code), (None, i, code))
+            if tup is not None:
+                comm[tup] = Fraction(n * f, den)
+            residue[i2, code2] = residue.get((i2, code2), 0) + n * f
+    top = FIELD_BITS * ctx.m  # a code's total degree sits above this bit
+    bad = {code >> top for (_, code), n in residue.items() if n}
+    if bad:
+        if not next(code >> top for p in u.mod for code in p.nums if code >> top in bad):
+            raise ValidationError("module carries an impossible degree 1")
+        raise ValidationError("element is not in the embedded algebra (membership violated)")
     return BasisForm(ctx, u.beta, comm)
 
 
@@ -483,7 +473,8 @@ def element_row(u: LieElement) -> dict:
 
 
 def row_element(ctx: Context, row: dict) -> LieElement:
-    """The element whose element_row is the integer row given."""
+    """The element with the int or Fraction coefficients of row, keyed as
+    in element_row: for an integer row, the element whose row it is."""
     m = ctx.m
     beta = [_ZERO] * m
     mods = [{} for _ in range(m)]
@@ -493,7 +484,7 @@ def row_element(ctx: Context, row: dict) -> LieElement:
         else:
             code, i = divmod(key, m)
             mods[i][code] = c
-    mod = tuple(TruncPoly.from_codes(m, ctx.module_cap, d) for d in mods)
+    mod = tuple(TruncPoly.from_code_terms(m, ctx.module_cap, d) for d in mods)
     return LieElement(ctx, tuple(beta), mod)
 
 
@@ -506,34 +497,42 @@ def ideal_span(gens) -> SpanBasis:
     each x_j once; after that every element is derived, and for derived w,
     [w, x_j] multiplies the module coordinates by t_j, a shift of every key
     of its row (see above) that drops the terms past the cap.  Only rows
-    that enlarged the span are shifted further."""
+    that enlarged the span are shifted further.  Every row tried is t^a
+    times a seed row r (a derived generator, or [g, x_j]), so it is keyed
+    by (r, the key shift of t^a), and a key is tried once: t_i t_j r is
+    reached from both t_i r and t_j r, and was in the span the second time."""
     gens = list(gens)
     if not gens:
         raise DomainError("ideal_span needs at least one generator")
     ctx = gens[0].ctx
     m = ctx.m
     span = SpanBasis()
-    queue = []
+    queue = []  # (seed number, key shift, row)
     for g in gens:
         g._check(gens[0])
         row = element_row(g)
         if not span.add(row):
             continue
         if g.in_derived():
-            queue.append(row)
+            queue.append((len(queue), 0, row))
             continue
         for j in range(1, m + 1):
             row = element_row(bracket(g, generator(ctx, j)))
             if row and span.add(row):
-                queue.append(row)
+                queue.append((len(queue), 0, row))
     lim = code_limit(m, ctx.module_cap) * m
     steps = [var_code(m, j) * m for j in range(1, m + 1)]
+    tried = set()
     while queue:
-        row = queue.pop()
+        seed, shift, row = queue.pop()
         for step in steps:
+            key = (seed, shift + step)
+            if key in tried:
+                continue
+            tried.add(key)
             shifted = {k + step: v for k, v in row.items() if k + step < lim}
             if shifted and span.add(shifted):
-                queue.append(shifted)
+                queue.append((seed, shift + step, shifted))
     return span
 
 

@@ -8,12 +8,12 @@ Element grammar (left-normed brackets, 1-based generator indices):
     rational:= INT ['/' INT]
 
 The single literal '0' is also accepted and denotes the zero element.
-A bracket of bare generators '[xa,xb,...]', the form the printers write,
-is built in closed form by liealg.commutator; any other bracket is the
-bracket_chain of its parsed arguments.
-Brackets nest at most MAX_NESTING deep; deeper input is a ParseError.
-Polynomial text uses variables t1..tm, '*' for products, '^' for powers and
-rational coefficients 'p/q', e.g. '1/2*t1^2*t3 - t2'.
+A sum is read in one pass into coefficients keyed by generator and by
+module coordinate and packed code, and wrapped once.  A bracket of bare
+generators '[xa,xb,...]', the form the printers write, gives its two module
+terms (liealg._tuple_codes); any other bracket is the bracket_chain of its
+parsed arguments.  Brackets nest at most MAX_NESTING deep.  Polynomial text
+uses t1..tm, '*', '^' and rational coefficients, e.g. '1/2*t1^2*t3 - t2'.
 
 Printers are deterministic: rationals as 'p/q' (integer when q = 1),
 monomial variables in index order, basis-style elements in enumeration
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import endo as _endo
 from . import liealg
-from .arith import TruncPoly, format_rational, poly_str, signed_sum
+from .arith import TruncPoly, _encode, format_rational, poly_str, signed_sum
 from .errors import ParseError, ValidationError
 from .liealg import BasisForm, Context, LieElement
 
@@ -128,7 +128,7 @@ class _Cursor:
         raise ParseError(tok.line, tok.col, expected, tok.describe())
 
 
-def _parse_rational(cur: _Cursor) -> Fraction:
+def _parse_rational(cur: _Cursor) -> int | Fraction:
     num = cur.expect("int", "a number").value
     if cur.peek().kind == "/":
         cur.next()
@@ -137,7 +137,7 @@ def _parse_rational(cur: _Cursor) -> Fraction:
             tok = cur.tokens[cur.pos - 1]
             raise ParseError(tok.line, tok.col, "a nonzero denominator", "0")
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
 # -- element parsing ------------------------------------------------------------
@@ -158,40 +158,39 @@ def parse_element(ctx: Context, text: str) -> LieElement:
 
 
 def _parse_element(ctx, cur) -> LieElement:
-    # Terms are parsed inline, so one bracket level costs two stack frames.
+    """One sum, added up under the keys of liealg.element_row and wrapped
+    once; one bracket level costs two stack frames."""
     negate = cur.peek().kind == "-"
     if negate:
         cur.next()
-    acc = None
+    acc = {}
     while True:
-        coeff = Fraction(1)
+        coeff = 1
         if cur.peek().kind == "int":
             coeff = _parse_rational(cur)
             cur.expect("*", "'*' between coefficient and atom")
-        term = _parse_atom(ctx, cur)
-        if coeff != 1:
-            term = term.scale(coeff)
-        if acc is None:
-            acc = -term if negate else term
-        else:
-            acc = acc - term if negate else acc + term
+        if negate:
+            coeff = -coeff
+        for key, v in _parse_atom(ctx, cur):
+            acc[key] = acc.get(key, 0) + coeff * v
         if cur.peek().kind not in ("+", "-"):
-            return acc
+            return liealg.row_element(ctx, acc)
         negate = cur.next().kind == "-"
 
 
-def _parse_atom(ctx, cur) -> LieElement:
+def _parse_atom(ctx, cur) -> list:
+    """The (key, coefficient) terms of the atom at the cursor; none for a
+    generator chain with a repeated head or more than c entries."""
+    m = ctx.m
     tok = cur.peek()
     if tok.kind == "name":
         letter, idx = tok.value
         if letter != "x":
             raise ParseError(tok.line, tok.col, "a generator 'xN'", tok.describe())
         cur.next()
-        if not 1 <= idx <= ctx.m:
-            raise ParseError(
-                tok.line, tok.col, f"a generator index in 1..{ctx.m}", f"x{idx}"
-            )
-        return liealg.generator(ctx, idx)
+        if not 1 <= idx <= m:
+            raise ParseError(tok.line, tok.col, f"a generator index in 1..{m}", f"x{idx}")
+        return [(-idx, 1)]
     if tok.kind == "[":
         if cur.depth == MAX_NESTING:
             raise ParseError(
@@ -199,7 +198,10 @@ def _parse_atom(ctx, cur) -> LieElement:
             )
         gens = _generator_chain(ctx, cur)
         if gens is not None:
-            return liealg.commutator(ctx, gens)
+            if gens[0] == gens[1] or len(gens) > ctx.c:
+                return []
+            i1, code1, i2, code2 = liealg._tuple_codes(m, gens)
+            return [(code1 * m + i1, 1), (code2 * m + i2, -1)]
         cur.next()
         cur.depth += 1
         args = [_parse_element(ctx, cur)]
@@ -210,7 +212,8 @@ def _parse_atom(ctx, cur) -> LieElement:
             args.append(_parse_element(ctx, cur))
         cur.expect("]", "']' closing the bracket")
         cur.depth -= 1
-        return liealg.bracket_chain(*args)
+        mod = enumerate(liealg.bracket_chain(*args).mod)  # derived: no beta keys
+        return [(code * m + i, Fraction(n, p.den)) for i, p in mod for code, n in p.nums.items()]
     cur.fail("a generator or '['")
 
 
@@ -241,24 +244,25 @@ def _generator_chain(ctx, cur):
 
 
 def parse_poly(text: str, nv: int, cap: int) -> TruncPoly:
+    """Terms are added up by code; one above the cap is dropped unpacked."""
     cur = _Cursor(_tokenize(text))
-    acc = TruncPoly.zero(nv, cap)
-    sign = Fraction(1)
+    TruncPoly.zero(nv, cap)  # a bad nv or cap is reported before any term
+    terms = {}
+    sign = 1
     if cur.peek().kind == "-":
         cur.next()
-        sign = Fraction(-1)
-    acc = acc + _parse_poly_term(cur, nv, cap).scale(sign)
-    while cur.peek().kind in ("+", "-"):
-        op = cur.next().kind
-        term = _parse_poly_term(cur, nv, cap)
-        acc = acc + term if op == "+" else acc - term
+        sign = -1
+    while True:
+        _parse_poly_term(cur, nv, cap, sign, terms)
+        if cur.peek().kind not in ("+", "-"):
+            break
+        sign = -1 if cur.next().kind == "-" else 1
     if cur.peek().kind != "end":
         cur.fail("end of input")
-    return acc
+    return TruncPoly.from_code_terms(nv, cap, terms)
 
 
-def _parse_poly_term(cur, nv, cap) -> TruncPoly:
-    coeff = Fraction(1)
+def _parse_poly_term(cur, nv, cap, coeff, terms):
     exps = [0] * nv
     saw_factor = False
     while True:
@@ -289,7 +293,9 @@ def _parse_poly_term(cur, nv, cap) -> TruncPoly:
             cur.next()
             continue
         break
-    return TruncPoly(nv, cap, {tuple(exps): coeff})
+    if sum(exps) <= cap:
+        code = _encode(tuple(exps), nv)
+        terms[code] = terms.get(code, 0) + coeff
 
 
 # -- printers ----------------------------------------------------------------------

@@ -7,14 +7,18 @@ applies phi to every vector of the ideal's linear basis and compares the
 span of the images with the ideal; its closure brackets with this module's
 bracket and spans over the Fraction reference solver
 (tests/linalg_reference.py), so it shares neither with the code it checks.
+
+ideal_span is liealg.ideal_span before it tried each shift of a seed row
+once: it shifts every row that enlarged the span by every t_j, so a row
+such as t_i t_j w is reduced once from t_i w and again from t_j w.
 """
 
 from fractions import Fraction
 
 from linalg_reference import SpanBasis
 
-from lmc import liealg
-from lmc.arith import TruncPoly
+from lmc import liealg, linalg
+from lmc.arith import TruncPoly, code_limit, var_code
 from lmc.errors import ContextMismatch
 from lmc.liealg import LieElement
 
@@ -85,3 +89,32 @@ def preserves_ideal(phi, gens) -> bool:
     if any(not span.contains(liealg.element_vector(w)) for w in images):
         return False
     return _span_of(images).dim() == span.dim()
+
+
+def ideal_span(gens) -> linalg.SpanBasis:
+    """Span of the smallest ideal containing gens, over integer rows."""
+    gens = list(gens)
+    ctx = gens[0].ctx
+    m = ctx.m
+    span = linalg.SpanBasis()
+    queue = []
+    for g in gens:
+        row = liealg.element_row(g)
+        if not span.add(row):
+            continue
+        if g.in_derived():
+            queue.append(row)
+            continue
+        for j in range(1, m + 1):
+            row = liealg.element_row(liealg.bracket(g, liealg.generator(ctx, j)))
+            if row and span.add(row):
+                queue.append(row)
+    lim = code_limit(m, ctx.module_cap) * m
+    steps = [var_code(m, j) * m for j in range(1, m + 1)]
+    while queue:
+        row = queue.pop()
+        for step in steps:
+            shifted = {k + step: v for k, v in row.items() if k + step < lim}
+            if shifted and span.add(shifted):
+                queue.append(shifted)
+    return span

@@ -17,7 +17,8 @@ wrappers patched in place see, and neither calls arith._impl.pmul; a map
 built from a Jacobian keeps it, so endo.jacobian reads no images of a
 composite or commutator.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
-without a bracket call, and lmc.cli.main registers only the subparser
+without a bracket call, a sum of them in one pass that builds one element
+and adds no polynomials, and lmc.cli.main registers only the subparser
 of the subcommand it runs.  The bracket certificate of a law trial reads
 one table of generator brackets: m^2 bracket calls per trial, not per map.
 Every name in the tracer's SPANS exists where Tracer.install looks it up.
@@ -300,6 +301,28 @@ def test_basis_form_text_parses_without_a_bracket_call():
     assert tracer.calls["liealg.bracket"] == tracer.calls["liealg.bracket_chain"] == 0
     assert made[0] == x(1) - liealg.bracket_chain(x(2), x(1), x(1)).scale(3)
     assert made[1] == phi
+
+
+def test_a_sum_of_generator_chains_parses_in_one_pass():
+    # one LieElement for the whole sum: a parser that adds a LieElement per
+    # term copies the running sum once per term, quadratic in the terms
+    ctx = Context(3, 4)
+    x = lambda i: liealg.generator(ctx, i)
+    chains = [(2, 1), (3, 1, 2), (3, 2, 2, 3), (1, 1, 2), (2, 3, 1, 1, 3)]
+    for n in (1, 5, 40):
+        terms = [(k - 7, chains[k % len(chains)]) for k in range(n)]
+        text = " ".join(
+            f"{'-' if a < 0 else '+'} {abs(a)}*[{','.join(f'x{i}' for i in t)}]" for a, t in terms
+        )
+        want = liealg.zero(ctx)
+        for a, t in terms:
+            want = want + liealg.bracket_chain(*map(x, t)).scale(a)
+        made = []
+        tracer = _traced(lambda: made.append(syntax.parse_element(ctx, text)))
+        assert made[0] == want
+        assert tracer.calls["liealg.bracket"] == 0
+        assert tracer.calls["arith.__add__"] == 0
+        assert tracer.calls["liealg.__init__"] == 1
 
 
 def test_main_registers_only_the_subparser_it_runs(monkeypatch, capsys):

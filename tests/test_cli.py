@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction as F
@@ -531,6 +532,46 @@ def test_automorphism_above_the_dimension_bound_is_rejected_before_parsing(tmp_p
     # library callers are not bounded
     phi = syntax.parse_automorphism({"m": 32, "c": 3, "images": [f"x{i}" for i in range(1, 33)]})
     assert liealg.algebra_dim(phi.ctx) > cli.MAX_DIM
+
+
+def pairs(m, c):
+    """The term-pair bound of a dense Jacobian product on L_{m,c}."""
+    return m**3 * math.comb(c - 1 + 2 * m, 2 * m)
+
+
+def test_context_above_the_pair_bound_is_a_usage_error(tmp_path, capsys):
+    # (3,30) is under MAX_DIM, but a group commutator there runs for minutes
+    assert liealg.algebra_dim(Context(3, 30)) == 9428 < cli.MAX_DIM
+    assert pairs(3, 30) > cli.MAX_PAIRS
+    path = write_aut(tmp_path, "dense.json", {"m": 3, "c": 30, "images": ["x1 +"] * 3})
+    start = time.perf_counter()
+    for argv in (
+        ("eval", "--m", "3", "--c", "30", "x1"),
+        ("bracket", "--m", "3", "--c", "30", "x1", "x2"),
+        ("aut", "commutator", path, path),
+        ("aut", "apply", path, "x1"),
+        ("check", "normal", path),
+        ("reduce", "--modulo", "in", path),  # the images do not parse: checked first
+        ("verify", "--law", "metabelian", "--m", "3", "--c", "30", "--trials", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(cli.MAX_PAIRS) in err, argv
+        assert "m^3 * C(c-1+2m, 2m)" in err
+    assert time.perf_counter() - start < 2
+    # basis only enumerates tuples and keeps the dimension bound alone
+    code, out, _ = run(capsys, "basis", "--m", "3", "--c", "30", "--degree", "2")
+    assert code == 0 and "dim 3:" in out
+
+
+def test_pair_bound_admits_the_largest_class_of_each_rank(capsys):
+    for m, c in [(2, 72), (3, 22), (4, 13), (5, 9), (6, 7)]:
+        assert pairs(m, c) <= cli.MAX_PAIRS < pairs(m, c + 1)
+        code, out, _ = run(capsys, "eval", "--m", str(m), "--c", str(c), "[x2,x1]")
+        assert code == 0 and "[x2,x1]" in out
+        code, _, err = run(capsys, "eval", "--m", str(m), "--c", str(c + 1), "x1")
+        assert code == 64 and str(cli.MAX_PAIRS) in err
 
 
 def test_huge_class_exits_at_once(capsys):

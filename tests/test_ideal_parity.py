@@ -20,7 +20,10 @@ but not generalized inner, scaled, linear and linear-after-IA maps.
 
 The reference closure brackets every new basis element with x_1..x_m;
 liealg.ideal_span brackets only the generators and then shifts the keys
-of integer rows.  Both must span the same ideal.
+of integer rows.  Both must span the same ideal.  ideal_span tries each
+shift of a seed row once; the reference ideal_span, which shifted every
+new row by every t_j, must build the same rows in the same order with at
+least as many SpanBasis.add calls.
 """
 
 import random
@@ -34,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmc import arith, endo, liealg, normal
+from lmc import arith, endo, liealg, linalg, normal
 from lmc.liealg import Context
 from lmc.verify import sample
 
@@ -292,6 +295,30 @@ def test_ideal_span_matches_reference_closure(m, c):
         assert len(got) == len(expected), iname
         ref_span = ref._span_of(expected)
         assert all(ref_span.contains(liealg.element_vector(w)) for w in got), iname
+
+
+def test_ideal_span_tries_each_shift_once_and_keeps_the_rows(monkeypatch):
+    adds = []
+    add = linalg.SpanBasis.add
+    monkeypatch.setattr(linalg.SpanBasis, "add", lambda self, row: adds.append(1) or add(self, row))
+
+    def rows_and_adds(span_fn, gens):
+        adds.clear()
+        span = span_fn(gens)
+        return list(span.rows.items()), len(adds)
+
+    saved = 0
+    for m, c in CLOSURE_CONTEXTS + [(2, 5), (5, 3)]:
+        ctx = Context(m, c)
+        named = ideals(ctx, f"st-{m}-{c}")
+        named["pair"] = named["element"] + [sample("element", ctx, f"st-{m}-{c}-b")]
+        for iname, gens in named.items():
+            got, got_adds = rows_and_adds(liealg.ideal_span, gens)
+            want, want_adds = rows_and_adds(ref.ideal_span, gens)
+            assert got == want, (m, c, iname)  # same rows, same order
+            assert got_adds <= want_adds, (m, c, iname)
+            saved += want_adds - got_adds
+    assert saved > 0
 
 
 @pytest.mark.parametrize("m,c", CLOSURE_CONTEXTS)
