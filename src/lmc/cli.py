@@ -9,6 +9,11 @@ exactly the library serialization.  LMC_FORMAT=text|json overrides the
 default output format; an empty LMC_FORMAT counts as unset, and any other
 value is a usage error.  One '--' before a subcommand name is dropped, so
 `lmc -- basis ...` runs `lmc basis ...`.
+
+The arguments of every subcommand are one table, SUBCOMMANDS: a command
+line of the plain shape _read_argv knows is read from it directly, and
+argparse, built from the same table, reads every form that reader
+declines and gives every help text and error message.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import cosets, endo, liealg, normal, syntax, verify
 from .errors import (
@@ -300,88 +306,118 @@ def _cmd_verify(args) -> int:
 
 # -- wiring -----------------------------------------------------------------------
 
-
-def _add_ctx(p):
-    p.add_argument("--m", type=int, required=True, help="number of generators")
-    p.add_argument("--c", type=int, required=True, help="nilpotency class")
+FLAG = "flag"  # the kind of an option that stores True when given
 
 
-def _add_fmt(p):
-    p.add_argument("--format", choices=FORMATS, default=None)
+class Arg(NamedTuple):
+    """One argument of a subcommand: a positional name or a '--' option.
+    kind is str, int, a tuple of choices, or FLAG."""
+
+    name: str
+    kind: object = str
+    default: object = None
+    required: bool = False
+    nargs: str | None = None
+    help: str | None = None
+    dest: str | None = None
+
+    @property
+    def key(self) -> str:
+        """The Namespace attribute, named as argparse names it."""
+        return self.dest or self.name.lstrip("-").replace("-", "_")
 
 
-def _eval_args(p):
-    _add_ctx(p)
-    p.add_argument("expr")
-    _add_fmt(p)
+_M = Arg("--m", int, required=True, help="number of generators")
+_C = Arg("--c", int, required=True, help="nilpotency class")
+_FORMAT = Arg("--format", FORMATS)
 
-
-def _bracket_args(p):
-    _add_ctx(p)
-    p.add_argument("e1")
-    p.add_argument("e2")
-    _add_fmt(p)
-
-
-def _basis_args(p):
-    _add_ctx(p)
-    p.add_argument("--degree", type=int, default=None)
-    _add_fmt(p)
-
-
-def _aut_args(p):
-    p.add_argument("op", choices=("compose", "invert", "commutator", "jacobian", "apply"))
-    p.add_argument(
-        "args",
-        nargs="+",
-        help="automorphism JSON files ('-' for stdin); aut apply takes FILE EXPR",
-    )
-    _add_fmt(p)
-
-
-def _check_args(p):
-    p.add_argument("kind", choices=("ia", "inner", "ginner", "normal"))
-    p.add_argument("file")
-    p.add_argument("--witness", action="store_true", help="search for a witness ideal")
-    p.add_argument("--assert", dest="do_assert", action="store_true")
-    _add_fmt(p)
-
-
-def _reduce_args(p):
-    p.add_argument("--modulo", choices=("in", "inn"), required=True)
-    p.add_argument("file")
-    _add_fmt(p)
-
-
-def _verify_args(p):
-    p.add_argument("--law", choices=verify.LAW_NAMES, required=True)
-    _add_ctx(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coeff-bound", type=int, default=3)
-    _add_fmt(p)
-
-
-# name -> (help, function adding the arguments, handler), in help order.
+# name -> (help, arguments in declaration order, handler), in help order.
 SUBCOMMANDS = {
-    "eval": ("parse an element, print basis and wreath forms", _eval_args, _cmd_eval),
-    "bracket": ("Lie bracket of two elements, basis form", _bracket_args, _cmd_bracket),
-    "basis": ("basis tuples and dimension table", _basis_args, _cmd_basis),
-    "aut": ("automorphism algebra on JSON files", _aut_args, _cmd_aut),
-    "check": ("ia / inner / ginner / normal verdicts", _check_args, _cmd_check),
-    "reduce": ("canonical coset representative", _reduce_args, _cmd_reduce),
-    "verify": ("seeded randomized law checking", _verify_args, _cmd_verify),
+    "eval": (
+        "parse an element, print basis and wreath forms",
+        (_M, _C, Arg("expr"), _FORMAT),
+        _cmd_eval,
+    ),
+    "bracket": (
+        "Lie bracket of two elements, basis form",
+        (_M, _C, Arg("e1"), Arg("e2"), _FORMAT),
+        _cmd_bracket,
+    ),
+    "basis": (
+        "basis tuples and dimension table",
+        (_M, _C, Arg("--degree", int), _FORMAT),
+        _cmd_basis,
+    ),
+    "aut": (
+        "automorphism algebra on JSON files",
+        (
+            Arg("op", tuple(_AUT_ARITY)),
+            Arg(
+                "args",
+                nargs="+",
+                help="automorphism JSON files ('-' for stdin); aut apply takes FILE EXPR",
+            ),
+            _FORMAT,
+        ),
+        _cmd_aut,
+    ),
+    "check": (
+        "ia / inner / ginner / normal verdicts",
+        (
+            Arg("kind", ("ia", "inner", "ginner", "normal")),
+            Arg("file"),
+            Arg("--witness", FLAG, False, help="search for a witness ideal"),
+            Arg("--assert", FLAG, False, dest="do_assert"),
+            _FORMAT,
+        ),
+        _cmd_check,
+    ),
+    "reduce": (
+        "canonical coset representative",
+        (Arg("--modulo", ("in", "inn"), required=True), Arg("file"), _FORMAT),
+        _cmd_reduce,
+    ),
+    "verify": (
+        "seeded randomized law checking",
+        (
+            Arg("--law", verify.LAW_NAMES, required=True),
+            _M,
+            _C,
+            Arg("--trials", int, 100),
+            Arg("--seed", int, 0),
+            Arg("--coeff-bound", int, 3),
+            _FORMAT,
+        ),
+        _cmd_verify,
+    ),
 }
+
+
+def _add_argument(parser, arg: Arg) -> None:
+    kwargs = {"help": arg.help}
+    if arg.kind == FLAG:
+        kwargs["action"] = "store_true"
+    else:
+        kwargs["nargs"] = arg.nargs
+        if arg.kind is int:
+            kwargs["type"] = int
+        elif isinstance(arg.kind, tuple):
+            kwargs["choices"] = arg.kind
+    if arg.name.startswith("-"):
+        kwargs.update(dest=arg.key, default=arg.default, required=arg.required)
+    parser.add_argument(arg.name, **kwargs)
 
 
 def _build_parser(names=SUBCOMMANDS) -> _Parser:
     """The parser of `lmc` with the subcommands named (all by default)."""
-    parser = _Parser(prog="lmc", description=__doc__)
+    # --help shows the docstring without its last paragraph, a note on the code
+    parser = _Parser(prog="lmc", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
-        help_text, add_args, func = SUBCOMMANDS[name]
+        help_text, table, func = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_args(p)
+        for arg in table:
+            _add_argument(p, arg)
         p.set_defaults(func=func)
     return parser
 
@@ -395,6 +431,75 @@ def _parser_for(argv) -> _Parser:
     return _build_parser()
 
 
+def _option_value(arg: Arg, token):
+    """token read as the value of option arg, or None when there is no
+    token, it starts with '-', or it is not of arg's kind."""
+    if token is None or token.startswith("-"):
+        return None
+    if arg.kind is int:
+        try:
+            return int(token)
+        except ValueError:
+            return None
+    if isinstance(arg.kind, tuple) and token not in arg.kind:
+        return None
+    return token
+
+
+def _read_argv(argv):
+    """The Namespace argparse makes of argv, read from SUBCOMMANDS without
+    building a parser, or None for any argv not of this shape: a subcommand
+    name; options spelled exactly as declared, each value valid for its
+    kind and not starting with '-'; every required option; the positionals
+    as one run, which may hold a single '--' that some token follows, every
+    token after it a positional.  Declined argv go to argparse.  Never
+    raises and never prints."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    _, table, func = SUBCOMMANDS[argv[0]]
+    options = {arg.name: arg for arg in table if arg.name.startswith("-")}
+    values = {arg.key: arg.default for arg in table}
+    given, words, closed = set(), [], False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            if closed:
+                return None
+            rest = list(tokens)
+            if not rest or "--" in rest:
+                return None
+            words += rest
+        elif not token.startswith("-"):
+            if closed:
+                return None  # a second run of positionals
+            words.append(token)
+        else:
+            arg = options.get(token)
+            if arg is None:
+                return None
+            closed = bool(words)
+            value = True if arg.kind == FLAG else _option_value(arg, next(tokens, None))
+            if value is None:
+                return None
+            values[arg.key] = value
+            given.add(token)
+    if any(arg.required and name not in given for name, arg in options.items()):
+        return None
+    positionals = [arg for arg in table if not arg.name.startswith("-")]
+    if positionals and positionals[-1].nargs == "+":
+        n = len(positionals) - 1
+        if len(words) <= n:
+            return None
+        words = [*words[:n], words[n:]]
+    if len(words) != len(positionals):
+        return None
+    for arg, word in zip(positionals, words):
+        if isinstance(arg.kind, tuple) and word not in arg.kind:
+            return None
+        values[arg.key] = word
+    return argparse.Namespace(command=argv[0], **values, func=func)
+
+
 def _report(kind: str, exc: Exception) -> None:
     # One line, also when the message quotes an argument with line breaks.
     print(f"lmc: {kind}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
@@ -405,7 +510,7 @@ def main(argv=None) -> int:
     if len(argv) > 1 and argv[0] == "--" and argv[1] in SUBCOMMANDS:
         argv = argv[1:]  # argparse would take the '--' for the subcommand name
     try:
-        args = _parser_for(argv).parse_args(argv)
+        args = _read_argv(argv) or _parser_for(argv).parse_args(argv)
         _env_format()
         return args.func(args)
     except UsageError as exc:

@@ -267,6 +267,15 @@ class BasisForm:
                 clean[tup] = coeff
         self.comm = clean
 
+    @classmethod
+    def _clean(cls, ctx: Context, linear: tuple, comm: dict) -> "BasisForm":
+        """A BasisForm of coordinates already as __post_init__ leaves them
+        (m Fractions; basis tuples of ints to nonzero Fractions), not
+        validated again."""
+        form = object.__new__(cls)
+        form.ctx, form.linear, form.comm = ctx, linear, comm
+        return form
+
 
 def _int_indices(ctx: Context, tup) -> tuple:
     """tup with each index as an int; an index that does not equal its
@@ -419,7 +428,7 @@ def to_basis(u: LieElement) -> BasisForm:
         if not next(code >> top for p in u.mod for code in p.nums if code >> top in bad):
             raise ValidationError("module carries an impossible degree 1")
         raise ValidationError("element is not in the embedded algebra (membership violated)")
-    return BasisForm(ctx, u.beta, comm)
+    return BasisForm._clean(ctx, u.beta, comm)  # keys from _leading_tuples, values nonzero
 
 
 # -- coordinate vectors and ideals ---------------------------------------------

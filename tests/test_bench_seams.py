@@ -334,7 +334,10 @@ def test_main_registers_only_the_subparser_it_runs(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert cli.main(["basis", "--m", "2", "--c", "3"]) == 0
+    assert cli.main(["basis", "--m", "2", "--c", "3"]) == 0  # read from the table
+    assert added == []
+    # a declined argv that names a subcommand gets that subcommand's parser
+    assert cli.main(["basis", "--m", "2", "--c", "3", "--deg", "1"]) == 0
     assert added == ["basis"]
     added.clear()
     assert cli.main(["foo"]) == 64  # an unknown name gets the full parser

@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import endo_reference as ref
 import pytest
@@ -391,6 +394,122 @@ def test_the_parser_for_one_subcommand_parses_like_the_full_one(argv):
     assert _parse_outcome(cli._parser_for(argv), argv) == _parse_outcome(
         cli._build_parser(), argv
     )
+
+
+def _assert_read_as_parsed(argv):
+    """The reader never raises or prints, and when it reads argv the full
+    parser makes an equal Namespace and prints nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        read = cli._read_argv(argv)
+    assert out.getvalue() == err.getvalue() == ""
+    if read is not None:
+        assert _parse_outcome(cli._build_parser(), argv) == (("namespace", read), "", "")
+    return read
+
+
+# argv on the reader's decline boundary, with whether the reader reads it
+READER_CASES = [
+    (["eval", "--m", "2", "--c", "3", "--", "-x1 - x2"], True),
+    (["check", "ia", "--assert", "a.json"], False),  # positionals split by an option
+    (["aut", "apply", "a.json", "--", "-[x2,x1]"], True),
+    (["basis", "--m", "2", "--c", "3", "--degree", "-1"], False),
+    (["eval", "--m=2", "--c", "3", "x1"], False),
+    (["verify", "--law", "abelian", "--m", "3", "--c", "2", "--"], False),
+    (["eval", "--m", "2", "--c", "3", "--", "x1", "--", "x2"], False),
+    (["aut", "apply", "--", "a.json", "--", "x1"], False),  # argparse drops the first '--' only
+    (["eval", "--m", "2", "--c", "3", "x1"], True),
+    (["aut", "compose", "a.json", "b.json", "--format", "json"], True),
+    (["check", "ginner", "-", "--assert", "--format", "text"], False),  # '-' before any '--'
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_the_reader_reads_as_the_full_parser_does(argv):
+    _assert_read_as_parsed(argv)
+
+
+@pytest.mark.parametrize("argv,read", READER_CASES, ids=[" ".join(a) for a, _ in READER_CASES])
+def test_the_reader_declines_the_forms_it_is_unsure_of(argv, read):
+    assert (_assert_read_as_parsed(argv) is not None) == read
+
+
+_OPTIONS = sorted(
+    {arg.name for _, table, _ in cli.SUBCOMMANDS.values() for arg in table if arg.name[0] == "-"}
+)
+_NOISE = st.sampled_from(["--", "-h", "-", "-1"]) | st.sampled_from(
+    [
+        "--help", "", "-x1 - x2", "--bogus", "2", "x1", "json", "a.json",
+        *_OPTIONS,
+        *(name[:k] for name in _OPTIONS for k in range(3, len(name))),  # abbreviations
+        *(name + "=2" for name in _OPTIONS),
+    ]
+)
+
+
+def _values(arg):
+    if arg.kind is int:
+        return st.sampled_from(["2", "3", "0", "-1", "007", " 4", "1_0", "two", ""])
+    if isinstance(arg.kind, tuple):
+        return st.sampled_from([*arg.kind, "bogus", "", "-" + arg.kind[0]])
+    return st.sampled_from(["x1", "[x2,x1]", "-x1 - x2", "a.json", "-", "", "x1 + x2"])
+
+
+@st.composite
+def lmc_argvs(draw):
+    """A command line built from the table (options in any order, the
+    positionals as one run anywhere among them, with up to two '--'),
+    then up to three tokens inserted, dropped or replaced by noise: '--',
+    -h, abbreviations, '=' forms and values starting with '-'."""
+    name = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    _, table, _ = cli.SUBCOMMANDS[name]
+    options, words = [], []
+    for arg in table:
+        if not arg.name.startswith("-"):
+            most = 3 if arg.nargs == "+" else 1
+            words += draw(st.lists(_values(arg), min_size=1, max_size=most))
+        elif arg.required or draw(st.booleans()):
+            options.append([arg.name] if arg.kind == cli.FLAG else [arg.name, draw(_values(arg))])
+    options = draw(st.permutations(options))
+    for _ in range(draw(st.integers(0, 2))):
+        words.insert(draw(st.integers(0, len(words))), "--")
+    at = draw(st.integers(0, len(options)))
+    argv = [name, *sum(options[:at], []), *words, *sum(options[at:], [])]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        if edit == "insert":
+            argv.insert(i, draw(_NOISE))
+        elif i < len(argv):
+            argv[i : i + 1] = [] if edit == "drop" else [draw(_NOISE)]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(lmc_argvs())
+def test_the_reader_agrees_with_argparse_on_drawn_command_lines(argv):
+    _assert_read_as_parsed(argv)
+
+
+def test_the_module_entry_point_runs_as_a_process():
+    env = {k: v for k, v in os.environ.items() if k != "LMC_FORMAT"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])  # the src directory
+
+    def lmc(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "lmc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    mc = ("--m", "2", "--c", "3")
+    code, out, err = lmc("basis", *mc)
+    assert (code, err) == (0, "") and out.endswith("total dim 5\n")
+    for want, *argv in ((65, "eval", *mc, "--", "x9"), (64, "basis", *mc, "--bogus")):
+        code, out, err = lmc(*argv)
+        assert (code, out) == (want, "") and len(err.splitlines()) == 1 and err.startswith("lmc: ")
+    code, out, err = lmc("eval", "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: lmc eval ")
 
 
 @pytest.mark.parametrize(

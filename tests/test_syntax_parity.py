@@ -232,6 +232,24 @@ def test_to_basis_matches_reference_on_every_sample_kind(m, c):
             assert liealg.from_basis(got) == u
 
 
+@pytest.mark.parametrize("m,c", BASIS_CONTEXTS)
+def test_to_basis_builds_the_form_that_validation_would(m, c):
+    # to_basis skips BasisForm.__post_init__; validating its coordinates
+    # again must change nothing: same keys in the same order, int tuples,
+    # nonzero Fraction values, and a tuple of m Fractions
+    ctx = Context(m, c)
+    for seed in range(3):
+        for u in sampled_elements(ctx, f"tv-{seed}"):
+            got = liealg.to_basis(u)
+            again = liealg.BasisForm(ctx, got.linear, dict(got.comm))
+            assert got == again
+            assert list(got.comm.items()) == list(again.comm.items())
+            assert type(got.linear) is tuple
+            assert all(type(b) is F for b in got.linear)
+            assert all(type(i) is int for tup in got.comm for i in tup)
+            assert all(type(v) is F and v for v in got.comm.values())
+
+
 @st.composite
 def broken_elements(draw, ctx):
     """A sampled element plus module terms drawn at random: constant terms,
