@@ -44,7 +44,10 @@ a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e).  poly_commutator feeds the two
 products AB and BA of mmul to msolve as they are.
 
 t_dot, the sum_i t_i p_i of the membership and S-conditions, is likewise
-one pass that adds the code of t_i to every code of p_i.
+one pass that adds the code of t_i to every code of p_i, and poly_mac,
+base + sum p * q over pairs of polynomials, one pass of _impl.pmac over
+their numerators on one common denominator: a module coordinate of a
+bracket, of an image under apply or of a GInn sum is wrapped once.
 """
 
 from __future__ import annotations
@@ -69,11 +72,11 @@ _EXACT = (int, Fraction)
 
 
 class _impl:
-    """The per-term loops, over numerator maps {code: nonzero int} (mmul
-    and msolve over square matrices of them).  They return fresh maps
-    without zero entries and never mutate their inputs.
-    TruncPoly looks them up here at call time, so instrumentation can wrap
-    them in place."""
+    """The per-term loops, over numerator maps {code: nonzero int} (pmac
+    over a list of pairs of them, mmul and msolve over square matrices of
+    them).  They return fresh maps without zero entries and never mutate
+    their inputs.  TruncPoly looks them up here at call time, so
+    instrumentation can wrap them in place."""
 
     @staticmethod
     def padd(a, b):
@@ -115,6 +118,34 @@ class _impl:
                 if e < lim:
                     out[e] = get(e, 0) + ca * cb
         return {e: c for e, c in out.items() if c}
+
+    @staticmethod
+    def pmac(base, pairs, lim):
+        """base + sum p * q over the (p, q) pairs of pairs, with every code
+        >= lim discarded.  A sum that cancels is deleted where it falls.  A
+        one-term factor shifts the codes of the other, which into an empty
+        sum is one comprehension."""
+        out = dict(base)
+        for a, b in pairs:
+            if len(a) < len(b):
+                a, b = b, a
+            if not out and len(b) == 1:
+                ((eb, cb),) = b.items()
+                room = lim - eb
+                out = {ea + eb: ca * cb for ea, ca in a.items() if ea < room}
+                continue
+            get = out.get
+            for eb, cb in b.items():
+                room = lim - eb
+                for ea, ca in a.items():
+                    if ea < room:
+                        e = ea + eb
+                        v = get(e, 0) + ca * cb
+                        if v:
+                            out[e] = v
+                        else:
+                            del out[e]
+        return out
 
     @staticmethod
     def mmul(a, b, lim):
@@ -582,6 +613,23 @@ def t_dot(polys, cap: int, skip_constants: bool = False) -> TruncPoly:
                 e += step
                 acc[e] = get(e, 0) + c * f
     return _reduced(nv, cap, {e: c for e, c in acc.items() if c}, den)
+
+
+def poly_mac(base: TruncPoly, pairs) -> TruncPoly:
+    """base + sum p * q over the (p, q) pairs of TruncPoly in the variables
+    of base, at the cap of base: one _impl.pmac over the numerators on one
+    common denominator, wrapped once.  The smaller factor of each pair is
+    the one brought to that denominator."""
+    den = lcm(base.den, *(p.den * q.den for p, q in pairs))
+    terms = []
+    for p, q in pairs:
+        p, q = (p, q) if len(p.nums) >= len(q.nums) else (q, p)
+        f = den // (p.den * q.den)
+        terms.append((p.nums, q.nums if f == 1 else {e: c * f for e, c in q.nums.items()}))
+    f = den // base.den
+    nums = base.nums if f == 1 else {e: c * f for e, c in base.nums.items()}
+    nv, cap = base.nv, base.cap
+    return _reduced(nv, cap, _impl.pmac(nums, terms, code_limit(nv, cap)), den)
 
 
 def poly_matmul(a, b) -> list:

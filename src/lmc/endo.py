@@ -24,10 +24,15 @@ is P_d - sum_{e>=1} N_e Y_(d-e), which needs only the parts of Y below
 degree d: power-series division, with the work of the one product N Y.
 A product is one pass of the matrix kernel arith.poly_matmul, a solve one
 pass of arith.poly_solve, a map built from a Jacobian keeps it, and
-sigma_A for A = alpha I is the dilation t -> alpha t.  Endomorphism.apply is the
-one action built from the bracket, and no composition calls it.  exp_ad is
-no bracket series: it materializes the closed-form parameters
-normal.inner_params(u) of the generalized inner map exp(ad u).
+sigma_A for A = alpha I is the dilation t -> alpha t.
+
+Endomorphism.apply is the one action built from the bracket, and no
+composition calls it.  It collects, per module coordinate, the products
+of the images' coordinates with the generator coefficients of u and of
+the pair brackets [phi x_i, phi x_j] with the leading-pair polynomials
+q_ij, and sums them in one arith.poly_mac call.  exp_ad is no bracket
+series: it materializes the closed-form parameters normal.inner_params(u)
+of the generalized inner map exp(ad u).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .arith import (
     LinearSubstitution,
     TruncPoly,
     poly_commutator,
+    poly_mac,
     poly_matmul,
     poly_solve,
     t_dot,
@@ -257,19 +263,29 @@ class Endomorphism:
         if u.ctx != self.ctx:
             raise ContextMismatch(f"{u.ctx} vs {self.ctx}")
         liealg.validate_element(u)
-        acc = liealg.zero(self.ctx)
-        for i, coeff in enumerate(u.beta, start=1):
+        ctx, m = self.ctx, self.ctx.m
+        beta = [_ZERO] * m
+        pairs = [[] for _ in range(m)]  # per module coordinate: (p, q), summing p * q
+        for im, coeff in zip(self.images, u.beta):
             if coeff:
-                acc = acc + self.images[i - 1].scale(coeff)
+                beta = [b + coeff * a for b, a in zip(beta, im.beta)]
+                scalar = TruncPoly.const(m, ctx.module_cap, coeff)
+                for k, p in enumerate(im.mod):
+                    if p.nums:
+                        pairs[k].append((p, scalar))
         ia = self.is_ia()
-        for i in range(2, self.ctx.m + 1):
+        for i in range(2, m + 1):
             for j, q in u.mod[i - 1].lowest_var_quotients(i).items():
                 if not ia:
                     q = self._substituted(q)
                     if q.is_zero():
                         continue
-                acc = acc + liealg.ad_polynomial_action(self._pair_bracket(i, j), q)
-        return acc
+                for k, p in enumerate(self._pair_bracket(i, j).mod):
+                    if p.nums:
+                        pairs[k].append((p, q))
+        zp = ctx.zero_poly()
+        mod = tuple(poly_mac(zp, terms) if terms else zp for terms in pairs)
+        return LieElement._clean(ctx, tuple(beta), mod)
 
 
 def compose(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
@@ -310,19 +326,21 @@ def _from_jacobian(jac: JacobianMatrix) -> Endomorphism:
     of the image of x_j, and the rest is its module vector, which must
     satisfy the S-condition."""
     ctx = jac.ctx
+    m, cap = ctx.m, ctx.module_cap
     images = []
-    for j in range(1, ctx.m + 1):
+    for j in range(1, m + 1):
         if not jac.column_defect(j).is_zero():
             raise ValidationError(
                 f"column {j} violates the S-condition sum_i t_i*s_ij = 0"
             )
         col = [row[j - 1] for row in jac.rows]
         beta = tuple(p.constant_term() for p in col)
-        mod = tuple(
-            p - TruncPoly.const(ctx.m, ctx.module_cap, b) if b else p
-            for p, b in zip(col, beta)
+        mod = tuple(  # the constant term, code 0, is beta
+            TruncPoly.from_codes(m, cap, {e: c for e, c in p.nums.items() if e}, p.den)
+            if 0 in p.nums else p
+            for p in col
         )
-        images.append(LieElement(ctx, beta, mod))
+        images.append(LieElement._clean(ctx, beta, mod))
     phi = Endomorphism(ctx, tuple(images))
     phi._cache["jacobian"] = jac
     return phi

@@ -10,6 +10,13 @@ multiplication:
     [sum a_i F_i + sum beta_i b_i, sum a_i G_i + sum gamma_i b_i]
         = sum a_i (F_i * sum gamma_j t_j  -  G_i * sum beta_j t_j).
 
+F_i = beta_i + module[i] is the full coefficient of a_i.  Each coordinate
+is one pass over numerators on one common denominator, arith._impl.pmac:
+the products of module[i] and of beta_i with the codes of the other
+factor's linear form, whose one code for a generator makes them shifts.
+A derived factor has no linear form, so [derived, derived] = 0: the
+algebra is metabelian.
+
 Module polynomials live at cap c-1; membership of the commutator part in
 the embedded algebra is the condition sum_i t_i * module[i] = 0 checked
 with one extra degree of headroom (cap c).
@@ -25,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .arith import FIELD_BITS, TruncPoly, code_limit, t_dot, var_code
+from .arith import FIELD_BITS, TruncPoly, _impl, code_limit, t_dot, var_code
 from .errors import ContextMismatch, DomainError, ValidationError
 from .linalg import SparseSolver, SpanBasis
 
@@ -79,11 +86,22 @@ class LieElement:
                 raise ValidationError(
                     f"module polynomials must have {ctx.m} vars and cap {ctx.module_cap}"
                 )
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "mod", mod)
+        self._fill(ctx, beta, mod)
+
+    @classmethod
+    def _clean(cls, ctx: Context, beta: tuple, mod: tuple) -> "LieElement":
+        """A LieElement of coordinates already as __init__ leaves them (m
+        Fractions; a tuple of m TruncPoly in m variables at cap c-1),
+        checked again only under CHECK_INVARIANTS."""
+        return object.__new__(cls)._fill(ctx, beta, mod)
+
+    def _fill(self, ctx, beta, mod) -> "LieElement":
+        _set_ctx(self, ctx)
+        _set_beta(self, beta)
+        _set_mod(self, mod)
         if CHECK_INVARIANTS:
             validate_element(self)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LieElement is immutable")
@@ -96,7 +114,7 @@ class LieElement:
 
     def __add__(self, other: "LieElement") -> "LieElement":
         self._check(other)
-        return LieElement(
+        return LieElement._clean(
             self.ctx,
             tuple(a + b for a, b in zip(self.beta, other.beta)),
             tuple(p + q for p, q in zip(self.mod, other.mod)),
@@ -104,20 +122,20 @@ class LieElement:
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         self._check(other)
-        return LieElement(
+        return LieElement._clean(
             self.ctx,
             tuple(a - b for a, b in zip(self.beta, other.beta)),
             tuple(p - q for p, q in zip(self.mod, other.mod)),
         )
 
     def __neg__(self) -> "LieElement":
-        return LieElement(
+        return LieElement._clean(
             self.ctx, tuple(-b for b in self.beta), tuple(-p for p in self.mod)
         )
 
     def scale(self, s) -> "LieElement":
         s = Fraction(s)
-        return LieElement(
+        return LieElement._clean(
             self.ctx,
             tuple(s * b for b in self.beta),
             tuple(p.scale(s) for p in self.mod),
@@ -154,9 +172,12 @@ class LieElement:
         return f"LieElement(m={self.ctx.m}, c={self.ctx.c}, beta={self.beta}, mod=({mods}))"
 
 
+_set_ctx, _set_beta, _set_mod = (LieElement.__dict__[name].__set__ for name in LieElement.__slots__)
+
+
 def zero(ctx: Context) -> LieElement:
     zp = ctx.zero_poly()
-    return LieElement(ctx, (_ZERO,) * ctx.m, (zp,) * ctx.m)
+    return LieElement._clean(ctx, (_ZERO,) * ctx.m, (zp,) * ctx.m)
 
 
 def generator(ctx: Context, i: int) -> LieElement:
@@ -165,41 +186,35 @@ def generator(ctx: Context, i: int) -> LieElement:
         raise DomainError(f"generator index {i} out of range 1..{ctx.m}")
     beta = tuple(_ONE if k == i - 1 else _ZERO for k in range(ctx.m))
     zp = ctx.zero_poly()
-    return LieElement(ctx, beta, (zp,) * ctx.m)
+    return LieElement._clean(ctx, beta, (zp,) * ctx.m)
 
 
 def bracket(u: LieElement, v: LieElement) -> LieElement:
-    """Lie bracket [u, v].
-
-    The module part of each factor enters only against the linear form of
-    the other's generator part, so a factor in the derived algebra
-    contributes one product per nonzero coordinate and [derived, derived] =
-    0 (the algebra is metabelian)."""
+    """Lie bracket [u, v]: module coordinate i is F_i s_v - G_i s_u, one
+    arith._impl.pmac pass (see the module docstring)."""
     u._check(v)
     ctx = u.ctx
     m, cap = ctx.m, ctx.module_cap
-    u_linear = any(u.beta)
-    v_linear = any(v.beta)
-    if u_linear and v_linear:
-        s_u = TruncPoly.linear(m, cap, u.beta)
-        s_v = TruncPoly.linear(m, cap, v.beta)
-        mod = tuple(
-            _times(u.full_poly(i), s_v) - _times(v.full_poly(i), s_u) for i in range(1, m + 1)
-        )
-    elif v_linear:
-        s_v = TruncPoly.linear(m, cap, v.beta)
-        mod = tuple(_times(p, s_v) for p in u.mod)
-    elif u_linear:
-        s_u = TruncPoly.linear(m, cap, u.beta)
-        mod = tuple(-_times(p, s_u) for p in v.mod)
-    else:
+    forms = [(u, TruncPoly.linear(m, cap, v.beta)), (v, -TruncPoly.linear(m, cap, u.beta))]
+    forms = [(w, s.nums, s.den) for w, s in forms if s.nums]
+    if not forms:
         return zero(ctx)
-    return LieElement(ctx, (_ZERO,) * m, mod)
-
-
-def _times(p: TruncPoly, s: TruncPoly) -> TruncPoly:
-    """p * s, passing a zero p through without a product."""
-    return p if p.is_zero() else p * s
+    lim, zp = code_limit(m, cap), ctx.zero_poly()
+    mod = []
+    for i in range(m):
+        pairs = []  # (numerators, linear numerators, denominator of their product)
+        for w, s, ds in forms:
+            p, b = w.mod[i], w.beta[i]
+            if p.nums:
+                pairs.append((p.nums, s, p.den * ds))
+            if b:
+                pairs.append(({0: b.numerator}, s, b.denominator * ds))
+        den = math.lcm(*(d for _, _, d in pairs))
+        pairs = [
+            (p, s if d == den else {e: c * (den // d) for e, c in s.items()}) for p, s, d in pairs
+        ]
+        mod.append(TruncPoly.from_codes(m, cap, _impl.pmac({}, pairs, lim), den) if pairs else zp)
+    return LieElement._clean(ctx, (_ZERO,) * m, tuple(mod))
 
 
 def bracket_chain(*elements: LieElement) -> LieElement:

@@ -62,7 +62,7 @@ from math import factorial, lcm
 
 from . import endo as _endo
 from . import liealg
-from .arith import LinearSubstitution, TruncPoly, format_rational, t_dot, var_code
+from .arith import LinearSubstitution, TruncPoly, format_rational, poly_mac, t_dot, var_code
 from .errors import ContextMismatch, DomainError, UsageError, ValidationError
 from .liealg import Context, LieElement
 
@@ -159,12 +159,9 @@ def _scaled_ginn_endo(alpha, g: GInnAut, s=None) -> "_endo.Endomorphism":
     cols = zip(*(_ginn_s(g) if s is None else s))
     if alpha != 1:
         cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)
+    beta = lambda j: tuple(alpha if k == j else _ZERO for k in range(ctx.m))
     return _endo.Endomorphism(
-        ctx,
-        tuple(
-            LieElement(ctx, tuple(alpha if k == j else _ZERO for k in range(ctx.m)), col)
-            for j, col in enumerate(cols)
-        ),
+        ctx, tuple(LieElement._clean(ctx, beta(j), tuple(col)) for j, col in enumerate(cols))
     )
 
 
@@ -199,21 +196,22 @@ def ginn_sum(u: LieElement, bracket_with, f) -> LieElement:
     """u + sum_j bracket_with(j) f_j(ad x_1,...,ad x_m) over the 1-based j
     with f_j != 0, bracket_with(j) standing for [u, x_j]: the GInn action
     assembled from given brackets.  On the derived algebra f_j(ad x) is
-    multiplication by f_j, so each nonzero module coordinate of a bracket
-    adds one product to the same coordinate of u."""
+    multiplication by f_j, so module coordinate k is u's plus the sum of
+    the products of the k-th coordinates of the brackets with the f_j, one
+    arith.poly_mac per coordinate."""
     ctx = u.ctx
-    mod = list(u.mod)
-    for j, p in enumerate(f, start=1):
-        if p.is_zero():
+    pairs = [[] for _ in u.mod]  # per module coordinate: (p, f_j), summing p * f_j
+    for j, q in enumerate(f, start=1):
+        if q.is_zero():
             continue
         w = bracket_with(j)
         if not w.in_derived():
             raise DomainError("ad-polynomial action is defined on the derived algebra only")
-        q = p.with_cap(ctx.module_cap)
-        for k, coord in enumerate(w.mod):
-            if not coord.is_zero():
-                mod[k] = mod[k] + coord * q
-    return LieElement(ctx, u.beta, mod)
+        for k, p in enumerate(w.mod):
+            if p.nums:
+                pairs[k].append((p, q))
+    mod = tuple(poly_mac(p, terms) if terms else p for p, terms in zip(u.mod, pairs))
+    return LieElement._clean(ctx, u.beta, mod)
 
 
 def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":

@@ -14,6 +14,9 @@ proved for, so a report can never reflect a vacuous domain:
                      phi(phi^-1(x_i)) = x_i on IA     any
   ginn_normal_oracle sampled GInn maps preserve
                      sampled principal ideals         any
+  inner_conjugation  phi^-1 exp(ad u) phi =
+                     exp(ad phi^-1(u)), phi sampled
+                     with any invertible linear part  any
 
 Group commutators and compositions are Jacobian products (lmc.endo),
 and a sign-flipped bracket is still a Lie bracket, so these laws alone
@@ -23,7 +26,11 @@ GInn part of every scaled normal map of class2_by_abelian, must send each
 generator x_i to x_i + sum_j [x_i, x_j] f_j, the assembly of ginn_apply
 (normal.ginn_sum); jacobian_functorial builds phi psi through phi.apply,
 not compose, and applies phi to the images of phi^-1.  A failed
-certificate is a counterexample like a failed law.
+certificate is a counterexample like a failed law.  inner_conjugation
+needs no certificate: its right side applies phi^-1 to u through the
+bracket, its left side is Jacobian products only, and it is the one law
+that applies a map that is not IA (through arith.LinearSubstitution when
+the linear part is not scalar).
 
 The brackets [x_i, x_j] come from one table of liealg.bracket over all m^2
 ordered generator pairs, looked up at call time and built afresh by each
@@ -35,7 +42,9 @@ arguments are the same for every map.  No entry stands in for another:
 Sampling is deterministic in (kind, ctx, seed): coefficients are integers
 in [-coeff_bound, coeff_bound], drawn in a fixed order, and per-trial
 seeds are derived from the trial index, so reports are reproducible and
-trials independent.
+trials independent.  Each kind draws from its own generator, so adding a
+kind changes no other kind's samples.  An `aut` sample is an integer
+matrix, redrawn until invertible, after an `ia` sample drawn next.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from . import liealg, normal, syntax
 from .arith import TruncPoly, all_monomials, var_code
 from .errors import UsageError
 from .liealg import Context
+from .linalg import mat_inv
 
 _ZERO = Fraction(0)
 
@@ -62,9 +72,10 @@ LAW_NAMES = (
     "class2_by_abelian",
     "jacobian_functorial",
     "ginn_normal_oracle",
+    "inner_conjugation",
 )
 
-SAMPLE_KINDS = ("element", "ginn", "ia", "normal_scaled", "inner")
+SAMPLE_KINDS = ("element", "ginn", "ia", "normal_scaled", "inner", "aut")
 
 
 @dataclass
@@ -115,6 +126,8 @@ def sample(kind: str, ctx: Context, seed, coeff_bound: int = 3):
         return _sample_ia(ctx, rnd, coeff_bound)
     if kind == "inner":
         return _endo.exp_ad(_sample_element(ctx, rnd, coeff_bound))
+    if kind == "aut":
+        return _sample_aut(ctx, rnd, coeff_bound)
     if kind == "normal_scaled":
         if ctx.c >= 2 and (ctx.m, ctx.c) not in ((2, 2), (2, 3)):
             raise UsageError(
@@ -174,6 +187,14 @@ def _sample_ia(ctx, rnd, bound):
         w = liealg.from_basis(liealg.BasisForm(ctx, (_ZERO,) * ctx.m, comm))
         images.append(liealg.generator(ctx, j) + w)
     return _endo.Endomorphism(ctx, tuple(images))
+
+
+def _sample_aut(ctx, rnd, bound):
+    m = ctx.m
+    while True:
+        a = [[rnd.randint(-bound, bound) for _ in range(m)] for _ in range(m)]
+        if mat_inv(a) is not None:
+            return _endo.compose(_endo.linear_endo(ctx, a), _sample_ia(ctx, rnd, bound))
 
 
 # -- law evaluation --------------------------------------------------------------
@@ -275,6 +296,14 @@ def _law_ginn_normal_oracle(ctx, seeds, bound):
     return ok, (g, u)
 
 
+def _law_inner_conjugation(ctx, seeds, bound):
+    phi = sample("aut", ctx, seeds(0), bound)
+    u = sample("element", ctx, seeds(1), bound)
+    inv = _endo.invert(phi)
+    conjugate = _endo.compose(_endo.compose(inv, _endo.exp_ad(u)), phi)
+    return conjugate == _endo.exp_ad(inv.apply(u)), (phi, u)
+
+
 _LAWS = {
     "abelian": _law_abelian,
     "nilpotent2": _law_nilpotent2,
@@ -282,6 +311,7 @@ _LAWS = {
     "class2_by_abelian": _law_class2_by_abelian,
     "jacobian_functorial": _law_jacobian_functorial,
     "ginn_normal_oracle": _law_ginn_normal_oracle,
+    "inner_conjugation": _law_inner_conjugation,
 }
 
 

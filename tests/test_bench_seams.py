@@ -15,7 +15,8 @@ an IA inverse that is more than one solve.  A Jacobian product is one call
 of arith._impl.mmul and a solve one call of arith._impl.msolve, which
 wrappers patched in place see, and neither calls arith._impl.pmul; a map
 built from a Jacobian keeps it, so endo.jacobian reads no images of a
-composite or commutator.
+composite or commutator.  A bracket, and apply on an IA map, build each
+module coordinate in one arith._impl.pmac pass: no pmul, padd or psub.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
@@ -32,6 +33,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import element_reference as element_ref  # noqa: E402
 import endo_reference as endo_ref  # noqa: E402
 import ideal_reference as ref  # noqa: E402
 import inner_reference as inner_ref  # noqa: E402
@@ -286,6 +288,22 @@ def test_a_map_built_from_a_jacobian_keeps_it():
     # commutator keep the matrices they were built from
     assert tracer.calls["liealg.full_poly"] == 2 * ctx.m**2
     assert made[1] == endo.jacobian(endo.Endomorphism(ctx, made[0].images))
+
+
+def test_bracket_and_ia_apply_call_no_polynomial_add_or_product(monkeypatch):
+    # each module coordinate is one arith._impl.pmac pass over numerators
+    ctx = Context(4, 6)
+    u, v = sample("element", ctx, "seams-q", 2), sample("element", ctx, "seams-r", 2)
+    x2 = liealg.generator(ctx, 2)
+    phi = sample("ia", ctx, "seams-s", 2)
+    expected = [ref.bracket(u, v), ref.bracket(u, x2), element_ref.apply(phi, u)]
+    calls = {name: _counting(monkeypatch, name) for name in ("pmul", "padd", "psub", "pmac")}
+    got = [liealg.bracket(u, v), liealg.bracket(u, x2), phi.apply(u)]
+    assert {name: len(seen) for name, seen in calls.items() if name != "pmac"} == {
+        "pmul": 0, "padd": 0, "psub": 0
+    }
+    assert calls["pmac"]
+    assert got == expected
 
 
 def test_basis_form_text_parses_without_a_bracket_call():

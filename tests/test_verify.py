@@ -146,3 +146,35 @@ def test_class2_by_abelian_builds_s_once_per_map(monkeypatch):
         seen.clear()
         assert check_law("class2_by_abelian", Context(2, 3), 1, seed).ok
         assert len(seen) == 6  # six scaled normal maps, each certified and used
+
+
+def test_aut_sample_is_an_integer_linear_map_after_an_ia_sample():
+    for m, c in ((2, 1), (2, 3), (3, 3), (3, 4)):
+        ctx = Context(m, c)
+        for seed in range(4):
+            phi = sample("aut", ctx, seed)
+            assert phi == sample("aut", ctx, seed)
+            assert phi.is_automorphism()
+            a, chi = endo.decompose(phi)
+            assert all(x.denominator == 1 and abs(x) <= 3 for row in a for x in row)
+            assert chi.is_ia()
+            assert endo.compose(endo.linear_endo(ctx, a), chi) == phi
+    assert any(not sample("aut", Context(3, 3), seed).is_ia() for seed in range(4))
+
+
+@pytest.mark.parametrize("m,c", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4)])
+def test_inner_conjugation_holds(m, c):
+    report = check_law("inner_conjugation", Context(m, c), 4, seed=1)
+    assert report.ok, report.to_json()
+    assert report.passed == 4
+
+
+def test_inner_conjugation_catches_a_broken_bracket(monkeypatch):
+    # only its right side applies phi^-1 through the bracket; from c = 3 on
+    # a wrong derived part of phi^-1(u) changes exp(ad phi^-1(u))
+    original = liealg.bracket
+    monkeypatch.setattr(liealg, "bracket", lambda u, v: original(u, v).scale(-1))
+    for m, c in ((2, 3), (3, 3), (3, 4), (2, 5)):
+        report = check_law("inner_conjugation", Context(m, c), 20, seed=2)
+        assert not report.ok, (m, c)
+        json.loads(report.counterexample)

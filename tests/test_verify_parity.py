@@ -1,14 +1,15 @@
 """The law inputs against the versions they replaced (tests/verify_reference.py).
 
-The sampler must return equal objects for every kind, seed and bound on
-contexts from (2,1) to (4,4); liealg.from_basis, which sums integer
-numerators at packed codes, must equal the Fraction sum over exponent
-tuples, also with fractional coefficients and with contributions that
-cancel; NormalAut.to_endo, which dilates the columns of S, must equal the
-chain-rule composite alpha I after ginn_to_endo(g) for negative and
-fractional alpha; and the certificate of the law inputs, which reads one
-bracket table per call, must accept and reject exactly the maps the
-per-map ginn_apply did, among them maps changed in one basis coordinate.
+The sampler must return equal objects for every kind the reference has
+(all but the later `aut`), seed and bound on contexts from (2,1) to
+(4,4); liealg.from_basis, which sums integer numerators at packed codes,
+must equal the Fraction sum over exponent tuples, also with fractional
+coefficients and with contributions that cancel; NormalAut.to_endo,
+which dilates the columns of S, must equal the chain-rule composite
+alpha I after ginn_to_endo(g) for negative and fractional alpha; and the
+certificate of the law inputs, which reads one bracket table per call,
+must accept and reject exactly the maps the per-map ginn_apply did,
+among them maps changed in one basis coordinate.
 """
 
 from fractions import Fraction as F
@@ -40,7 +41,7 @@ def _sampled(kind, ctx, seed, bound, sampler):
 @given(seed=seeds, bound=st.integers(1, 4))
 def test_sample_is_unchanged_for_every_kind(m, c, seed, bound):
     ctx = Context(m, c)
-    for kind in verify.SAMPLE_KINDS:
+    for kind in ref.SAMPLE_KINDS:
         assert _sampled(kind, ctx, seed, bound, verify.sample) == _sampled(
             kind, ctx, seed, bound, ref.sample
         ), kind
@@ -50,12 +51,13 @@ def test_sample_is_unchanged_on_fixed_seeds():
     count = 0
     for m, c in CONTEXTS:
         ctx = Context(m, c)
-        for kind in verify.SAMPLE_KINDS:
+        for kind in ref.SAMPLE_KINDS:
             for seed in range(4):
                 got = _sampled(kind, ctx, seed, 3, verify.sample)
                 assert got == _sampled(kind, ctx, seed, 3, ref.sample), (m, c, kind, seed)
                 count += 1
-    assert count == len(CONTEXTS) * len(verify.SAMPLE_KINDS) * 4
+    assert count == len(CONTEXTS) * len(ref.SAMPLE_KINDS) * 4
+    assert verify.SAMPLE_KINDS == ref.SAMPLE_KINDS + ("aut",)
 
 
 @st.composite

@@ -14,6 +14,8 @@ brackets per call.
 
 sample: the sampler as it was, drawing GInn parameters over a freshly
 sorted all_monomials and building elements with the from_basis above.
+SAMPLE_KINDS are the kinds it had; the later kind `aut` draws from its
+own generator, so these kinds' draws must not change with it.
 
 to_endo: a scaled normal map as the chain-rule composite of the scalar
 map alpha I after ginn_to_endo(g), where NormalAut.to_endo dilates the
@@ -28,6 +30,8 @@ from lmc.arith import TruncPoly, all_monomials
 from lmc.errors import UsageError
 
 _ZERO = Fraction(0)
+
+SAMPLE_KINDS = ("element", "ginn", "ia", "normal_scaled", "inner")
 
 
 def tuple_module_terms(ctx, tup, coeff):
