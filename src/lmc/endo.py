@@ -54,7 +54,6 @@ from .liealg import Context, LieElement
 from .linalg import mat_inv
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class JacobianMatrix:
@@ -206,14 +205,19 @@ class Endomorphism:
             self._cache["linear_inv"] = mat_inv(self.linear_matrix())
         return self._cache["linear_inv"]
 
-    def is_ia(self) -> bool:
-        ia = self._cache.get("ia")
-        if ia is None:
+    def scalar(self):
+        """alpha when the linear part is alpha I, else None."""
+        if "scalar" not in self._cache:
             a, m = self.linear_matrix(), self.ctx.m
-            ia = self._cache["ia"] = all(
-                a[k][i] == (_ONE if k == i else _ZERO) for k in range(m) for i in range(m)
+            alpha = a[0][0]
+            scalar = all(
+                a[k][i] == (alpha if k == i else _ZERO) for k in range(m) for i in range(m)
             )
-        return ia
+            self._cache["scalar"] = alpha if scalar else None
+        return self._cache["scalar"]
+
+    def is_ia(self) -> bool:
+        return self.scalar() == 1
 
     def is_automorphism(self) -> bool:
         """Invertible linear part; an IA map's is I, so it needs no inverse."""
@@ -235,12 +239,12 @@ class Endomorphism:
         q(alpha t) when the linear part is alpha I, else a table."""
         sub = self._cache.get("subs")
         if sub is None:
-            m, a = self.ctx.m, self.linear_matrix()
-            alpha = a[0][0]
-            if all(a[k][i] == (alpha if k == i else _ZERO) for k in range(m) for i in range(m)):
+            alpha = self.scalar()
+            if alpha is not None:
                 sub = lambda p: p.dilate(alpha)
             else:
-                sub = LinearSubstitution(m, self.ctx.module_cap, [im.beta for im in self.images])
+                betas = [im.beta for im in self.images]
+                sub = LinearSubstitution(self.ctx.m, self.ctx.module_cap, betas)
             self._cache["subs"] = sub
         return sub(q)
 

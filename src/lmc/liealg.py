@@ -293,8 +293,11 @@ class BasisForm:
 
 
 def _int_indices(ctx: Context, tup) -> tuple:
-    """tup with each index as an int; an index that does not equal its
-    int(), such as 2.5 or '2', lies outside 1..m."""
+    """tup with each index as an int; a key that is not a tuple, or an
+    index that does not equal its int(), such as 2.5 or '2', lies outside
+    1..m."""
+    if not isinstance(tup, tuple):
+        raise ValidationError(f"tuple {tup} has indices outside 1..{ctx.m}")
     out = []
     for i in tup:
         try:
@@ -398,9 +401,7 @@ def from_basis(b: BasisForm) -> LieElement:
                 d[code] = v
             else:
                 d.pop(code, None)
-    mod = tuple(TruncPoly.from_codes(ctx.m, ctx.module_cap, d) for d in mods)
-    if den != 1:
-        mod = tuple(p.scale(Fraction(1, den)) for p in mod)
+    mod = tuple(TruncPoly.from_codes(ctx.m, ctx.module_cap, d, den) for d in mods)
     return LieElement(ctx, b.linear, mod)
 
 

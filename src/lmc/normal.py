@@ -514,17 +514,11 @@ def decide_normal(phi: "_endo.Endomorphism", search_witness: bool = False) -> No
     if not phi.is_automorphism():
         raise DomainError("decide_normal expects an automorphism")
     ctx = phi.ctx
-    a = phi.linear_matrix()
-    scalar = all(
-        a[k][i] == (a[0][0] if k == i else _ZERO)
-        for k in range(ctx.m)
-        for i in range(ctx.m)
-    )
-    if not scalar:
+    alpha = phi.scalar()
+    if alpha is None:
         return NormalityVerdict(
             False, witness=_nonscalar_witness(phi), reason="linear part is not scalar"
         )
-    alpha = a[0][0]
     if ctx.c == 1:
         return NormalityVerdict(True, NormalAut(alpha, GInnAut.identity(ctx)))
     exceptional = (ctx.m, ctx.c) in ((2, 2), (2, 3))

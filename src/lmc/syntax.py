@@ -8,12 +8,18 @@ Element grammar (left-normed brackets, 1-based generator indices):
     rational:= INT ['/' INT]
 
 The single literal '0' is also accepted and denotes the zero element.
+Text is scanned once, by one regex, into (kind, value, offset) tuples:
+'int', 'name' (value (letter, index)), a punctuation mark, 'end', and
+'chain' for a bracket of two or more bare generators '[xa,xb,...]', the
+form the printers write, whose value holds the indices and the offsets of
+their 'x'.  An offset becomes a line and column only when a ParseError is
+raised; a chain reads as '[' there and counts as one nesting level.
 A sum is read in one pass into coefficients keyed by generator and by
-module coordinate and packed code, and wrapped once.  A bracket of bare
-generators '[xa,xb,...]', the form the printers write, gives its two module
-terms (liealg._tuple_codes); any other bracket is the bracket_chain of its
-parsed arguments.  Brackets nest at most MAX_NESTING deep.  Polynomial text
-uses t1..tm, '*', '^' and rational coefficients, e.g. '1/2*t1^2*t3 - t2'.
+module coordinate and packed code, and wrapped once.  A chain of in-range
+indices gives its two module terms (liealg._tuple_codes); any other bracket
+is the bracket_chain of its parsed arguments.  Brackets nest at most
+MAX_NESTING deep.  Polynomial text uses t1..tm, '*', '^' and rational
+coefficients, e.g. '1/2*t1^2*t3 - t2'.
 
 Printers are deterministic: rationals as 'p/q' (integer when q = 1),
 monomial variables in index order, basis-style elements in enumeration
@@ -32,85 +38,63 @@ from .arith import TruncPoly, _encode, format_rational, poly_str, signed_sum
 from .errors import ParseError, ValidationError
 from .liealg import BasisForm, Context, LieElement
 
-# -- tokenizer ----------------------------------------------------------------
+# -- scanner ------------------------------------------------------------------
 
-_PUNCT = {"+", "-", "*", "/", "^", "[", "]", ","}
-_DIGITS = re.compile("[0-9]*")  # str.isdigit also takes other scripts' digits
+# One match per token, whitespace (regex \s on str is str.isspace) skipped
+# between matches: a bracket of bare generators, punctuation, ASCII digits
+# (str.isdigit also takes other scripts' digits), or any other character
+# with the digits after it, which is a name if the character is a letter.
+_TOKEN = re.compile(
+    r"(\[\s*x[0-9]+\s*(?:,\s*x[0-9]+\s*)+\])|([-+*/^\[\],])|([0-9]+)|(\S)([0-9]*)"
+)
+_CHAIN_INDEX = re.compile("x([0-9]+)")
 
 # One nesting level costs the recursive-descent parser two stack frames, so
 # this keeps the deepest bracket well inside Python's default recursion limit.
 MAX_NESTING = 300
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # 'int' | 'name' | punctuation | 'end'
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def describe(self):
-        if self.kind == "end":
-            return "end of input"
-        return repr(str(self.value))
-
-
-def _int(text, line, col):
-    try:
-        return int(text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ParseError(line, col, "a shorter number", f"{len(text)} digits") from None
-
-
-def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = _DIGITS.match(text, i).end()
-            tokens.append(_Token("int", _int(text[i:j], line, col), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = _DIGITS.match(text, i + 1).end()
-            if j == i + 1:
-                raise ParseError(line, col, "an index after the letter", repr(ch))
-            tokens.append(_Token("name", (ch, _int(text[i + 1 : j], line, col)), line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, "a token", repr(ch))
-    tokens.append(_Token("end", None, line, col))
-    return tokens
-
-
 class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """The (kind, value, offset) tokens of text and a position among them."""
+
+    def __init__(self, text):
+        self.text = text
         self.pos = 0
         self.depth = 0  # brackets open at the current position
+        self.tokens = tokens = []
+        for mt in _TOKEN.finditer(text):
+            chain, punct, digits, ch, index = mt.groups()
+            at = mt.start()
+            if punct:
+                tokens.append((punct, punct, at))
+            elif digits:
+                tokens.append(("int", self._int(digits, at), at))
+            elif chain:
+                xs = list(_CHAIN_INDEX.finditer(text, at, mt.end()))
+                gens = tuple([self._int(x[1], x.start()) for x in xs])
+                tokens.append(("chain", (gens, tuple([x.start() for x in xs])), at))
+            elif not ch.isalpha():
+                raise self.error(at, "a token", repr(ch))
+            elif not index:
+                raise self.error(at, "an index after the letter", repr(ch))
+            else:
+                tokens.append(("name", (ch, self._int(index, at)), at))
+        tokens.append(("end", None, len(text)))
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def _int(self, digits, at):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error(at, "a shorter number", f"{len(digits)} digits") from None
+
+    def error(self, at, expected, found) -> ParseError:
+        """A ParseError at offset `at`: only '\\n' starts a line, and every
+        other character, whitespace included, is one column."""
+        line = self.text.count("\n", 0, at) + 1
+        return ParseError(line, at - self.text.rfind("\n", 0, at), expected, found)
+
+    def kind(self):
+        return self.tokens[self.pos][0]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -118,41 +102,42 @@ class _Cursor:
         return tok
 
     def expect(self, kind, expected):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.col, expected, tok.describe())
-        return self.next()
+        """The value of the token at the cursor, which must be a `kind`."""
+        if self.tokens[self.pos][0] != kind:
+            self.fail(expected)
+        return self.next()[1]
 
     def fail(self, expected):
-        tok = self.peek()
-        raise ParseError(tok.line, tok.col, expected, tok.describe())
+        kind, value, at = self.tokens[self.pos]
+        if kind == "end":
+            found = "end of input"
+        else:  # a name reads as its (letter, index) pair, a chain as its '['
+            found = repr("[" if kind == "chain" else str(value))
+        raise self.error(at, expected, found)
 
 
 def _parse_rational(cur: _Cursor) -> int | Fraction:
-    num = cur.expect("int", "a number").value
-    if cur.peek().kind == "/":
-        cur.next()
-        den = cur.expect("int", "a denominator").value
-        if den == 0:
-            tok = cur.tokens[cur.pos - 1]
-            raise ParseError(tok.line, tok.col, "a nonzero denominator", "0")
-        return Fraction(num, den)
-    return num
+    num = cur.expect("int", "a number")
+    if cur.kind() != "/":
+        return num
+    cur.next()
+    at = cur.tokens[cur.pos][2]
+    den = cur.expect("int", "a denominator")
+    if den == 0:
+        raise cur.error(at, "a nonzero denominator", "0")
+    return Fraction(num, den)
 
 
 # -- element parsing ------------------------------------------------------------
 
 
 def parse_element(ctx: Context, text: str) -> LieElement:
-    cur = _Cursor(_tokenize(text))
-    if (
-        cur.peek().kind == "int"
-        and cur.peek().value == 0
-        and cur.tokens[cur.pos + 1].kind == "end"
-    ):
+    cur = _Cursor(text)
+    tokens = cur.tokens
+    if tokens[0][:2] == ("int", 0) and tokens[1][0] == "end":
         return liealg.zero(ctx)
     u = _parse_element(ctx, cur)
-    if cur.peek().kind != "end":
+    if cur.kind() != "end":
         cur.fail("end of input")
     return u
 
@@ -160,84 +145,62 @@ def parse_element(ctx: Context, text: str) -> LieElement:
 def _parse_element(ctx, cur) -> LieElement:
     """One sum, added up under the keys of liealg.element_row and wrapped
     once; one bracket level costs two stack frames."""
-    negate = cur.peek().kind == "-"
+    negate = cur.kind() == "-"
     if negate:
         cur.next()
     acc = {}
     while True:
         coeff = 1
-        if cur.peek().kind == "int":
+        if cur.kind() == "int":
             coeff = _parse_rational(cur)
             cur.expect("*", "'*' between coefficient and atom")
         if negate:
             coeff = -coeff
         for key, v in _parse_atom(ctx, cur):
             acc[key] = acc.get(key, 0) + coeff * v
-        if cur.peek().kind not in ("+", "-"):
+        if cur.kind() not in ("+", "-"):
             return liealg.row_element(ctx, acc)
-        negate = cur.next().kind == "-"
+        negate = cur.next()[0] == "-"
 
 
 def _parse_atom(ctx, cur) -> list:
     """The (key, coefficient) terms of the atom at the cursor; none for a
     generator chain with a repeated head or more than c entries."""
     m = ctx.m
-    tok = cur.peek()
-    if tok.kind == "name":
-        letter, idx = tok.value
+    kind, value, at = cur.tokens[cur.pos]
+    if kind == "name":
+        letter, idx = value
         if letter != "x":
-            raise ParseError(tok.line, tok.col, "a generator 'xN'", tok.describe())
-        cur.next()
+            cur.fail("a generator 'xN'")
         if not 1 <= idx <= m:
-            raise ParseError(tok.line, tok.col, f"a generator index in 1..{m}", f"x{idx}")
-        return [(-idx, 1)]
-    if tok.kind == "[":
-        if cur.depth == MAX_NESTING:
-            raise ParseError(
-                tok.line, tok.col, f"at most {MAX_NESTING} nested brackets", tok.describe()
-            )
-        gens = _generator_chain(ctx, cur)
-        if gens is not None:
-            if gens[0] == gens[1] or len(gens) > ctx.c:
-                return []
-            i1, code1, i2, code2 = liealg._tuple_codes(m, gens)
-            return [(code1 * m + i1, 1), (code2 * m + i2, -1)]
+            raise cur.error(at, f"a generator index in 1..{m}", f"x{idx}")
         cur.next()
-        cur.depth += 1
-        args = [_parse_element(ctx, cur)]
-        cur.expect(",", "',' inside a bracket")
+        return [(-idx, 1)]
+    if kind != "[" and kind != "chain":
+        cur.fail("a generator or '['")
+    if cur.depth == MAX_NESTING:
+        cur.fail(f"at most {MAX_NESTING} nested brackets")
+    cur.next()
+    if kind == "chain":
+        gens, offsets = value
+        for idx, x_at in zip(gens, offsets):
+            if not 1 <= idx <= m:
+                raise cur.error(x_at, f"a generator index in 1..{m}", f"x{idx}")
+        if gens[0] == gens[1] or len(gens) > ctx.c:
+            return []
+        i1, code1, i2, code2 = liealg._tuple_codes(m, gens)
+        return [(code1 * m + i1, 1), (code2 * m + i2, -1)]
+    cur.depth += 1
+    args = [_parse_element(ctx, cur)]
+    cur.expect(",", "',' inside a bracket")
+    args.append(_parse_element(ctx, cur))
+    while cur.kind() == ",":
+        cur.next()
         args.append(_parse_element(ctx, cur))
-        while cur.peek().kind == ",":
-            cur.next()
-            args.append(_parse_element(ctx, cur))
-        cur.expect("]", "']' closing the bracket")
-        cur.depth -= 1
-        mod = enumerate(liealg.bracket_chain(*args).mod)  # derived: no beta keys
-        return [(code * m + i, Fraction(n, p.den)) for i, p in mod for code, n in p.nums.items()]
-    cur.fail("a generator or '['")
-
-
-def _generator_chain(ctx, cur):
-    """The indices of a bracket of bare in-range generators '[xa, xb, ...]'
-    at the cursor, which then moves past its ']'; None, with the cursor
-    left at the '[', for any other bracket, whose parse reports errors."""
-    tokens, pos = cur.tokens, cur.pos + 1
-    idx = []
-    while True:
-        tok = tokens[pos]
-        if tok.kind != "name" or tok.value[0] != "x" or not 1 <= tok.value[1] <= ctx.m:
-            return None
-        idx.append(tok.value[1])
-        sep = tokens[pos + 1].kind
-        pos += 2
-        if sep == "]":
-            break
-        if sep != ",":
-            return None
-    if len(idx) < 2:
-        return None
-    cur.pos = pos
-    return idx
+    cur.expect("]", "']' closing the bracket")
+    cur.depth -= 1
+    mod = enumerate(liealg.bracket_chain(*args).mod)  # derived: no beta keys
+    return [(code * m + i, Fraction(n, p.den)) for i, p in mod for code, n in p.nums.items()]
 
 
 # -- polynomial parsing -----------------------------------------------------------
@@ -245,19 +208,19 @@ def _generator_chain(ctx, cur):
 
 def parse_poly(text: str, nv: int, cap: int) -> TruncPoly:
     """Terms are added up by code; one above the cap is dropped unpacked."""
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     TruncPoly.zero(nv, cap)  # a bad nv or cap is reported before any term
     terms = {}
     sign = 1
-    if cur.peek().kind == "-":
+    if cur.kind() == "-":
         cur.next()
         sign = -1
     while True:
         _parse_poly_term(cur, nv, cap, sign, terms)
-        if cur.peek().kind not in ("+", "-"):
+        if cur.kind() not in ("+", "-"):
             break
-        sign = -1 if cur.next().kind == "-" else 1
-    if cur.peek().kind != "end":
+        sign = -1 if cur.next()[0] == "-" else 1
+    if cur.kind() != "end":
         cur.fail("end of input")
     return TruncPoly.from_code_terms(nv, cap, terms)
 
@@ -266,33 +229,29 @@ def _parse_poly_term(cur, nv, cap, coeff, terms):
     exps = [0] * nv
     saw_factor = False
     while True:
-        tok = cur.peek()
-        if tok.kind == "int":
+        kind, value, at = cur.tokens[cur.pos]
+        if kind == "int":
             coeff *= _parse_rational(cur)
-            saw_factor = True
-        elif tok.kind == "name":
-            letter, idx = tok.value
+        elif kind == "name":
+            letter, idx = value
             if letter != "t":
-                raise ParseError(tok.line, tok.col, "a variable 'tN'", tok.describe())
+                cur.fail("a variable 'tN'")
             if not 1 <= idx <= nv:
-                raise ParseError(
-                    tok.line, tok.col, f"a variable index in 1..{nv}", f"t{idx}"
-                )
+                raise cur.error(at, f"a variable index in 1..{nv}", f"t{idx}")
             cur.next()
             power = 1
-            if cur.peek().kind == "^":
+            if cur.kind() == "^":
                 cur.next()
-                power = cur.expect("int", "an exponent").value
+                power = cur.expect("int", "an exponent")
             exps[idx - 1] += power
-            saw_factor = True
-        else:
-            if not saw_factor:
-                cur.fail("a coefficient or a variable")
+        elif saw_factor:
             break
-        if cur.peek().kind == "*":
-            cur.next()
-            continue
-        break
+        else:
+            cur.fail("a coefficient or a variable")
+        saw_factor = True
+        if cur.kind() != "*":
+            break
+        cur.next()
     if sum(exps) <= cap:
         code = _encode(tuple(exps), nv)
         terms[code] = terms.get(code, 0) + coeff

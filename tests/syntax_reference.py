@@ -6,20 +6,150 @@ sum, a generator chain through commutator, which this module keeps;
 parse_poly builds one TruncPoly per term and adds it likewise.  poly_str
 sorts the Fraction items() of a polynomial by monomial_sort_key, kept here.
 to_basis solves each degree of the module coordinates against the
-left-normed basis columns with liealg._basis_solver.  The tokenizer, the
-cursor, the rational literal and the generator-chain scan are shared with
-lmc.syntax, which did not change them.
+left-normed basis columns with liealg._basis_solver.  The tokenizer
+built one _Token, with its line and column, per token in a per-character
+loop, and _generator_chain scanned those tokens again for a bracket of
+bare generators; lmc.syntax now scans the text with one regex into
+(kind, value, offset) tuples, and they are the oracle of
+tests/test_scanner_parity.py.
 """
 
+import re
 from fractions import Fraction
 
 from lmc import liealg
 from lmc.arith import FIELD_BITS, TruncPoly, format_rational, signed_sum
 from lmc.errors import DomainError, ParseError, ValidationError
 from lmc.liealg import BasisForm, Context, LieElement
-from lmc.syntax import MAX_NESTING, _Cursor, _generator_chain, _parse_rational, _tokenize
+from lmc.syntax import MAX_NESTING
 
 _ZERO = Fraction(0)
+
+# -- tokenizer ----------------------------------------------------------------
+
+_PUNCT = {"+", "-", "*", "/", "^", "[", "]", ","}
+_DIGITS = re.compile("[0-9]*")  # str.isdigit also takes other scripts' digits
+
+
+class _Token:
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind, value, line, col):
+        self.kind = kind  # 'int' | 'name' | punctuation | 'end'
+        self.value = value
+        self.line = line
+        self.col = col
+
+    def describe(self):
+        if self.kind == "end":
+            return "end of input"
+        return repr(str(self.value))
+
+
+def _int(text, line, col):
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(line, col, "a shorter number", f"{len(text)} digits") from None
+
+
+def _tokenize(text):
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if "0" <= ch <= "9":
+            j = _DIGITS.match(text, i).end()
+            tokens.append(_Token("int", _int(text[i:j], line, col), line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = _DIGITS.match(text, i + 1).end()
+            if j == i + 1:
+                raise ParseError(line, col, "an index after the letter", repr(ch))
+            tokens.append(_Token("name", (ch, _int(text[i + 1 : j], line, col)), line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(line, col, "a token", repr(ch))
+    tokens.append(_Token("end", None, line, col))
+    return tokens
+
+
+class _Cursor:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0  # brackets open at the current position
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, expected):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(tok.line, tok.col, expected, tok.describe())
+        return self.next()
+
+    def fail(self, expected):
+        tok = self.peek()
+        raise ParseError(tok.line, tok.col, expected, tok.describe())
+
+
+def _parse_rational(cur: _Cursor) -> int | Fraction:
+    num = cur.expect("int", "a number").value
+    if cur.peek().kind == "/":
+        cur.next()
+        den = cur.expect("int", "a denominator").value
+        if den == 0:
+            tok = cur.tokens[cur.pos - 1]
+            raise ParseError(tok.line, tok.col, "a nonzero denominator", "0")
+        return Fraction(num, den)
+    return num
+
+
+def _generator_chain(ctx, cur):
+    """The indices of a bracket of bare in-range generators '[xa, xb, ...]'
+    at the cursor, which then moves past its ']'; None, with the cursor
+    left at the '[', for any other bracket, whose parse reports errors."""
+    tokens, pos = cur.tokens, cur.pos + 1
+    idx = []
+    while True:
+        tok = tokens[pos]
+        if tok.kind != "name" or tok.value[0] != "x" or not 1 <= tok.value[1] <= ctx.m:
+            return None
+        idx.append(tok.value[1])
+        sep = tokens[pos + 1].kind
+        pos += 2
+        if sep == "]":
+            break
+        if sep != ",":
+            return None
+    if len(idx) < 2:
+        return None
+    cur.pos = pos
+    return idx
 
 # -- element parsing ------------------------------------------------------------
 

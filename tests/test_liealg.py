@@ -241,6 +241,10 @@ def test_basisform_keeps_int_keys(key, expected):
         ((2, 1.5, 2), "tuple (2, 1.5, 2) has indices outside 1..2"),
         ((2, F(3, 2)), "tuple (2, Fraction(3, 2)) has indices outside 1..2"),
         ((float("nan"), 1), "tuple (nan, 1) has indices outside 1..2"),
+        # a key that is not a tuple at all
+        (5, "tuple 5 has indices outside 1..2"),
+        (None, "tuple None has indices outside 1..2"),
+        (2.0, "tuple 2.0 has indices outside 1..2"),
     ],
 )
 def test_basisform_rejects_invalid_tuples_with_the_same_message(key, message):
