@@ -19,7 +19,8 @@ Jacobian is a faithful semigroup isomorphism.
 
 So every map is handled as a matrix: compose is the chain rule, and
 group_commutator and the inverse of an IA map solve Q Y = P for a
-unipotent Q = I + N.  N has no constant term, so the degree-d part of Y
+unipotent Q = I + N (K Q, K a constant matrix, for a commutator of maps
+that are not IA).  N has no constant term, so the degree-d part of Y
 is P_d - sum_{e>=1} N_e Y_(d-e), which needs only the parts of Y below
 degree d: power-series division, with the work of the one product N Y.
 A product is one pass of the matrix kernel arith.poly_matmul, a solve one
@@ -401,13 +402,13 @@ def invert(phi: Endomorphism) -> Endomorphism:
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     """phi^-1 psi^-1 phi psi under the repo composition order (psi first).
 
-    With P = J(phi psi) and Q = J(psi phi) from the chain rule, this is the
-    map with Jacobian Q^-1 P, solved degree by degree (arith.poly_solve):
-    for Q = I + N, Y_d = P_d - sum_{e>=1} N_e Y_(d-e).  On IA pairs Q is
-    unipotent, and P and Q go into the solve as the kernel's integer
-    numerators (arith.poly_commutator).  Otherwise K = (BA)^-1, the inverse
-    of Q's constant part, makes the unipotent K sigma_K(Q), and the map is
-    (K psi phi)^-1 (K phi psi).
+    With P = J(phi psi) and Q = J(psi phi) from the chain rule, the
+    commutator c satisfies P = Q sigma_C(J(c)), C = BA the constant part of
+    Q.  On IA pairs C = I and J(c) = Q^-1 P, solved degree by degree with P
+    and Q as the kernel's integer numerators (arith.poly_commutator).
+    Otherwise K = C^-1 makes K Q unipotent, one solve (arith.poly_solve)
+    gives Y0 = (K Q)^-1 K P = sigma_C(J(c)), and one substitution gives
+    J(c) = sigma_K(Y0).
     """
     if phi.ctx != psi.ctx:
         raise ContextMismatch(f"{phi.ctx} vs {psi.ctx}")
@@ -416,13 +417,10 @@ def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
     if phi.is_ia() and psi.is_ia():
         return _from_jacobian(JacobianMatrix(ctx, poly_commutator(ja.rows, jb.rows)))
     p, q = ja @ _sigma(phi, jb), jb @ _sigma(psi, ja)
-    if not q.is_unipotent():
-        k = mat_inv([[x.constant_term() for x in row] for row in q.rows])
-        if k is None:
-            raise DomainError(
-                "group_commutator needs automorphisms (invertible linear parts)"
-            )
-        k = linear_endo(ctx, k)
-        jk = jacobian(k)
-        p, q = jk @ _sigma(k, p), jk @ _sigma(k, q)
-    return _from_jacobian(JacobianMatrix(ctx, poly_solve(q.rows, p.rows)))
+    k = mat_inv([[x.constant_term() for x in row] for row in q.rows])
+    if k is None:
+        raise DomainError("group_commutator needs automorphisms (invertible linear parts)")
+    kmap = linear_endo(ctx, k)
+    jk = jacobian(kmap)
+    y0 = JacobianMatrix(ctx, poly_solve((jk @ q).rows, (jk @ p).rows))
+    return _from_jacobian(_sigma(kmap, y0))

@@ -111,7 +111,9 @@ class _Cursor:
         kind, value, at = self.tokens[self.pos]
         if kind == "end":
             found = "end of input"
-        else:  # a name reads as its (letter, index) pair, a chain as its '['
+        elif kind == "name":  # as written, e.g. 'x2'
+            found = repr(_TOKEN.match(self.text, at)[0])
+        else:  # a chain reads as its '['
             found = repr("[" if kind == "chain" else str(value))
         raise self.error(at, expected, found)
 

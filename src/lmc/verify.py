@@ -5,11 +5,11 @@ sampled tuples; a passing report is a regression tripwire, not evidence
 (the laws are theorems).  Laws are guarded by the contexts they are
 proved for, so a report can never reflect a vacuous domain:
 
-  abelian            commutators vanish on GInn       c = 2
+  abelian            (a,b) = 1 on GInn                c = 2
   nilpotent2         ((a,b),c) = 1 on GInn            c = 3
   metabelian         ((a,b),(c,d)) = 1 on GInn        c >= 4 or (m,c)=(2,2)
-  class2_by_abelian  ((c1,c2),c3) = 1, c_i commutators
-                     of scaled normal maps            (m,c) = (2,3)
+  class2_by_abelian  (((a,b),(c,d)),(e,f)) = 1 on
+                     scaled normal maps               (m,c) = (2,3)
   jacobian_functorial J(phi psi) = J(phi) J(psi) and
                      phi(phi^-1(x_i)) = x_i on IA     any
   ginn_normal_oracle sampled GInn maps preserve
@@ -18,11 +18,13 @@ proved for, so a report can never reflect a vacuous domain:
                      exp(ad phi^-1(u)), phi sampled
                      with any invertible linear part  any
 
+The first four are commutator words, (a,b) = a^-1 b^-1 a b the map of
+endo.group_commutator, each evaluated by one recursion (_commutator) on
+sampled normal maps, a GInn sample being the normal map with alpha 1.
 Group commutators and compositions are Jacobian products (lmc.endo),
 and a sign-flipped bracket is still a Lie bracket, so these laws alone
 cannot see a broken bracket.  Their inputs are therefore certified
-against it: every GInn map of abelian, nilpotent2 and metabelian, and the
-GInn part of every scaled normal map of class2_by_abelian, must send each
+against it: the GInn part of every map of a word law must send each
 generator x_i to x_i + sum_j [x_i, x_j] f_j, the assembly of ginn_apply
 (normal.ginn_sum); jacobian_functorial builds phi psi through phi.apply,
 not compose, and applies phi to the images of phi^-1.  A failed
@@ -62,18 +64,6 @@ from .arith import TruncPoly, all_monomials, var_code
 from .errors import UsageError
 from .liealg import Context
 from .linalg import mat_inv
-
-_ZERO = Fraction(0)
-
-LAW_NAMES = (
-    "abelian",
-    "nilpotent2",
-    "metabelian",
-    "class2_by_abelian",
-    "jacobian_functorial",
-    "ginn_normal_oracle",
-    "inner_conjugation",
-)
 
 SAMPLE_KINDS = ("element", "ginn", "ia", "normal_scaled", "inner", "aut")
 
@@ -139,8 +129,9 @@ def sample(kind: str, ctx: Context, seed, coeff_bound: int = 3):
     raise UsageError(f"unknown sample kind {kind!r}")
 
 
-def _sample_element(ctx, rnd, bound):
-    beta = tuple(Fraction(rnd.randint(-bound, bound)) for _ in range(ctx.m))
+def _sample_form(ctx, rnd, bound, beta):
+    """The element with linear part beta and one draw per basis commutator
+    of degree 2..c, in enumeration order."""
     comm = {}
     for k in range(2, ctx.c + 1):
         for tup in liealg.enumerate_basis(ctx, k):
@@ -148,6 +139,11 @@ def _sample_element(ctx, rnd, bound):
             if v:
                 comm[tup] = Fraction(v)
     return liealg.from_basis(liealg.BasisForm(ctx, beta, comm))
+
+
+def _sample_element(ctx, rnd, bound):
+    beta = tuple(rnd.randint(-bound, bound) for _ in range(ctx.m))
+    return _sample_form(ctx, rnd, bound, beta)
 
 
 def _sample_ginn(ctx, rnd, bound):
@@ -176,17 +172,9 @@ def _monomial_codes(m: int, cap: int) -> tuple:
 
 
 def _sample_ia(ctx, rnd, bound):
-    images = []
-    for j in range(1, ctx.m + 1):
-        comm = {}
-        for k in range(2, ctx.c + 1):
-            for tup in liealg.enumerate_basis(ctx, k):
-                v = rnd.randint(-bound, bound)
-                if v:
-                    comm[tup] = Fraction(v)
-        w = liealg.from_basis(liealg.BasisForm(ctx, (_ZERO,) * ctx.m, comm))
-        images.append(liealg.generator(ctx, j) + w)
-    return _endo.Endomorphism(ctx, tuple(images))
+    """x_j -> x_j plus sampled commutators, for j = 1..m in turn."""
+    units = [tuple(int(k == j) for k in range(ctx.m)) for j in range(ctx.m)]
+    return _endo.Endomorphism(ctx, tuple(_sample_form(ctx, rnd, bound, u) for u in units))
 
 
 def _sample_aut(ctx, rnd, bound):
@@ -205,10 +193,6 @@ def _describe(*objs) -> str:
     for obj in objs:
         if isinstance(obj, normal.GInnAut):
             parts.append({"ginn_f": [str(p) for p in obj.f]})
-        elif isinstance(obj, normal.NormalAut):
-            parts.append(
-                {"alpha": str(obj.alpha), "ginn_f": [str(p) for p in obj.g.f]}
-            )
         elif isinstance(obj, _endo.Endomorphism):
             parts.append(syntax.automorphism_dict(obj))
         else:
@@ -216,12 +200,15 @@ def _describe(*objs) -> str:
     return json.dumps(parts)
 
 
-def _certified_ginn_maps(ctx, seeds, bound, count):
-    """`count` sampled GInn maps, materialized in closed form, and whether
-    they pass _agree_with_ginn_apply."""
-    gs = [sample("ginn", ctx, seeds(k), bound) for k in range(count)]
-    maps = tuple(normal.ginn_to_endo(g) for g in gs)
-    return maps, _agree_with_ginn_apply(gs, maps)
+def _certified_maps(kind, ctx, seeds, bound, count):
+    """`count` sampled normal maps of `kind` ("ginn", wrapped as alpha 1,
+    or "normal_scaled"), materialized in closed form, and whether their
+    GInn parts pass _agree_with_ginn_apply."""
+    ns = [sample(kind, ctx, seeds(k), bound) for k in range(count)]
+    if kind == "ginn":
+        ns = [normal.NormalAut(1, g) for g in ns]
+    ginn, maps = zip(*(n.with_ginn_endo() for n in ns))
+    return maps, _agree_with_ginn_apply([n.g for n in ns], ginn)
 
 
 def _agree_with_ginn_apply(gs, maps) -> bool:
@@ -240,40 +227,24 @@ def _agree_with_ginn_apply(gs, maps) -> bool:
     )
 
 
-def _law_abelian(ctx, seeds, bound):
-    (a, b), ok = _certified_ginn_maps(ctx, seeds, bound, 2)
-    ok = ok and _endo.group_commutator(a, b) == _endo.Endomorphism.identity(ctx)
-    return ok, (a, b)
+def _commutator(word, maps):
+    """The group commutator the word names: an index is that map, a pair
+    (u, v) the commutator of its two words."""
+    if isinstance(word, int):
+        return maps[word]
+    u, v = word
+    return _endo.group_commutator(_commutator(u, maps), _commutator(v, maps))
 
 
-def _law_nilpotent2(ctx, seeds, bound):
-    (a, b, c), ok = _certified_ginn_maps(ctx, seeds, bound, 3)
-    ok = ok and _endo.group_commutator(
-        _endo.group_commutator(a, b), c
-    ) == _endo.Endomorphism.identity(ctx)
-    return ok, (a, b, c)
+def _word_law(kind, count, word):
+    """The law that `word` is the identity on `count` maps of `kind`."""
 
+    def law(ctx, seeds, bound):
+        maps, ok = _certified_maps(kind, ctx, seeds, bound, count)
+        ok = ok and _commutator(word, maps) == _endo.Endomorphism.identity(ctx)
+        return ok, maps
 
-def _law_metabelian(ctx, seeds, bound):
-    (a, b, c, d), ok = _certified_ginn_maps(ctx, seeds, bound, 4)
-    ok = ok and _endo.group_commutator(
-        _endo.group_commutator(a, b), _endo.group_commutator(c, d)
-    ) == _endo.Endomorphism.identity(ctx)
-    return ok, (a, b, c, d)
-
-
-def _law_class2_by_abelian(ctx, seeds, bound):
-    auts = [sample("normal_scaled", ctx, seeds(k), bound) for k in range(6)]
-    ginn, ns = zip(*(n.with_ginn_endo() for n in auts))
-    ok = _agree_with_ginn_apply([n.g for n in auts], ginn)
-    c1 = _endo.group_commutator(ns[0], ns[1])
-    c2 = _endo.group_commutator(ns[2], ns[3])
-    c3 = _endo.group_commutator(ns[4], ns[5])
-    ok = ok and (
-        _endo.group_commutator(_endo.group_commutator(c1, c2), c3)
-        == _endo.Endomorphism.identity(ctx)
-    )
-    return ok, ns
+    return law
 
 
 def _law_jacobian_functorial(ctx, seeds, bound):
@@ -305,14 +276,16 @@ def _law_inner_conjugation(ctx, seeds, bound):
 
 
 _LAWS = {
-    "abelian": _law_abelian,
-    "nilpotent2": _law_nilpotent2,
-    "metabelian": _law_metabelian,
-    "class2_by_abelian": _law_class2_by_abelian,
+    "abelian": _word_law("ginn", 2, (0, 1)),
+    "nilpotent2": _word_law("ginn", 3, ((0, 1), 2)),
+    "metabelian": _word_law("ginn", 4, ((0, 1), (2, 3))),
+    "class2_by_abelian": _word_law("normal_scaled", 6, (((0, 1), (2, 3)), (4, 5))),
     "jacobian_functorial": _law_jacobian_functorial,
     "ginn_normal_oracle": _law_ginn_normal_oracle,
     "inner_conjugation": _law_inner_conjugation,
 }
+
+LAW_NAMES = tuple(_LAWS)
 
 
 def check_law(

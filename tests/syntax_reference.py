@@ -32,18 +32,19 @@ _DIGITS = re.compile("[0-9]*")  # str.isdigit also takes other scripts' digits
 
 
 class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "line", "col", "text")
 
-    def __init__(self, kind, value, line, col):
+    def __init__(self, kind, value, line, col, text=None):
         self.kind = kind  # 'int' | 'name' | punctuation | 'end'
         self.value = value
         self.line = line
         self.col = col
+        self.text = text  # a name as written
 
     def describe(self):
         if self.kind == "end":
             return "end of input"
-        return repr(str(self.value))
+        return repr(self.text if self.kind == "name" else str(self.value))
 
 
 def _int(text, line, col):
@@ -83,7 +84,8 @@ def _tokenize(text):
             j = _DIGITS.match(text, i + 1).end()
             if j == i + 1:
                 raise ParseError(line, col, "an index after the letter", repr(ch))
-            tokens.append(_Token("name", (ch, _int(text[i + 1 : j], line, col)), line, col))
+            name = (ch, _int(text[i + 1 : j], line, col))
+            tokens.append(_Token("name", name, line, col, text[i:j]))
             col += j - i
             i = j
             continue

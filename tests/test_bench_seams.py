@@ -10,9 +10,11 @@ through normal.preserves_ideal or that builds a span, a coset
 reduction that inverts, exponentiates or builds a solver per input, a
 composition, inverse or group commutator that goes through apply or the
 bracket (IA maps, linear maps after IA maps, scaled normal maps), an IA
-group commutator that is more than two matrix products and one solve, or
-an IA inverse that is more than one solve.  A Jacobian product is one call
-of arith._impl.mmul and a solve one call of arith._impl.msolve, which
+group commutator that is more than two matrix products and one solve, a
+group commutator of maps that are not IA that makes more than three
+substitutions and one solve, or an IA inverse that is more than one
+solve.  A Jacobian product is one call of arith._impl.mmul and a solve
+one call of arith._impl.msolve, which
 wrappers patched in place see, and neither calls arith._impl.pmul; a map
 built from a Jacobian keeps it, so endo.jacobian reads no images of a
 composite or commutator.  A bracket, and apply on an IA map, build each
@@ -264,6 +266,31 @@ def test_ia_commutator_is_two_mmul_passes_and_one_msolve(monkeypatch):
             "mmul": 2, "msolve": 1, "pmul": 0
         }, (m, c)
         assert endo.jacobian(got) == expected
+
+
+def test_aut_commutator_is_three_substitutions_and_one_msolve(monkeypatch):
+    # sigma_A(J(psi)) and sigma_B(J(phi)) for the two products, and one
+    # sigma_K, K = (BA)^-1, of the solved matrix: no sigma_K of P and Q
+    original = endo._sigma
+    passes = []
+
+    def counting(phi, jac):
+        if not phi.is_ia():
+            passes.append(phi)
+        return original(phi, jac)
+
+    monkeypatch.setattr(endo, "_sigma", counting)
+    msolve = _counting(monkeypatch, "msolve")
+    for m, c in ((2, 3), (3, 4), (4, 4)):
+        ctx = Context(m, c)
+        phi, psi = sample("aut", ctx, "seams-t", 2), sample("aut", ctx, "seams-u", 2)
+        assert not endo.compose(psi, phi).is_ia()  # BA != I
+        expected = endo_ref.group_commutator(phi, psi)
+        passes.clear()
+        msolve.clear()
+        got = endo.group_commutator(phi, psi)
+        assert (len(passes), len(msolve)) == (3, 1), (m, c)
+        assert got == expected
 
 
 def test_ia_invert_is_one_msolve(monkeypatch):

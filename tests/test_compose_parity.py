@@ -1,14 +1,17 @@
 """endo.compose, endo.invert and endo.group_commutator against the
 bracket-based chains they replaced (tests/endo_reference.py).
 
-Every pair composes by the Jacobian chain rule J(phi) @ sigma_A(J(psi)),
-and every commutator is (K psi phi)^-1 (K phi psi) for K = (BA)^-1 from
-the X = D - N X iteration.  Both must give the same map as the chain
-through apply, on dense sampled IA maps, GInn maps, exp_ad maps, sparse
-maps, mixed IA/GInn pairs, linear maps after IA maps with linear parts that
-do not commute, and scaled normal maps, at c <= 3 (no iteration step for
-IA pairs) and above.  compose also takes a left factor with a singular
-linear part, where invert and the commutator raise DomainError.
+Every pair composes by the Jacobian chain rule J(phi) @ sigma_A(J(psi)).
+A commutator c of IA maps is Q^-1 P for P = J(phi psi) and Q = J(psi
+phi); otherwise, for K = (BA)^-1 the inverse of Q's constant part, it is
+J(c) = sigma_K(Y0) with Y0 = (K Q)^-1 K P from one solve.  Both must give
+the same map as the chain through apply, on dense sampled IA maps, GInn
+maps, exp_ad maps, sparse maps, mixed IA/GInn pairs, linear maps after IA
+maps with linear parts that do not commute, sampled automorphisms (kind
+aut, dense with integer linear parts) and scaled normal maps, at c <= 3
+(no iteration step for IA pairs) and above.  compose also takes a left
+factor with a singular linear part, where invert and the commutator raise
+DomainError.
 """
 
 import random
@@ -61,6 +64,7 @@ def pairs(ctx, tag):
     ia = [sample("ia", ctx, f"{tag}-ia-{k}") for k in range(2)]
     ginn = [normal.ginn_to_endo(sample("ginn", ctx, f"{tag}-ginn-{k}")) for k in range(2)]
     inner = [sample("inner", ctx, f"{tag}-inner-{k}") for k in range(2)]
+    aut = [sample("aut", ctx, f"{tag}-aut-{k}") for k in range(2)]
     rnd = random.Random(tag)
     sparse = [sparse_ia(ctx, rnd) for _ in range(2)]
     out = {
@@ -68,6 +72,8 @@ def pairs(ctx, tag):
         "ginn": ginn,
         "inner": inner,
         "sparse": sparse,
+        "aut": aut,
+        "aut-ia": [aut[0], ia[1]],
         "ia-ginn": [ia[0], ginn[1]],
         "ginn-inner": [ginn[0], inner[1]],
         "linear-after-ia": [ref.compose(linear(ctx), ia[0]), ia[1]],
@@ -111,8 +117,11 @@ def test_the_inputs_cover_both_paths():
     kinds = pairs(ctx, "cover")
     for name in ("ia", "ginn", "inner", "sparse", "ia-ginn", "ginn-inner"):
         assert all(phi.is_ia() for phi in kinds[name]), name
-    for name in ("linear-after-ia", "ia-linear", "noncommuting"):
+    for name in ("linear-after-ia", "ia-linear", "noncommuting", "aut-ia"):
         assert not all(phi.is_ia() for phi in kinds[name]), name
+    phi, psi = kinds["aut"]
+    assert not endo.compose(psi, phi).is_ia()  # BA != I
+    assert phi.scalar() is None and psi.scalar() is None
     upper, lower = linear(ctx), linear(ctx, "lower")
     assert ref.compose(upper, lower) != ref.compose(lower, upper)
     phi, psi = pairs(Context(2, 3), "cover")["normal-scaled"]

@@ -251,9 +251,9 @@ def test_generator_commutators_cover_every_head_and_length():
         ("[x1]", 1, 4, "1:4: expected ',' inside a bracket, found ']'"),
         ("[x1,]", 1, 5, "1:5: expected a generator or '[', found ']'"),
         ("[x1,x9]", 1, 5, "1:5: expected a generator index in 1..3, found x9"),
-        ("[x1, x2 x3]", 1, 9, "1:9: expected ']' closing the bracket, found \"('x', 3)\""),
+        ("[x1, x2 x3]", 1, 9, "1:9: expected ']' closing the bracket, found 'x3'"),
         ("[[x1,x2],x3", 1, 12, "1:12: expected ']' closing the bracket, found end of input"),
-        ("[x1,t2]", 1, 5, "1:5: expected a generator 'xN', found \"('t', 2)\""),
+        ("[x1,t2]", 1, 5, "1:5: expected a generator 'xN', found 't2'"),
         ("[x1,x2]]", 1, 8, "1:8: expected end of input, found ']'"),
         ("x1 + [x2,\n x1,x4]", 2, 5, "2:5: expected a generator index in 1..3, found x4"),
     ],

@@ -9,9 +9,14 @@ which dilates the columns of S, must equal the chain-rule composite
 alpha I after ginn_to_endo(g) for negative and fractional alpha; and the
 certificate of the law inputs, which reads one bracket table per call,
 must accept and reject exactly the maps the per-map ginn_apply did,
-among them maps changed in one basis coordinate.
+among them maps changed in one basis coordinate.  The four laws that
+verify states as commutator words must report as the functions that
+wrote them out did (elapsed time aside) and take the same commutators, at every context each
+law is proved for, with the bracket as it is, negated, and negated on the one
+ordered pair (x2, x1).
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +24,7 @@ import verify_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmc import liealg, normal, verify
+from lmc import endo, liealg, normal, verify
 from lmc.errors import UsageError
 from lmc.liealg import BasisForm, Context
 
@@ -140,3 +145,54 @@ def test_certificate_accepts_and_rejects_as_the_per_map_one(data):
     got = verify._agree_with_ginn_apply(gs, maps)
     assert got is ref.agree_with_ginn_apply(gs, maps)
     assert got is (coeff == 0)
+
+
+WORD_LAW_CONTEXTS = [
+    ("abelian", (2, 2)), ("abelian", (3, 2)), ("abelian", (4, 2)),
+    ("nilpotent2", (2, 3)), ("nilpotent2", (3, 3)),
+    ("metabelian", (2, 2)), ("metabelian", (2, 4)), ("metabelian", (3, 4)),
+    ("metabelian", (2, 5)),
+    ("class2_by_abelian", (2, 3)),
+]
+
+
+def _flipped(original, pair_only):
+    def bracket(u, v):
+        w = original(u, v)
+        if pair_only and (u, v) != tuple(liealg.generator(u.ctx, i) for i in (2, 1)):
+            return w
+        return w.scale(-1)
+
+    return bracket
+
+
+@pytest.mark.parametrize("law,mc", WORD_LAW_CONTEXTS)
+@pytest.mark.parametrize("bracket", ["as-is", "negated", "negated-on-(x2,x1)"])
+def test_word_laws_report_as_the_law_functions(monkeypatch, law, mc, bracket):
+    ctx = Context(*mc)
+    if bracket != "as-is":
+        flipped = _flipped(liealg.bracket, bracket != "negated")
+        monkeypatch.setattr(liealg, "bracket", flipped)
+    calls = []  # a wrong word that is also a law would pass on reports alone
+    commutator = endo.group_commutator
+
+    def recording(phi, psi):
+        calls.append((phi, psi))
+        return commutator(phi, psi)
+
+    monkeypatch.setattr(endo, "group_commutator", recording)
+    failed = 0
+    for seed in (1, 2, 3):
+        got = verify.check_law(law, ctx, 3, seed).to_dict()
+        got_calls = Counter(calls)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setitem(verify._LAWS, law, ref.LAWS[law])
+            want = verify.check_law(law, ctx, 3, seed).to_dict()
+        del got["elapsed_seconds"], want["elapsed_seconds"]
+        assert got == want, seed
+        if bracket == "as-is":  # the old class2_by_abelian took c1..c3 before its certificate
+            assert got_calls == Counter(calls), seed
+        calls.clear()
+        failed += got["counterexample"] is not None
+    assert failed == (0 if bracket == "as-is" else 3)

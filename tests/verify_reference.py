@@ -20,12 +20,19 @@ own generator, so these kinds' draws must not change with it.
 to_endo: a scaled normal map as the chain-rule composite of the scalar
 map alpha I after ginn_to_endo(g), where NormalAut.to_endo dilates the
 columns of S in closed form.
+
+LAWS: abelian, nilpotent2, metabelian and class2_by_abelian as the four
+functions they were, each writing out its commutators, with the GInn maps
+certified by certified_ginn_maps and the scaled normal maps through
+with_ginn_endo; lmc.verify states each as a commutator word evaluated by
+one recursion on maps certified by one _certified_maps.  Both certify
+with verify._agree_with_ginn_apply.
 """
 
 import random
 from fractions import Fraction
 
-from lmc import endo, liealg, normal
+from lmc import endo, liealg, normal, verify
 from lmc.arith import TruncPoly, all_monomials
 from lmc.errors import UsageError
 
@@ -147,3 +154,53 @@ def _sample_ia(ctx, rnd, bound):
         w = from_basis(liealg.BasisForm(ctx, (_ZERO,) * ctx.m, comm))
         images.append(liealg.generator(ctx, j) + w)
     return endo.Endomorphism(ctx, tuple(images))
+
+
+def certified_ginn_maps(ctx, seeds, bound, count):
+    gs = [verify.sample("ginn", ctx, seeds(k), bound) for k in range(count)]
+    maps = tuple(normal.ginn_to_endo(g) for g in gs)
+    return maps, verify._agree_with_ginn_apply(gs, maps)
+
+
+def law_abelian(ctx, seeds, bound):
+    (a, b), ok = certified_ginn_maps(ctx, seeds, bound, 2)
+    ok = ok and endo.group_commutator(a, b) == endo.Endomorphism.identity(ctx)
+    return ok, (a, b)
+
+
+def law_nilpotent2(ctx, seeds, bound):
+    (a, b, c), ok = certified_ginn_maps(ctx, seeds, bound, 3)
+    ok = ok and endo.group_commutator(
+        endo.group_commutator(a, b), c
+    ) == endo.Endomorphism.identity(ctx)
+    return ok, (a, b, c)
+
+
+def law_metabelian(ctx, seeds, bound):
+    (a, b, c, d), ok = certified_ginn_maps(ctx, seeds, bound, 4)
+    ok = ok and endo.group_commutator(
+        endo.group_commutator(a, b), endo.group_commutator(c, d)
+    ) == endo.Endomorphism.identity(ctx)
+    return ok, (a, b, c, d)
+
+
+def law_class2_by_abelian(ctx, seeds, bound):
+    auts = [verify.sample("normal_scaled", ctx, seeds(k), bound) for k in range(6)]
+    ginn, ns = zip(*(n.with_ginn_endo() for n in auts))
+    ok = verify._agree_with_ginn_apply([n.g for n in auts], ginn)
+    c1 = endo.group_commutator(ns[0], ns[1])
+    c2 = endo.group_commutator(ns[2], ns[3])
+    c3 = endo.group_commutator(ns[4], ns[5])
+    ok = ok and (
+        endo.group_commutator(endo.group_commutator(c1, c2), c3)
+        == endo.Endomorphism.identity(ctx)
+    )
+    return ok, ns
+
+
+LAWS = {
+    "abelian": law_abelian,
+    "nilpotent2": law_nilpotent2,
+    "metabelian": law_metabelian,
+    "class2_by_abelian": law_class2_by_abelian,
+}
