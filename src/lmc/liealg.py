@@ -570,7 +570,8 @@ def ideal_closure(gens) -> list:
 
 
 def span_of(elements) -> SpanBasis:
+    """Span of the given elements over their integer rows (element_row)."""
     span = SpanBasis()
     for u in elements:
-        span.add(element_vector(u))
+        span.add(element_row(u))
     return span

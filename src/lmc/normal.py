@@ -35,15 +35,22 @@ an ideal; so phi(gens) in I implies phi(I) in I.  An automorphism is
 injective, so then dim phi(I) = dim I and phi(I) = I.  The span of I comes
 from liealg.ideal_span, which uses that the derived algebra is a module:
 for derived w, [w, x_j] = w t_j, a shift of the packed monomial codes, so
-only the generators outside the derived algebra are bracketed.  The
-ideal of one linear element g = sum gamma_j x_j is Q g plus the module N =
-{gamma (h.t) - h s}, s = sum gamma_j t_j, as [g, x_j] has module vector
-gamma t_j - e_j s.  So an automorphism preserves it iff A gamma is a
-multiple of gamma (A the linear part) and, D the module vector of phi(g)
-and gamma_q != 0, s divides every gamma_q D_i - gamma_i D_q: each vanishes
-under t_q -> -(sum_{j != q} gamma_j t_j)/gamma_q.  The condition for one i
-!= q follows from the others and the membership condition of phi(g), so it
-is not tested (see _preserves_linear_ideal).  No span is built.
+only the generators outside the derived algebra are bracketed.
+
+The ideal of one generator g = sum gamma_j x_j + w outside the derived
+algebra (w derived with module vector W) needs no span.  Let U_k = gamma_k
++ W_k be the full coordinates of g and s = sum gamma_j t_j.  [g, x_j] has
+module vector U t_j - e_j s, so (g) = Q g + N with N = {U (h.t) - h s}.
+phi(g) lies in (g) iff A gamma = beta gamma (A the linear part) and D =
+phi(g) - beta g lies in N.  For gamma_q != 0, sigma: t_q -> -(sum_{j != q}
+gamma_j t_j)/gamma_q is graded and onto with kernel (s), and sigma(U_q) has
+constant term gamma_q, so it is a unit.  Hence D is in N iff sigma(U_q)
+sigma(D_k) = sigma(U_k) sigma(D_q) at cap c-1 for every k != q: if D = U
+lambda - h s, then sigma(D) = sigma(U) sigma(lambda).  Conversely, lift mu
+= sigma(D_q)/sigma(U_q) to lambda; then U lambda - D = h s, and t.U = s
+and t.D = 0 at cap c give s lambda = s (h.t), so lambda = h.t.  The
+condition for one k != q follows from the others (see
+_preserves_principal_ideal).  For linear g, sigma(U_k) = gamma_k.
 
 decide_normal implements the case table: the linear part must be a scalar
 alpha; alpha != 1 survives only on L_{m,1}, L_{2,2} and L_{2,3}, and in the
@@ -405,7 +412,9 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     phi(I) in I, and an automorphism is injective, so then phi(I) = I (see
     the module docstring).  A singular linear part falls through to
     comparing the dimension of the span of the images with dim I.  One
-    linear generator on an automorphism is decided in closed form.
+    generator g outside the derived algebra, on an automorphism, is decided
+    in closed form with no span: A gamma = beta gamma, and sigma(U) is
+    proportional to sigma(phi(g) - beta g) (see the module docstring).
     """
     gens = list(gens)
     if any(g.ctx != phi.ctx for g in gens):
@@ -413,8 +422,8 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return True
-    if len(gens) == 1 and all(p.is_zero() for p in gens[0].mod) and phi.is_automorphism():
-        return _preserves_linear_ideal(phi, gens[0])
+    if len(gens) == 1 and not gens[0].in_derived() and phi.is_automorphism():
+        return _preserves_principal_ideal(phi, gens[0])
     span = liealg.ideal_span(gens)
     if any(not span.contains(liealg.element_row(phi.apply(g))) for g in gens):
         return False
@@ -425,19 +434,18 @@ def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:
     return liealg.span_of(phi.apply(w) for w in basis).dim() == span.dim()
 
 
-def _preserves_linear_ideal(phi: "_endo.Endomorphism", g: LieElement) -> bool:
-    """preserves_ideal for an automorphism and one generator g = sum gamma_j
-    x_j, in closed form (see the module docstring).
-
-    Of the conditions E_i = gamma_q sigma(D_i) - gamma_i sigma(D_q) = 0,
-    i != q, with sigma the substitution t_q -> -(sum_{j != q} gamma_j
-    t_j)/gamma_q, the one for p = the first index other than q is skipped:
-    it follows from the others.  sigma kills s and fixes t_p, so applying
-    it to the membership condition sum_i t_i D_i = 0 of phi(g) gives
-    sum_i sigma(t_i) E_i = gamma_q sigma(sum_i t_i D_i) - sigma(D_q)
-    sigma(s) = 0, where E_q = 0; once E_i = 0 for i != p, q this leaves
-    t_p E_p = 0.  D_i has degree at most c-1, so the membership condition
-    holds untruncated at cap c and sigma keeps degrees; t_p E_p = 0 in the
+def _preserves_principal_ideal(phi: "_endo.Endomorphism", g: LieElement) -> bool:
+    """preserves_ideal for an automorphism and one generator g outside the
+    derived algebra, in closed form (see the module docstring for U, D, beta
+    and sigma).  Where W_k = 0, sigma(U_k) = gamma_k and the product by it
+    is a scaling.  Of the conditions E_i = sigma(U_q) sigma(D_i) -
+    sigma(U_i) sigma(D_q) = 0, i != q, the one for p = the first index other
+    than q is skipped: it follows from the others.  sigma kills s and fixes
+    t_p, and the membership conditions sum_i t_i D_i = 0 and sum_i t_i U_i
+    = s give sum_i sigma(t_i) E_i = sigma(U_q) sigma(sum_i t_i D_i) -
+    sigma(D_q) sigma(s) = 0, where E_q = 0; once E_i = 0 for i != p, q this
+    leaves t_p E_p = 0.  D and U have degree at most c-1, so both conditions
+    hold untruncated at cap c and sigma keeps degrees; t_p E_p = 0 in the
     polynomial ring, a domain, so E_p = 0."""
     ctx, m, gamma, u = phi.ctx, phi.ctx.m, g.beta, phi.apply(g)
     q = max(k for k in range(m) if gamma[k])
@@ -447,11 +455,21 @@ def _preserves_linear_ideal(phi: "_endo.Endomorphism", g: LieElement) -> bool:
     rest = [i for i in range(m) if i not in (p, q)]
     if not rest:
         return True
+    cap, beta = ctx.module_cap, u.beta[q] / gamma[q]
     forms = [[_ONE if j == k else _ZERO for j in range(m)] for k in range(m)]
     forms[q] = [_ZERO if j == q else -gamma[j] / gamma[q] for j in range(m)]
-    sub = LinearSubstitution(m, ctx.module_cap, forms)
-    d_q = sub(u.mod[q])
-    return all(sub(u.mod[i]).scale(gamma[q]) == d_q.scale(gamma[i]) for i in rest)
+    sub = LinearSubstitution(m, cap, forms)
+
+    def unit_and_d(k):  # sigma(U_k), a Fraction where W_k = 0, and sigma(D_k)
+        w, d = g.mod[k], sub(u.mod[k])
+        if not w.nums:
+            return gamma[k], d
+        w = sub(w)
+        return w + TruncPoly.const(m, cap, gamma[k]), d - w.scale(beta)
+
+    times = lambda a, b: a * b if isinstance(a, TruncPoly) else b.scale(a)
+    u_q, d_q = unit_and_d(q)
+    return all(times(u_q, d_i) == times(u_i, d_q) for u_i, d_i in map(unit_and_d, rest))
 
 
 def _scaling_witness(ctx: Context) -> list:

@@ -146,5 +146,5 @@ def spans_equal(elems_a, elems_b) -> bool:
     if span_a.dim() != span_b.dim():
         return False
     return all(
-        span_a.contains(liealg.element_vector(w)) for w in elems_b
-    ) and all(span_b.contains(liealg.element_vector(w)) for w in elems_a)
+        span_a.contains(liealg.element_row(w)) for w in elems_b
+    ) and all(span_b.contains(liealg.element_row(w)) for w in elems_a)

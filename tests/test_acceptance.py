@@ -276,3 +276,5 @@ def test_criterion_10_mutation_tripwire(monkeypatch):
         assert not report.ok and report.counterexample is not None
         report = check_law("inner_conjugation", Context(3, 3), trials=100, seed=55)
         assert not report.ok and report.counterexample is not None
+        report = check_law("ginn_normal_oracle", Context(3, 4), trials=20, seed=55)
+        assert not report.ok and report.counterexample is not None

@@ -6,7 +6,9 @@ crashes a traced benchmark run.  Installing the tracer here, around
 recognize_inner and exp_ad calls, one witness search and two pairs of coset
 reductions, turns that crash into a failing test, and so does an exp_ad
 or recognize_inner that brackets, a witness search that no longer goes
-through normal.preserves_ideal or that builds a span, a coset
+through normal.preserves_ideal or that builds a span, a ginn_normal_oracle
+trial whose generator lies outside the derived algebra that builds a
+span, a coset
 reduction that inverts, exponentiates or builds a solver per input, a
 composition, inverse or group commutator that goes through apply or the
 bracket (IA maps, linear maps after IA maps, scaled normal maps), an IA
@@ -114,8 +116,10 @@ def test_tracer_counts_the_witness_search():
 
 
 def test_witness_search_on_an_automorphism_builds_no_span():
-    # every candidate a x_p + x_q is one linear generator, decided in closed
-    # form; an ideal of a non-linear generator still goes through SpanBasis
+    # every candidate a x_p + x_q, and every sampled element of a
+    # ginn_normal_oracle trial at seed 1, is one generator outside the
+    # derived algebra, decided in closed form; an ideal of a derived
+    # generator still goes through SpanBasis
     ctx = Context(3, 4)
     x = [liealg.generator(ctx, i) for i in range(1, 4)]
     phi = endo.Endomorphism(ctx, (x[0] + liealg.bracket(x[1], x[2]), x[1], x[2]))
@@ -124,13 +128,19 @@ def test_witness_search_on_an_automorphism_builds_no_span():
     try:
         verdict = normal.decide_normal(phi, search_witness=True)
         counts = tracer.counts()
-        normal.preserves_ideal(phi, [x[0] + liealg.bracket(x[1], x[0])])
+        report = check_law("ginn_normal_oracle", ctx, 3, 1)
+        oracle = tracer.counts()
+        derived = liealg.bracket(x[1], x[0]) + liealg.bracket_chain(x[2], x[0], x[0])
+        normal.preserves_ideal(phi, [derived])
         spanned = tracer.counts()
     finally:
         tracer.uninstall()
     assert verdict.witness and counts["normal.witness.ideals_tried"] >= 1
     assert counts["linalg.span.add.calls"] == 0
-    assert spanned["linalg.span.add.calls"] > 0
+    calls = lambda before, after, name: after[name] - before[name]
+    assert report.ok and calls(counts, oracle, "normal.preserves_ideal.calls") == 3
+    assert calls(counts, oracle, "linalg.span.add.calls") == 0
+    assert calls(oracle, spanned, "linalg.span.add.calls") > 0
 
 
 def _traced_reductions(ctx, seed):

@@ -10,13 +10,22 @@ results on automorphisms (generalized inner, IA but not generalized inner,
 scalar and non-scalar linear) and on singular endomorphisms, in contexts
 with c = 1 and (m, c) = (2, 2), with fractional generator coefficients.
 
-For an automorphism and one linear generator g = sum gamma_j x_j,
-preserves_ideal decides in closed form and builds no span: A gamma must
-be a multiple of gamma, and s = sum gamma_j t_j must divide gamma_q D_i -
-gamma_i D_q, D the module part of phi(g).  It must agree with the
-reference on the witness candidates a x_p + x_q and on rational gamma with
-three or more nonzero entries, for generalized inner, sampled IA, sparse IA
-but not generalized inner, scaled, linear and linear-after-IA maps.
+For an automorphism and one generator g = sum gamma_j x_j + w outside the
+derived algebra, preserves_ideal decides in closed form and builds no
+span: A gamma must be beta gamma, and under sigma: t_q -> -(sum_{j != q}
+gamma_j t_j)/gamma_q the full coordinates U of g must be proportional to D
+= phi(g) - beta g: sigma(U_q) sigma(D_k) = sigma(U_k) sigma(D_q).
+For linear g it must agree with the reference on the witness candidates a
+x_p + x_q and on rational gamma with three or more nonzero entries, for
+generalized inner, sampled IA, sparse IA but not generalized inner,
+scaled, linear and linear-after-IA maps.  For g with a derived part and
+rational gamma it must agree on generalized inner, IA, sparse IA but not
+generalized inner, sampled automorphisms, scaled generalized inner and
+inner maps, and on maps x_1 -> x_1, x_j -> x_j + a [g, x_k], which
+preserve (g) without being normal; both verdicts must occur on maps that
+are not normal.
+
+span_of spans integer rows (element_row), as ideal_span does.
 
 The reference closure brackets every new basis element with x_1..x_m;
 liealg.ideal_span brackets only the generators and then shifts the keys
@@ -264,6 +273,90 @@ def test_rational_linear_generator_matches_reference(data):
     assert normal.preserves_ideal(phi, [g]) == ref.preserves_ideal(phi, [g])
 
 
+PRINCIPAL_CONTEXTS = [(2, 3), (3, 3), (3, 4), (4, 4), (3, 5)]
+
+
+@lru_cache(maxsize=None)
+def principal_maps(m, c):
+    """Named automorphisms with their decide_normal verdicts.  scaled-ginn
+    is normal on L_{2,3} only among these contexts."""
+    ctx = Context(m, c)
+    tag = f"pr-{m}-{c}"
+    ginn = normal.ginn_to_endo(sample("ginn", ctx, tag))
+    scalar = endo.linear_endo(ctx, [[F(3, 2) if i == k else F(0) for i in range(m)] for k in range(m)])
+    out = {
+        "ginn": ginn,
+        "ia": sample("ia", ctx, tag),
+        "aut": sample("aut", ctx, tag),
+        "scaled-ginn": endo.compose(scalar, ginn),
+        "inner": sample("inner", ctx, tag),
+    }
+    if m >= 3:
+        out["sparse-not-ginn"] = sparse_ia(ctx, random.Random(tag), non_ginn=True)
+    return {name: (phi, normal.decide_normal(phi).normal) for name, phi in out.items()}
+
+
+rationals = st.builds(F, st.integers(-7, 7), st.integers(1, 5))
+
+
+@st.composite
+def principal_generators(draw, ctx):
+    """g = sum gamma_j x_j + w with rational gamma != 0 and a derived w: a
+    rational multiple of a sampled element's derived part, or of one
+    commutator [x_a, x_b, ...] of length 2..c."""
+    m = ctx.m
+    gamma = tuple(draw(rationals) for _ in range(m))
+    if not any(gamma):
+        gamma = (F(draw(st.integers(1, 5))),) + gamma[1:]
+    if draw(st.booleans()):
+        mixed = sample("element", ctx, draw(st.integers(0, 10**6)))
+        w = mixed - liealg.LieElement(ctx, mixed.beta, (ctx.zero_poly(),) * m)
+    else:
+        idx = draw(st.lists(st.integers(1, m), min_size=2, max_size=ctx.c))
+        w = liealg.bracket_chain(*(gen(ctx, i) for i in idx))
+    linear = liealg.LieElement(ctx, gamma, (ctx.zero_poly(),) * m)
+    return linear + w.scale(draw(rationals.filter(bool)))
+
+
+def ideal_fixing_map(data, ctx, g):
+    """x_1 -> x_1, x_j -> x_j + a_j [g, x_k_j] for j >= 2: IA, and the
+    identity modulo (g), so it preserves (g) without being normal."""
+    images = [gen(ctx, 1)]
+    for j in range(2, ctx.m + 1):
+        k = data.draw(st.integers(1, ctx.m))
+        images.append(gen(ctx, j) + liealg.bracket(g, gen(ctx, k)).scale(data.draw(rationals)))
+    return endo.Endomorphism(ctx, tuple(images))
+
+
+def test_principal_ideal_matches_reference():
+    """One generator outside the derived algebra, decided in closed form
+    (the module docstring of lmc.normal), against the reference closure."""
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        m, c = data.draw(st.sampled_from(PRINCIPAL_CONTEXTS))
+        ctx = Context(m, c)
+        g = data.draw(principal_generators(ctx))
+        assert not g.in_derived()
+        named = principal_maps(m, c)
+        name = data.draw(st.sampled_from(sorted(named) + ["fixes-g"]))
+        if name == "fixes-g":
+            phi = ideal_fixing_map(data, ctx, g)
+            is_normal = normal.decide_normal(phi).normal
+        else:
+            phi, is_normal = named[name]
+        got = normal.preserves_ideal(phi, [g])
+        assert got == ref.preserves_ideal(phi, [g]), name
+        assert got or not is_normal, name
+        seen.add((is_normal, got))
+
+    check()
+    # both verdicts occur on maps that are not normal
+    assert {(False, False), (False, True)} <= seen
+
+
 def row_of_vector(ctx, vec):
     """element_vector's keys renamed to element_row's."""
     m = ctx.m
@@ -341,7 +434,7 @@ def test_ideal_closure_is_bracket_closed(m, c):
         for w in basis:
             for j in range(1, m + 1):
                 b = liealg.bracket(w, gen(ctx, j))
-                assert span.contains(liealg.element_vector(b)), iname
+                assert span.contains(liealg.element_row(b)), iname
 
 
 def test_element_vector_values_are_fractions():

@@ -291,4 +291,4 @@ def test_ideal_closure_is_bracket_closed():
     for w in basis:
         for j in range(1, ctx.m + 1):
             b = bracket(w, generator(ctx, j))
-            assert span.contains(liealg.element_vector(b))
+            assert span.contains(liealg.element_row(b))
