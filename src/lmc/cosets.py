@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from . import endo as _endo
 from . import normal
-from .arith import TruncPoly, t_dot
+from .arith import TruncPoly, poly_mac, t_dot
 from .errors import DomainError, ValidationError
 from .liealg import LieElement
 
@@ -77,29 +77,13 @@ class PsiForm:
 
 
 def shape_check(jac: "_endo.JacobianMatrix", shape: str) -> bool:
-    """Exact predicate for the theta / psi / df canonical shapes."""
+    """Exact predicate for the theta / psi / df canonical shapes.  An
+    unknown shape name is a DomainError whatever the matrix."""
+    if shape not in ("theta", "psi", "df"):
+        raise DomainError(f"unknown shape {shape!r}")
     ctx = jac.ctx
     if not jac.satisfies_s_condition():
         return False
-    one = TruncPoly.const(ctx.m, ctx.module_cap, 1)
-    m_rows = [
-        [
-            jac.rows[i][j] - one if i == j else jac.rows[i][j]
-            for j in range(ctx.m)
-        ]
-        for i in range(ctx.m)
-    ]
-    if shape == "theta":
-        if not m_rows[0][0].is_zero():
-            return False
-        for i in range(1, ctx.m):
-            if 1 in m_rows[i][0].support_vars():
-                return False
-        if ctx.m >= 2 and 2 in m_rows[0][1].support_vars():
-            return False
-        # sum_{i>=2} t_i p_i = 0 mod Omega^(c+1): the (1,1) entry vanishes,
-        # so this is the column-1 S-condition, already verified above.
-        return True
     if shape == "psi":
         g = normal.ginn_pattern(jac)
         if g is None:
@@ -110,26 +94,36 @@ def shape_check(jac: "_endo.JacobianMatrix", shape: str) -> bool:
             if not q.depends_only_on(range(i, ctx.m + 1)):
                 return False
         return True
-    if shape == "df":
-        s = m_rows[0][0]
-        if 1 in s.support_vars():
+    # theta and df read only column 1 and entry (1,2) of M = J - I, which
+    # equal those of J except for M[1][1]
+    rows = jac.rows
+    s = rows[0][0] - TruncPoly.const(ctx.m, ctx.module_cap, 1)
+    if shape == "theta":
+        if not s.is_zero():
             return False
-        qs, rs = [ctx.zero_poly()], [ctx.zero_poly()]  # the sums run over i >= 2
-        for i in range(2, ctx.m + 1):
-            q_i, r_i = m_rows[i - 1][0].split_var(1)
-            if not q_i.depends_only_on(range(i, ctx.m + 1)):
+        for i in range(1, ctx.m):
+            if 1 in rows[i][0].support_vars():
                 return False
-            qs.append(q_i)
-            rs.append(r_i)
-        if not (s.with_cap(ctx.c) + t_dot(qs, ctx.c)).is_zero():
+        if 2 in rows[0][1].support_vars():
             return False
-        if not t_dot(rs, ctx.c).is_zero():
-            return False
-        e_t2 = tuple(1 if k == 1 else 0 for k in range(ctx.m))
-        if m_rows[0][1].coeff(e_t2):
-            return False
+        # sum_{i>=2} t_i p_i = 0 mod Omega^(c+1): the (1,1) entry vanishes,
+        # so this is the column-1 S-condition, already verified above.
         return True
-    raise DomainError(f"unknown shape {shape!r}")
+    if 1 in s.support_vars():
+        return False
+    qs, rs = [ctx.zero_poly()], [ctx.zero_poly()]  # the sums run over i >= 2
+    for i in range(2, ctx.m + 1):
+        q_i, r_i = rows[i - 1][0].split_var(1)
+        if not q_i.depends_only_on(range(i, ctx.m + 1)):
+            return False
+        qs.append(q_i)
+        rs.append(r_i)
+    if not (s.with_cap(ctx.c) + t_dot(qs, ctx.c)).is_zero():
+        return False
+    if not t_dot(rs, ctx.c).is_zero():
+        return False
+    e_t2 = tuple(1 if k == 1 else 0 for k in range(ctx.m))
+    return not rows[0][1].coeff(e_t2)
 
 
 def psi_diagnostics(jac: "_endo.JacobianMatrix") -> dict:
@@ -211,10 +205,9 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
             break
         for i, col in entries:
             f_i = f_d[i - 1]
-            moved[(i, col)] = (
-                moved[(i, col)]
-                + (weight - f_i.mul_var(i)) * jac.rows[i - 1][col - 1]
-                - f_i * t_sums[(i, col)]
+            moved[(i, col)] = poly_mac(
+                moved[(i, col)],
+                [(weight - f_i.mul_var(i), jac.rows[i - 1][col - 1]), (-f_i, t_sums[(i, col)])],
             )
 
     g = normal.GInnAut(ctx, tuple(p.with_cap(ctx.param_cap) for p in f))
@@ -224,7 +217,7 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
     if not shape_check(theta_jac, "theta"):
         raise ValidationError("reduction produced a non-theta matrix")  # unreachable
     if _endo.jacobian(psi) != normal.ginn_jacobian(g):
-        raise ValidationError("reduction lost the coset")  # unreachable
+        raise ValidationError("reduction lost the coset")  # a wrong ginn_to_endo
     return ThetaForm(theta, g, theta_jac)
 
 
@@ -271,11 +264,10 @@ def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
 def same_coset(phi: "_endo.Endomorphism", psi: "_endo.Endomorphism", subgroup: str) -> bool:
     """True iff phi and psi differ by an element of the named subgroup
     ('ginn' for the normal IA-automorphisms, 'inn' for the inner ones)."""
+    if subgroup not in ("ginn", "inn"):
+        raise DomainError(f"unknown subgroup {subgroup!r}")
     if not phi.is_ia() or not psi.is_ia():
         raise DomainError("coset tests are defined on IA automorphisms")
     diff = _endo.compose(phi, _endo.invert(psi))
-    if subgroup == "ginn":
-        return normal.recognize_ginn(diff) is not None
-    if subgroup == "inn":
-        return normal.recognize_inner(diff) is not None
-    raise DomainError(f"unknown subgroup {subgroup!r}")
+    recognize = normal.recognize_ginn if subgroup == "ginn" else normal.recognize_inner
+    return recognize(diff) is not None

@@ -11,9 +11,12 @@ the parameter level and cross-checked against the endomorphism level.
 
 Recognition:
   * ginn_pattern matches a Jacobian against the GInn shape (off-diagonal
-    (i,j) equal to -t_j f_i, diagonal sum_{r!=i} t_r f_r) using exact
-    variable division; recognize_ginn and the psi shape predicates of
-    lmc.cosets use it, and recognize_ginn certifies by re-materialization.
+    (i,j) equal to -t_j f_i, diagonal sum_{r!=i} t_r f_r): it reads each
+    f_i once, by exact division of entry (i, j0) by t_j0 for j0 the first
+    index other than i, and the closed-form Jacobian of those parameters
+    must then equal the input, which checks every other entry.
+    recognize_ginn and the psi shape predicates of lmc.cosets use it, and
+    recognize_ginn certifies by re-materialization.
   * inner_params gives exp(ad u) in closed form.  Write u = sum gamma_j x_j
     + w, w derived with module vector W, and s = sum gamma_j t_j.  ad u
     multiplies the derived algebra by s, and sum_j t_j W_j = 0, so exp(ad u)
@@ -173,14 +176,13 @@ def _scaled_ginn_endo(alpha, g: GInnAut, s=None) -> "_endo.Endomorphism":
 
 
 def ginn_compose(a: GInnAut, b: GInnAut) -> "GInnAut":
-    """Parameters of a after b (b applied first): F = f_a + f_b + f_b * sum t_k f_a_k."""
+    """Parameters of a after b (b applied first): F_k = f_a_k + f_b_k (1 +
+    s) with s = sum t_k f_a_k, each one arith.poly_mac."""
     if a.ctx != b.ctx:
         raise ContextMismatch(f"{a.ctx} vs {b.ctx}")
-    s = t_dot(a.f, a.ctx.param_cap)
-    f = tuple(
-        fa + fb + fb * s for fa, fb in zip(a.f, b.f)
-    )
-    return GInnAut(a.ctx, f)
+    ctx = a.ctx
+    unit = t_dot(a.f, ctx.param_cap) + TruncPoly.const(ctx.m, ctx.param_cap, 1)
+    return GInnAut(ctx, tuple(poly_mac(fa, [(fb, unit)]) for fa, fb in zip(a.f, b.f)))
 
 
 def ginn_invert(g: GInnAut) -> "GInnAut":
@@ -229,30 +231,20 @@ def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":
 def ginn_pattern(jac: "_endo.JacobianMatrix"):
     """Parameter vector whose closed-form Jacobian is jac, or None.
 
-    Each off-diagonal entry (i, j) must be divisible by t_j with quotient
-    -f_i independent of j (cap c-2, constants allowed), and the diagonal
-    must reproduce sum_{r != i} t_r f_r.
+    f_i is read once, as -(entry (i, j0)) / t_j0 for j0 the first index
+    other than i (cap c-2, constants allowed); an entry that t_j0 does not
+    divide gives None.  The closed-form Jacobian of f must then equal jac,
+    which checks every other off-diagonal entry and the diagonal.
     """
-    ctx = jac.ctx
     params = []
-    for i in range(1, ctx.m + 1):
-        f_i = None
-        for j in range(1, ctx.m + 1):
-            if j == i:
-                continue
-            q = jac.rows[i - 1][j - 1].divide_var(j)
-            if q is None:
-                return None
-            cand = -q.with_cap(ctx.param_cap)
-            if f_i is None:
-                f_i = cand
-            elif f_i != cand:
-                return None
-        params.append(f_i)
-    g = GInnAut(ctx, tuple(params))
-    if ginn_jacobian(g) != jac:
-        return None
-    return g
+    for i, row in enumerate(jac.rows, start=1):
+        j0 = 2 if i == 1 else 1
+        q = row[j0 - 1].divide_var(j0)
+        if q is None:
+            return None
+        params.append(-q)
+    g = GInnAut(jac.ctx, tuple(params))
+    return g if ginn_jacobian(g) == jac else None
 
 
 def recognize_ginn(phi: "_endo.Endomorphism"):
@@ -285,10 +277,11 @@ def _e_series(cap: int):
 
 
 def _in_s(s: TruncPoly, coeffs) -> TruncPoly:
-    """sum_n coeffs[n] s^n by Horner's rule, at the cap of s."""
+    """sum_n coeffs[n] s^n by Horner's rule, at the cap of s, each step one
+    arith.poly_mac."""
     acc = TruncPoly.const(s.nv, s.cap, coeffs[-1])
     for a in reversed(coeffs[:-1]):
-        acc = acc * s + TruncPoly.const(s.nv, s.cap, a)
+        acc = poly_mac(TruncPoly.const(s.nv, s.cap, a), [(acc, s)])
     return acc
 
 

@@ -21,6 +21,9 @@ wrappers patched in place see, and neither calls arith._impl.pmul; a map
 built from a Jacobian keeps it, so endo.jacobian reads no images of a
 composite or commutator.  A bracket, and apply on an IA map, build each
 module coordinate in one arith._impl.pmac pass: no pmul, padd or psub.
+A polynomial product is one pmac pass (pmul is pmac on one pair), a GInn
+composition makes no pmul call, and recognize_ginn reads each parameter
+off one entry: m calls of TruncPoly.divide_var, not m(m-1).
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
@@ -39,8 +42,10 @@ if str(PERFBENCH) not in sys.path:
 
 import element_reference as element_ref  # noqa: E402
 import endo_reference as endo_ref  # noqa: E402
+import ginn_reference as ginn_ref  # noqa: E402
 import ideal_reference as ref  # noqa: E402
 import inner_reference as inner_ref  # noqa: E402
+import kernel_reference as kernel_ref  # noqa: E402
 from tracer import SPANS, Tracer  # noqa: E402
 
 from lmc import arith, cli, cosets, endo, liealg, normal, syntax  # noqa: E402
@@ -341,6 +346,39 @@ def test_bracket_and_ia_apply_call_no_polynomial_add_or_product(monkeypatch):
     }
     assert calls["pmac"]
     assert got == expected
+
+
+def test_recognize_ginn_divides_one_entry_per_parameter():
+    ctx = Context(4, 5)
+    g = sample("ginn", ctx, "seams-v", 2)
+    phi = normal.ginn_to_endo(g)
+    found = []
+    tracer = _traced(lambda: found.append(normal.recognize_ginn(phi)))
+    assert found == [g]
+    assert tracer.calls["normal.recognize_ginn"] == 1
+    assert tracer.calls["arith.divide_var"] == ctx.m
+
+
+def test_a_product_is_one_pmac_pass(monkeypatch):
+    ctx = Context(3, 4)
+    jac = endo.jacobian(sample("ia", ctx, "seams-w", 2))
+    a, b = jac.rows[0][1], jac.rows[1][0]
+    lim = arith.code_limit(ctx.m, ctx.module_cap)
+    nums = kernel_ref.pmul_codes(a.nums, b.nums, lim)
+    expected = arith.TruncPoly.from_codes(ctx.m, ctx.module_cap, nums, a.den * b.den)
+    pmac = _counting(monkeypatch, "pmac")
+    assert a * b == expected
+    assert len(pmac) == 1
+
+
+def test_ginn_compose_makes_no_pmul_call(monkeypatch):
+    ctx = Context(4, 5)
+    a, b = sample("ginn", ctx, "seams-x", 2), sample("ginn", ctx, "seams-y", 2)
+    expected = ginn_ref.ginn_compose(a, b)
+    pmul, pmac = _counting(monkeypatch, "pmul"), _counting(monkeypatch, "pmac")
+    assert normal.ginn_compose(a, b) == expected
+    assert len(pmul) == 0
+    assert len(pmac) == ctx.m  # one poly_mac per parameter
 
 
 def test_basis_form_text_parses_without_a_bracket_call():

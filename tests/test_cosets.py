@@ -235,3 +235,26 @@ def test_same_coset():
         )
     with pytest.raises(DomainError):
         cosets.same_coset(phi, phi, "center")
+
+
+def test_shape_check_rejects_an_unknown_shape_whatever_the_matrix():
+    # on a matrix that is not IA the name used to be read only after a
+    # test of the matrix that returned False
+    ctx = Context(3, 3)
+    non_ia = endo.jacobian(endo.linear_endo(ctx, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert not any(cosets.shape_check(non_ia, shape) for shape in ("theta", "psi", "df"))
+    ia = endo.jacobian(sample("ia", ctx, "bogus", 2))
+    for jac in (non_ia, ia):
+        with pytest.raises(DomainError, match="unknown shape 'bogus'"):
+            cosets.shape_check(jac, "bogus")
+
+
+def test_same_coset_rejects_an_unknown_subgroup_before_the_ia_check():
+    ctx = Context(3, 3)
+    scaled = endo.linear_endo(ctx, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ia = sample("ia", ctx, "bogus", 2)
+    for phi, psi in ((scaled, ia), (ia, ia)):
+        with pytest.raises(DomainError, match="unknown subgroup 'bogus'"):
+            cosets.same_coset(phi, psi, "bogus")
+    with pytest.raises(DomainError, match="IA automorphisms"):
+        cosets.same_coset(scaled, ia, "ginn")

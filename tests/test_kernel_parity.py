@@ -13,7 +13,7 @@ import kernel_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmc.arith import TruncPoly
+from lmc.arith import TruncPoly, _impl, code_limit
 
 CHECK = settings(max_examples=150, deadline=None, database=None)
 
@@ -72,6 +72,17 @@ def test_ring_operations_match(pair, s):
     assert terms(-pa) == ref.pneg(a)
     assert terms(pa * pb) == ref.pmul(a, b, cap)
     assert terms(pa.scale(s)) == ref.pscale(a, s)
+
+
+@CHECK
+@given(poly_pairs())
+def test_pmul_is_the_old_product_loop(pair):
+    # _impl.pmul is _impl.pmac on one pair; one-term factors included
+    nv, cap, a, b = pair
+    lim = code_limit(nv, cap)
+    for pa, pb in ((a, b), (a, dict(list(b.items())[:1])), (dict(list(a.items())[:1]), b)):
+        na, nb = TruncPoly(nv, cap, pa).nums, TruncPoly(nv, cap, pb).nums
+        assert _impl.pmul(na, nb, lim) == ref.pmul_codes(na, nb, lim)
 
 
 @CHECK
