@@ -214,10 +214,6 @@ def _cmd_aut(args) -> int:
     return EXIT_OK
 
 
-def _element_printer(u):
-    return syntax.print_element(u, "basis")
-
-
 def _cmd_check(args) -> int:
     phi = _load_aut(args.file)
     kind = args.kind
@@ -233,7 +229,7 @@ def _cmd_check(args) -> int:
         payload = {
             "check": "inner",
             "result": u is not None,
-            "generator": None if u is None else _element_printer(u),
+            "generator": None if u is None else syntax.print_element(u),
         }
         negative = u is None
     elif kind == "ginner":
@@ -249,7 +245,7 @@ def _cmd_check(args) -> int:
     else:  # normal
         verdict = normal.decide_normal(phi, search_witness=args.witness)
         payload = {"check": "normal"}
-        payload.update(verdict.to_dict(_element_printer))
+        payload.update(verdict.to_dict(syntax.print_element))
         g = verdict.aut.g if verdict.normal and phi.is_ia() else None
         payload["inner"] = g is not None and normal.inner_generator(g) is not None
         negative = not verdict.normal

@@ -27,12 +27,15 @@ multiplier psi_f with theta = psi_f o phi off M = J(psi_f phi) - I, degree
 by degree: each coefficient of f owns one constrained coefficient of M, so
 nothing is solved.
 
-For reduce_mod_inn_normal no such read exists (inner multipliers enter
-through an exponential), so it follows the explicit variable-splitting
-construction: first strip parameter constants with a linear-generator
-exponential, then for k = 1,...,m-1 strip the t_k-dependence of the
-parameters above index k with exp(ad u_k), u_k = -sum_{i>k} [x_i,x_k]
-(t_k-quotient of f_i).
+reduce_mod_inn_normal first strips the parameter constants gamma with a
+linear-generator exponential, one ginn_compose.  Then for k = 1,...,m-1
+it strips the t_k-dependence of the parameters above index k with exp(ad
+u_k), u_k = -sum_{j>k} [x_j,x_k] fbar_j, fbar_j the t_k-quotient of f_j,
+and that step is a read of the parameters: exp(ad u) has parameters (gamma
++ W) E(s), which for a derived u (gamma = 0, s = 0, E(0) = 1) is its
+module vector W, with sum_k t_k W_k = 0.  ginn_compose(w, f) = w + f (1 +
+sum t_k w_k) is then w + f: each f_j = t_k fbar_j + r_j becomes r_j, and
+f_k gains t_j fbar_j.
 
 Every reduction output is certified: the shape predicate holds, and the
 output lies in the coset of its input.  For theta = psi_f o phi, a
@@ -183,11 +186,10 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
     # t_sums[(i, col)] = sum_{s != i} t_s J[s][col].  With (G J)[i][col] =
     # (sum_{r != i} t_r f_r) J[i][col] - f_i t_sums[(i, col)], the
     # generalized-inner part G of J(psi_f) moves M by G(f) J linearly in f.
-    t_sums = {}
-    for col in (1, 2):
-        dot = t_dot([row[col - 1] for row in jac.rows], cap)
-        for i in range(1, m + 1):
-            t_sums[(i, col)] = dot - jac.rows[i - 1][col - 1].mul_var(i)
+    dots = {col: t_dot([row[col - 1] for row in jac.rows], cap) for col in (1, 2)}
+    t_sums = {
+        (i, col): dots[col] - jac.rows[i - 1][col - 1].mul_var(i) for i, col in entries
+    }
     moved = {
         (i, col): jac.rows[i - 1][col - 1] - one if i == col else jac.rows[i - 1][col - 1]
         for i, col in entries
@@ -227,31 +229,27 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
 def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
     """Canonical psi representative of the inner-automorphism coset through
     the generalized inner automorphism g, per the variable-splitting
-    construction described in the module docstring."""
+    construction described in the module docstring: one ginn_compose
+    strips the constants, and each splitting step moves parameters in
+    place."""
     ctx = g.ctx
     params = g
     gamma = tuple(-p.constant_term() for p in params.f)
     if any(gamma):
         linear = LieElement(ctx, gamma, (ctx.zero_poly(),) * ctx.m)
         params = normal.ginn_compose(normal.inner_params(linear), params)
+    # exp(ad u_k), u_k = -sum_{j>k} [x_j, x_k] fbar_j, is derived, so its
+    # parameters are the module vector w of u_k: w_k = sum_{j>k} t_j fbar_j,
+    # w_j = -t_k fbar_j.  sum t_i w_i = 0, so composing with it adds w.
+    f = list(params.f)
     for k in range(1, ctx.m):
-        fbars = {}
         for j in range(k + 1, ctx.m + 1):
-            fbar, _rest = params.f[j - 1].split_var(k)
-            if not fbar.is_zero():
-                fbars[j] = fbar
-        if not fbars:
-            continue
-        # exp(ad u_k), u_k = -sum_{i>k} [x_i, x_k] fbar_i, acts with
-        # parameters w_k = sum_{i>k} t_i fbar_i, w_i = -t_k fbar_i.
-        w = [TruncPoly.zero(ctx.m, ctx.param_cap) for _ in range(ctx.m)]
-        for i, fbar in fbars.items():
-            w[k - 1] = w[k - 1] + fbar.mul_var(i)
-            w[i - 1] = -fbar.mul_var(k)
-        params = normal.ginn_compose(normal.GInnAut(ctx, tuple(w)), params)
+            fbar, f[j - 1] = f[j - 1].split_var(k)
+            f[k - 1] = f[k - 1] + fbar.mul_var(j)
+    params = normal.GInnAut(ctx, tuple(f))
     jac = normal.ginn_jacobian(params)
     if not shape_check(jac, "psi"):
-        raise ValidationError("reduction produced a non-psi matrix")  # unreachable
+        raise ValidationError("reduction produced a non-psi matrix")  # a broken _ginn_s
     diff = normal.ginn_compose(g, normal.ginn_invert(params))  # g o psi^-1
     if normal.inner_generator(diff) is None:
         raise ValidationError("reduction left the inner coset")  # unreachable

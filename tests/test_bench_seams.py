@@ -23,7 +23,9 @@ composite or commutator.  A bracket, and apply on an IA map, build each
 module coordinate in one arith._impl.pmac pass: no pmul, padd or psub.
 A polynomial product is one pmac pass (pmul is pmac on one pair), a GInn
 composition makes no pmul call, and recognize_ginn reads each parameter
-off one entry: m calls of TruncPoly.divide_var, not m(m-1).
+off one entry: m calls of TruncPoly.divide_var, not m(m-1).  The psi
+reduction composes GInn parameters twice whatever m: once to strip
+constants and once in its certificate.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
@@ -379,6 +381,15 @@ def test_ginn_compose_makes_no_pmul_call(monkeypatch):
     assert normal.ginn_compose(a, b) == expected
     assert len(pmul) == 0
     assert len(pmac) == ctx.m  # one poly_mac per parameter
+
+
+def test_psi_reduction_composes_only_for_constants_and_certificate():
+    for m, c in [(3, 4), (4, 5), (5, 4)]:
+        ctx = Context(m, c)
+        g = sample("ginn", ctx, 1)
+        tracer = _traced(lambda: cosets.reduce_mod_inn_normal(g))
+        # the linear step and g o psi^-1; the splitting steps add parameters
+        assert tracer.calls["normal.ginn_compose"] == 2
 
 
 def test_basis_form_text_parses_without_a_bracket_call():

@@ -158,6 +158,25 @@ def test_reduce_mod_in_certificate_catches_a_wrong_multiplier(monkeypatch):
         cosets.reduce_mod_in(sample("ia", ctx, "cert", 2))
 
 
+def test_reduce_mod_inn_certificate_catches_an_s_condition_break(monkeypatch):
+    # ginn_pattern's certificate compares against ginn_jacobian, which is
+    # built from the same _ginn_s, so only the psi shape's S-condition pass
+    # sees a t1*t2 added to entry (1,1) of S.
+    ctx = Context(3, 4)
+    g = sample("ginn", ctx, "cert", 2)
+    ginn_s = normal._ginn_s
+    t1t2 = TruncPoly.monomial(3, ctx.module_cap, (1, 1, 0))
+
+    def broken(h, unit=0):
+        rows = [list(row) for row in ginn_s(h, unit)]
+        rows[0][0] = rows[0][0] + t1t2
+        return rows
+
+    monkeypatch.setattr(normal, "_ginn_s", broken)
+    with pytest.raises(ValidationError, match="non-psi matrix"):
+        cosets.reduce_mod_inn_normal(g)
+
+
 def test_reduce_mod_inn_certificate_catches_a_wrong_inverse(monkeypatch):
     ctx = Context(3, 4)
     psi0 = ginn(ctx, "0", "t3^2", "t3^2")  # its own psi representative

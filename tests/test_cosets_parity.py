@@ -19,7 +19,7 @@ from lmc import cosets, endo, normal  # noqa: E402
 from lmc.liealg import Context  # noqa: E402
 from lmc.verify import sample  # noqa: E402
 
-CONTEXTS = [(2, 2), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4), (4, 5)]
+CONTEXTS = [(2, 2), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4), (4, 5), (5, 3), (5, 4), (3, 6)]
 
 
 def _form(form):
