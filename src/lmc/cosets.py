@@ -25,7 +25,9 @@ Three Jacobian shapes are recognized:
 reduce_mod_in reads the parameters f of the generalized-inner left
 multiplier psi_f with theta = psi_f o phi off M = J(psi_f phi) - I, degree
 by degree: each coefficient of f owns one constrained coefficient of M, so
-nothing is solved.
+nothing is solved.  With J = I + S the Jacobian of phi, J(psi_f) = (1 + w)
+I - f t^T for w = sum_r t_r f_r, and the S-condition sum_s t_s J[s][col] =
+t_col gives column col of M as M = S + w J - t_col f.
 
 reduce_mod_inn_normal first strips the parameter constants gamma with a
 linear-generator exponential, one ginn_compose.  Then for k = 1,...,m-1
@@ -58,18 +60,10 @@ from .liealg import LieElement
 
 
 @dataclass
-class ThetaForm:
-    """Certified canonical representative of an IA map phi modulo normal IA,
-    theta = psi_g o phi with params = g."""
-
-    endo: "_endo.Endomorphism"
-    params: "normal.GInnAut"
-    jac: "_endo.JacobianMatrix"
-
-
-@dataclass
-class PsiForm:
-    """Certified canonical representative of a normal IA map modulo inner."""
+class CosetForm:
+    """Certified canonical coset representative: theta = psi_g o phi of an
+    IA map phi modulo normal IA, or psi of a normal IA map modulo inner,
+    with its GInn parameters and Jacobian."""
 
     endo: "_endo.Endomorphism"
     params: "normal.GInnAut"
@@ -114,17 +108,14 @@ def shape_check(jac: "_endo.JacobianMatrix", shape: str) -> bool:
         return True
     if 1 in s.support_vars():
         return False
-    qs, rs = [ctx.zero_poly()], [ctx.zero_poly()]  # the sums run over i >= 2
     for i in range(2, ctx.m + 1):
-        q_i, r_i = rows[i - 1][0].split_var(1)
-        if not q_i.depends_only_on(range(i, ctx.m + 1)):
+        if not rows[i - 1][0].split_var(1)[0].depends_only_on(range(i, ctx.m + 1)):
             return False
-        qs.append(q_i)
-        rs.append(r_i)
-    if not (s.with_cap(ctx.c) + t_dot(qs, ctx.c)).is_zero():
-        return False
-    if not t_dot(rs, ctx.c).is_zero():
-        return False
+    # s + sum_{i>=2} t_i q_i = 0 and sum_{i>=2} t_i r_i = 0 mod Omega^(c+1):
+    # column 1's defect, zero above, is t_1 (s + sum t_i q_i) + sum t_i r_i.
+    # s, q_i and r_i are free of t_1, so the two groups share no monomial
+    # and each vanishes at cap c; s + sum t_i q_i has degree <= c-1, so
+    # t_1 times it vanishing at cap c means it vanishes.
     e_t2 = tuple(1 if k == 1 else 0 for k in range(ctx.m))
     return not rows[0][1].coeff(e_t2)
 
@@ -161,56 +152,43 @@ def psi_diagnostics(jac: "_endo.JacobianMatrix") -> dict:
 # -- reduction: IA modulo normal IA (theta) ----------------------------------------
 
 
-def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
+def reduce_mod_in(phi: "_endo.Endomorphism") -> CosetForm:
     """Canonical theta representative psi_f o phi of the coset of normal IA
     maps through phi, with f read off M = J(psi_f phi) - I degree by degree.
 
     Theta asks that M[1][1] vanish, M[i][1] (i >= 2) be free of t_1 and
     M[1][2] be free of t_2; its other conditions hold for every IA map.
-    The degree-d part f_d moves M only in degrees >= d+1, and in degree d+1
-    by -t_1 f_i,d at (i,1), -t_2 f_1,d at (1,2) and sum_{r>=2} t_r f_r,d at
-    (1,1).  So, with the effect of f_0,...,f_{d-1} added to M, f_i,d is the
-    t_1-quotient of the degree-(d+1) part of M[i][1], f_1,d the t_2-quotient
-    of that of M[1][2], and M[1][1] must then cancel in degree d+1.  Theta
-    is a transversal, so it does for every IA map; failure signals corrupt
-    input.
+    Column col of M is S + w J - t_col f (J = I + S the Jacobian of phi, w
+    = sum_r t_r f_r; module docstring), so the degree-d part f_d moves M
+    only in degrees >= d+1, and in degree d+1 by -t_1 f_i,d at (i,1), -t_2
+    f_1,d at (1,2) and sum_{r>=2} t_r f_r,d at (1,1).  So, with the effect
+    of f_0,...,f_{d-1} added to M, f_i,d is the t_1-quotient of the
+    degree-(d+1) part of M[i][1], f_1,d the t_2-quotient of that of
+    M[1][2], and M[1][1] must then cancel in degree d+1.  Theta is a
+    transversal, so it does for every IA map; failure signals corrupt
+    input.  Later steps read degrees >= d+2 only, so the -t_col f_i,d term
+    is dropped and each constrained entry moves by w_d J[i][col] alone.
     """
     if not phi.is_ia():
         raise DomainError("reduce_mod_in expects an IA automorphism")
     ctx = phi.ctx
     m, cap = ctx.m, ctx.module_cap
-    jac = _endo.jacobian(phi)
-    one = TruncPoly.const(m, cap, 1)
-    entries = [(i, 1) for i in range(1, m + 1)] + [(1, 2)]
-
-    # t_sums[(i, col)] = sum_{s != i} t_s J[s][col].  With (G J)[i][col] =
-    # (sum_{r != i} t_r f_r) J[i][col] - f_i t_sums[(i, col)], the
-    # generalized-inner part G of J(psi_f) moves M by G(f) J linearly in f.
-    dots = {col: t_dot([row[col - 1] for row in jac.rows], cap) for col in (1, 2)}
-    t_sums = {
-        (i, col): dots[col] - jac.rows[i - 1][col - 1].mul_var(i) for i, col in entries
-    }
-    moved = {
-        (i, col): jac.rows[i - 1][col - 1] - one if i == col else jac.rows[i - 1][col - 1]
-        for i, col in entries
-    }
+    rows = _endo.jacobian(phi).rows
+    # the constrained entries (1,1), ..., (m,1), (1,2) of J and of M
+    js = [row[0] for row in rows] + [rows[0][1]]
+    moved = [js[0] - TruncPoly.const(m, cap, 1)] + js[1:]
 
     f = [ctx.zero_poly()] * m
     for d in range(ctx.c - 1):
-        f_d = [moved[(1, 2)].graded(d + 1).split_var(2)[0]]
-        f_d += [moved[(i, 1)].graded(d + 1).split_var(1)[0] for i in range(2, m + 1)]
+        f_d = [moved[m].graded(d + 1).split_var(2)[0]]
+        f_d += [p.graded(d + 1).split_var(1)[0] for p in moved[1:m]]
         weight = t_dot(f_d, cap)
-        if not (moved[(1, 1)].graded(d + 1) + weight - f_d[0].mul_var(1)).is_zero():
+        if not (moved[0].graded(d + 1) + weight - f_d[0].mul_var(1)).is_zero():
             raise ValidationError("no theta representative: input is not a valid IA map")
         f = [p + q for p, q in zip(f, f_d)]
         if d == ctx.c - 2:
             break
-        for i, col in entries:
-            f_i = f_d[i - 1]
-            moved[(i, col)] = poly_mac(
-                moved[(i, col)],
-                [(weight - f_i.mul_var(i), jac.rows[i - 1][col - 1]), (-f_i, t_sums[(i, col)])],
-            )
+        moved = [poly_mac(p, [(weight, j)]) for p, j in zip(moved, js)]
 
     g = normal.GInnAut(ctx, tuple(p.with_cap(ctx.param_cap) for p in f))
     psi = normal.ginn_to_endo(g)
@@ -220,13 +198,13 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> ThetaForm:
         raise ValidationError("reduction produced a non-theta matrix")  # unreachable
     if _endo.jacobian(psi) != normal.ginn_jacobian(g):
         raise ValidationError("reduction lost the coset")  # a wrong ginn_to_endo
-    return ThetaForm(theta, g, theta_jac)
+    return CosetForm(theta, g, theta_jac)
 
 
 # -- reduction: normal IA modulo inner (psi) -----------------------------------------
 
 
-def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
+def reduce_mod_inn_normal(g: "normal.GInnAut") -> CosetForm:
     """Canonical psi representative of the inner-automorphism coset through
     the generalized inner automorphism g, per the variable-splitting
     construction described in the module docstring: one ginn_compose
@@ -253,7 +231,7 @@ def reduce_mod_inn_normal(g: "normal.GInnAut") -> PsiForm:
     diff = normal.ginn_compose(g, normal.ginn_invert(params))  # g o psi^-1
     if normal.inner_generator(diff) is None:
         raise ValidationError("reduction left the inner coset")  # unreachable
-    return PsiForm(normal.ginn_to_endo(params), params, jac)
+    return CosetForm(normal.ginn_to_endo(params), params, jac)
 
 
 # -- coset equality ---------------------------------------------------------------

@@ -340,6 +340,12 @@ def recognize_inner(phi: "_endo.Endomorphism"):
 # -- normality ---------------------------------------------------------------------
 
 
+def scalars_are_normal(ctx: Context) -> bool:
+    """True iff a scalar linear map alpha I, alpha != 1, is normal on
+    L_{m,c}: for c = 1 and on L_{2,2} and L_{2,3}."""
+    return ctx.c == 1 or (ctx.m, ctx.c) in ((2, 2), (2, 3))
+
+
 @dataclass
 class NormalAut:
     """Scalar alpha paired with a generalized inner automorphism."""
@@ -352,11 +358,7 @@ class NormalAut:
         if not self.alpha:
             raise ValidationError("alpha must be nonzero")
         ctx = self.g.ctx
-        if (
-            self.alpha != 1
-            and ctx.c >= 2
-            and (ctx.m, ctx.c) not in ((2, 2), (2, 3))
-        ):
+        if self.alpha != 1 and not scalars_are_normal(ctx):
             raise ValidationError(
                 f"alpha != 1 is not normal on L_{{{ctx.m},{ctx.c}}}"
             )
@@ -532,8 +534,7 @@ def decide_normal(phi: "_endo.Endomorphism", search_witness: bool = False) -> No
         )
     if ctx.c == 1:
         return NormalityVerdict(True, NormalAut(alpha, GInnAut.identity(ctx)))
-    exceptional = (ctx.m, ctx.c) in ((2, 2), (2, 3))
-    if alpha != 1 and not exceptional:
+    if alpha != 1 and not scalars_are_normal(ctx):
         return NormalityVerdict(
             False,
             witness=_scaling_witness(ctx),

@@ -119,7 +119,7 @@ def sample(kind: str, ctx: Context, seed, coeff_bound: int = 3):
     if kind == "aut":
         return _sample_aut(ctx, rnd, coeff_bound)
     if kind == "normal_scaled":
-        if ctx.c >= 2 and (ctx.m, ctx.c) not in ((2, 2), (2, 3)):
+        if not normal.scalars_are_normal(ctx):
             raise UsageError(
                 f"scaled normal automorphisms do not exist on L_{{{ctx.m},{ctx.c}}}"
             )

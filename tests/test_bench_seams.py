@@ -25,7 +25,9 @@ A polynomial product is one pmac pass (pmul is pmac on one pair), a GInn
 composition makes no pmul call, and recognize_ginn reads each parameter
 off one entry: m calls of TruncPoly.divide_var, not m(m-1).  The psi
 reduction composes GInn parameters twice whatever m: once to strip
-constants and once in its certificate.
+constants and once in its certificate.  The theta reduction moves each
+constrained entry by one poly_mac pair per step, and the df shape makes
+one t_dot call per column, those of the S-condition.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
@@ -42,6 +44,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import cosets_reference as cosets_ref  # noqa: E402
 import element_reference as element_ref  # noqa: E402
 import endo_reference as endo_ref  # noqa: E402
 import ginn_reference as ginn_ref  # noqa: E402
@@ -390,6 +393,41 @@ def test_psi_reduction_composes_only_for_constants_and_certificate():
         tracer = _traced(lambda: cosets.reduce_mod_inn_normal(g))
         # the linear step and g o psi^-1; the splitting steps add parameters
         assert tracer.calls["normal.ginn_compose"] == 2
+
+
+def test_theta_update_is_one_poly_mac_pair_per_entry(monkeypatch):
+    # the S-condition reduces each move of M[i][col] to w_d J[i][col]
+    ctx = Context(4, 5)
+    phi = sample("ia", ctx, "seams-z", 2)
+    expected = cosets_ref.graded_reduce_mod_in(phi)
+    original, pairs = cosets.poly_mac, []
+
+    def counting(base, terms):
+        pairs.append(len(terms))
+        return original(base, terms)
+
+    monkeypatch.setattr(cosets, "poly_mac", counting)
+    got = cosets.reduce_mod_in(phi)
+    assert pairs == [1] * ((ctx.c - 2) * (ctx.m + 1))
+    assert (got.endo, got.params) == (expected.endo, expected.params)
+
+
+def test_df_shape_makes_only_the_s_condition_t_dots(monkeypatch):
+    ctx = Context(4, 5)
+    jac = cosets.reduce_mod_inn_normal(sample("ginn", ctx, "seams-z", 2)).jac
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (endo, cosets):
+        monkeypatch.setattr(module, "t_dot", counting(module.t_dot))
+    assert cosets.shape_check(jac, "df")
+    assert len(calls) == ctx.m  # one column defect per column
 
 
 def test_basis_form_text_parses_without_a_bracket_call():

@@ -7,8 +7,9 @@ off-diagonal entry.  Both must return equal parameters, or both None, on
 GInn Jacobians, on sampled IA Jacobians, and on GInn Jacobians perturbed
 in an off-diagonal entry (i, j) other than the one read (by a term t_j
 divides) or in a diagonal entry.  normal.ginn_compose, normal._in_s and
-the arith.poly_mac form of the multiplier update of cosets.reduce_mod_in
-must give the numerators and denominators of the TruncPoly chains.
+arith.poly_mac on the two pairs of the multiplier update of
+cosets_reference.graded_reduce_mod_in must give the numerators and
+denominators of the TruncPoly chains.
 """
 
 from fractions import Fraction as F
@@ -107,8 +108,9 @@ def test_in_s_matches_the_chain(mc, seed, data):
 @CHECK
 @given(st.sampled_from(CONTEXTS), st.integers(0, 10**6), st.integers(1, 2), st.data())
 def test_theta_multiplier_update_matches_the_chain(mc, seed, col, data):
-    # cosets.reduce_mod_in moves M[i][col] by (weight - t_i f_i) J[i][col]
-    # - f_i t_sums[(i, col)], on polynomials at the module cap
+    # cosets_reference.graded_reduce_mod_in moves M[i][col] by (weight -
+    # t_i f_i) J[i][col] - f_i t_sums[(i, col)], on polynomials at the
+    # module cap (cosets.reduce_mod_in moves it by weight J[i][col] alone)
     ctx = Context(*mc)
     m, cap = ctx.m, ctx.module_cap
     jac = endo.jacobian(sample("ia", ctx, seed, 3))
