@@ -2,16 +2,13 @@
 endomorphism-level certificates, kept as the oracle for lmc.cosets.
 
 reduce_mod_in solves one affine system over every parameter unknown with
-a fresh SparseSolver and certifies its output by recognizing
-phi o theta^-1 in GInn; reduce_mod_inn_normal certifies by recognizing
-g o psi^-1 as inner.  Both return the same forms as lmc.cosets.
+a fresh SparseSolver, raises ValidationError when that system has no
+solution, and certifies its output by recognizing phi o theta^-1 in
+GInn; reduce_mod_inn_normal certifies by recognizing g o psi^-1 as
+inner.  Both return the same forms as lmc.cosets.
 
-graded_reduce_mod_in is the degree-by-degree read of lmc.cosets before
-the S-condition shortened its multiplier update: each constrained entry
-moves by (w - t_i f_i) J[i][col] - f_i sum_{s != i} t_s J[s][col], with
-the column sums built by t_dot.  df_shape is the df predicate before the
-same argument dropped its two t_dot sums: it builds s + sum t_i q_i and
-sum t_i r_i and asks both to vanish.
+df_shape is the df predicate before the S-condition dropped its two t_dot
+sums: it builds s + sum t_i q_i and sum t_i r_i and asks both to vanish.
 """
 
 from fractions import Fraction
@@ -21,7 +18,7 @@ from kernel_reference import t_dot
 
 from lmc import endo as _endo
 from lmc import normal
-from lmc.arith import TruncPoly, all_monomials, poly_mac
+from lmc.arith import TruncPoly, all_monomials
 from lmc.cosets import CosetForm, shape_check
 from lmc.errors import DomainError, ValidationError
 from lmc.liealg import LieElement
@@ -103,52 +100,6 @@ def reduce_mod_in(phi):
     if not shape_check(theta_jac, "theta"):
         raise ValidationError("reduction produced a non-theta matrix")
     if normal.recognize_ginn(_endo.compose(phi, _endo.invert(theta))) is None:
-        raise ValidationError("reduction lost the coset")
-    return CosetForm(theta, g, theta_jac)
-
-
-def graded_reduce_mod_in(phi):
-    if not phi.is_ia():
-        raise DomainError("reduce_mod_in expects an IA automorphism")
-    ctx = phi.ctx
-    m, cap = ctx.m, ctx.module_cap
-    jac = _endo.jacobian(phi)
-    one = TruncPoly.const(m, cap, 1)
-    entries = [(i, 1) for i in range(1, m + 1)] + [(1, 2)]
-
-    dots = {col: t_dot([row[col - 1] for row in jac.rows], cap) for col in (1, 2)}
-    t_sums = {
-        (i, col): dots[col] - jac.rows[i - 1][col - 1].mul_var(i) for i, col in entries
-    }
-    moved = {
-        (i, col): jac.rows[i - 1][col - 1] - one if i == col else jac.rows[i - 1][col - 1]
-        for i, col in entries
-    }
-
-    f = [ctx.zero_poly()] * m
-    for d in range(ctx.c - 1):
-        f_d = [moved[(1, 2)].graded(d + 1).split_var(2)[0]]
-        f_d += [moved[(i, 1)].graded(d + 1).split_var(1)[0] for i in range(2, m + 1)]
-        weight = t_dot(f_d, cap)
-        if not (moved[(1, 1)].graded(d + 1) + weight - f_d[0].mul_var(1)).is_zero():
-            raise ValidationError("no theta representative: input is not a valid IA map")
-        f = [p + q for p, q in zip(f, f_d)]
-        if d == ctx.c - 2:
-            break
-        for i, col in entries:
-            f_i = f_d[i - 1]
-            moved[(i, col)] = poly_mac(
-                moved[(i, col)],
-                [(weight - f_i.mul_var(i), jac.rows[i - 1][col - 1]), (-f_i, t_sums[(i, col)])],
-            )
-
-    g = normal.GInnAut(ctx, tuple(p.with_cap(ctx.param_cap) for p in f))
-    psi = normal.ginn_to_endo(g)
-    theta = _endo.compose(psi, phi)
-    theta_jac = _endo.jacobian(theta)
-    if not shape_check(theta_jac, "theta"):
-        raise ValidationError("reduction produced a non-theta matrix")
-    if _endo.jacobian(psi) != normal.ginn_jacobian(g):
         raise ValidationError("reduction lost the coset")
     return CosetForm(theta, g, theta_jac)
 

@@ -4,11 +4,9 @@ one pass: the reference for tests/test_ginn_parity.py.
 ginn_pattern divides every off-diagonal entry (i, j) by t_j and asks all
 the quotients of row i to agree before its closed-form certificate, where
 normal.ginn_pattern reads each f_i off one entry and lets the certificate
-check the rest.  ginn_compose, in_s (the Horner sum of normal._in_s) and
-mac_chain (the two-pair multiplier update of the graded theta read kept
-in tests/cosets_reference.py) build each sum of products as a chain of
-TruncPoly products and sums, one wrapped temporary per operation, where
-lmc calls arith.poly_mac once.
+check the rest.  ginn_compose and in_s (the Horner sum of normal._in_s)
+build each sum of products as a chain of TruncPoly products and sums, one
+wrapped temporary per operation, where lmc calls arith.poly_mac once.
 """
 
 from lmc.arith import TruncPoly, t_dot
@@ -56,9 +54,3 @@ def in_s(s, coeffs):
         acc = acc * s + TruncPoly.const(s.nv, s.cap, a)
     return acc
 
-
-def mac_chain(base, pairs):
-    """base + sum p * q, one product and one sum per pair."""
-    for p, q in pairs:
-        base = base + p * q
-    return base

@@ -10,8 +10,9 @@ left-normed basis columns with liealg._basis_solver.  The tokenizer
 built one _Token, with its line and column, per token in a per-character
 loop, and _generator_chain scanned those tokens again for a bracket of
 bare generators; lmc.syntax now scans the text with one regex into
-(kind, value, offset) tuples, and they are the oracle of
-tests/test_scanner_parity.py.
+(kind, value, offset) tuples.  tests/test_syntax_parity.py checks every
+text it generates once against this module: the same value, or the same
+error with its type, message, line and column.
 """
 
 import re

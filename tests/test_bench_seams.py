@@ -399,7 +399,7 @@ def test_theta_update_is_one_poly_mac_pair_per_entry(monkeypatch):
     # the S-condition reduces each move of M[i][col] to w_d J[i][col]
     ctx = Context(4, 5)
     phi = sample("ia", ctx, "seams-z", 2)
-    expected = cosets_ref.graded_reduce_mod_in(phi)
+    expected = cosets_ref.reduce_mod_in(phi)
     original, pairs = cosets.poly_mac, []
 
     def counting(base, terms):

@@ -2,11 +2,11 @@
 the reference reductions in tests/cosets_reference.py: the same theta and
 psi representatives, Jacobians and parameters on sampled and sparse maps.
 
-The S-condition shortened two sums, which the oracles still build.
-reduce_mod_in moves each constrained entry by w_d J[i][col] alone, and
-must give the forms of graded_reduce_mod_in, which also adds the
--f_i sum_s t_s J[s][col] term, on sampled, sparse, inner and GInn maps;
-on IA maps with one module term bumped out of the algebra both must raise
+reduce_mod_in reads the theta multiplier degree by degree, each
+constrained entry moved by w_d J[i][col] alone, where the oracle solves
+one system over every parameter unknown.  Both must give the same forms
+on sampled, sparse, inner and GInn maps drawn by hypothesis, and on IA
+maps with one module term bumped out of the algebra both must raise
 ValidationError.  The df shape reads no sum of t_i q_i or t_i r_i, and
 must give df_shape's verdict on the Jacobians of sampled maps, on theta
 and psi outputs, and on psi Jacobians perturbed in one entry or in a pair
@@ -89,13 +89,13 @@ def _ia_map(ctx, kind, seed):
 
 @CHECK
 @given(st.sampled_from(S_CONTEXTS), st.sampled_from(MAP_KINDS), st.integers(0, 10**6))
-def test_reduce_mod_in_matches_the_summed_update(mc, kind, seed):
+def test_reduce_mod_in_matches_the_full_solve(mc, kind, seed):
     phi = _ia_map(Context(*mc), kind, seed)
-    assert _form(cosets.reduce_mod_in(phi)) == _form(ref.graded_reduce_mod_in(phi))
+    assert _form(cosets.reduce_mod_in(phi)) == _form(ref.reduce_mod_in(phi))
 
 
 @pytest.mark.parametrize("m,c", [(2, 3), (3, 3), (3, 4), (4, 4), (2, 5)])
-def test_reduce_mod_in_rejects_a_map_outside_the_algebra_as_the_summed_update(
+def test_reduce_mod_in_rejects_a_map_outside_the_algebra_as_the_full_solve(
     monkeypatch, m, c
 ):
     # one module term of one image bumped: sum_k t_k p_k no longer vanishes
@@ -113,7 +113,7 @@ def test_reduce_mod_in_rejects_a_map_outside_the_algebra_as_the_summed_update(
         images[j] = liealg.LieElement(ctx, image.beta, mod)
         bad = endo.Endomorphism(ctx, tuple(images))
         assert bad.is_ia()
-        for reduce in (cosets.reduce_mod_in, ref.graded_reduce_mod_in):
+        for reduce in (cosets.reduce_mod_in, ref.reduce_mod_in):
             with pytest.raises(ValidationError):
                 reduce(bad)
 

@@ -6,10 +6,8 @@ rest by the closed-form Jacobian; the reference divides every
 off-diagonal entry.  Both must return equal parameters, or both None, on
 GInn Jacobians, on sampled IA Jacobians, and on GInn Jacobians perturbed
 in an off-diagonal entry (i, j) other than the one read (by a term t_j
-divides) or in a diagonal entry.  normal.ginn_compose, normal._in_s and
-arith.poly_mac on the two pairs of the multiplier update of
-cosets_reference.graded_reduce_mod_in must give the numerators and
-denominators of the TruncPoly chains.
+divides) or in a diagonal entry.  normal.ginn_compose and normal._in_s
+must give the numerators and denominators of the TruncPoly chains.
 """
 
 from fractions import Fraction as F
@@ -20,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmc import endo, normal
-from lmc.arith import TruncPoly, all_monomials, poly_mac, t_dot
+from lmc.arith import TruncPoly, all_monomials, t_dot
 from lmc.liealg import Context
 from lmc.verify import sample
 
@@ -29,7 +27,6 @@ CONTEXTS = [(2, 2), (2, 3), (3, 1), (3, 3), (3, 4), (4, 4)]
 KINDS = ("ginn", "ia", "off_diagonal", "diagonal")
 
 fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
-nonzero = fractions.filter(bool)
 
 
 def _same(got, want):
@@ -102,23 +99,4 @@ def test_in_s_matches_the_chain(mc, seed, data):
     s = t_dot(sample("ginn", ctx, seed, 3).f, ctx.param_cap)
     coeffs = data.draw(st.lists(fractions, min_size=1, max_size=ctx.param_cap + 2))
     got, want = normal._in_s(s, coeffs), ref.in_s(s, coeffs)
-    assert (got.cap, got.nums, got.den) == (want.cap, want.nums, want.den)
-
-
-@CHECK
-@given(st.sampled_from(CONTEXTS), st.integers(0, 10**6), st.integers(1, 2), st.data())
-def test_theta_multiplier_update_matches_the_chain(mc, seed, col, data):
-    # cosets_reference.graded_reduce_mod_in moves M[i][col] by (weight -
-    # t_i f_i) J[i][col] - f_i t_sums[(i, col)], on polynomials at the
-    # module cap (cosets.reduce_mod_in moves it by weight J[i][col] alone)
-    ctx = Context(*mc)
-    m, cap = ctx.m, ctx.module_cap
-    jac = endo.jacobian(sample("ia", ctx, seed, 3))
-    i = data.draw(st.integers(1, m))
-    f = [p.with_cap(cap).scale(data.draw(nonzero)) for p in sample("ginn", ctx, seed, 3).f]
-    weight = t_dot(f, cap)
-    t_sum = t_dot([row[col - 1] for row in jac.rows], cap) - jac.rows[i - 1][col - 1].mul_var(i)
-    base = jac.rows[i - 1][col - 1]
-    pairs = [(weight - f[i - 1].mul_var(i), jac.rows[i - 1][col - 1]), (-f[i - 1], t_sum)]
-    got, want = poly_mac(base, pairs), ref.mac_chain(base, pairs)
     assert (got.cap, got.nums, got.den) == (want.cap, want.nums, want.den)

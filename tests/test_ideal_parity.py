@@ -21,9 +21,11 @@ generalized inner, sampled IA, sparse IA but not generalized inner,
 scaled, linear and linear-after-IA maps.  For g with a derived part and
 rational gamma it must agree on generalized inner, IA, sparse IA but not
 generalized inner, sampled automorphisms, scaled generalized inner and
-inner maps, and on maps x_1 -> x_1, x_j -> x_j + a [g, x_k], which
-preserve (g) without being normal; both verdicts must occur on maps that
-are not normal.
+inner maps, on maps x_1 -> x_1, x_j -> x_j + a [g, x_k], which
+preserve (g) without being normal, and on maps x_i -> x_i + a [x_p, x_q];
+both verdicts must occur on maps that are not normal.  At (4,3), x_1 ->
+x_1 + [x_2, x_4] preserves neither (x_1), (x_1 + [x_3, x_2]) nor (x_1 +
+x_2), which only the last of the closed form's m-2 conditions tells.
 
 span_of spans integer rows (element_row), as ideal_span does.
 
@@ -328,6 +330,15 @@ def ideal_fixing_map(data, ctx, g):
     return endo.Endomorphism(ctx, tuple(images))
 
 
+def bracket_shift_map(data, ctx):
+    """x_i -> x_i + a [x_p, x_q], the other generators fixed: IA."""
+    i, p, q = (data.draw(st.integers(1, ctx.m)) for _ in range(3))
+    images = [gen(ctx, j) for j in range(1, ctx.m + 1)]
+    shift = liealg.bracket(gen(ctx, p), gen(ctx, q)).scale(data.draw(rationals.filter(bool)))
+    images[i - 1] = images[i - 1] + shift
+    return endo.Endomorphism(ctx, tuple(images))
+
+
 def test_principal_ideal_matches_reference():
     """One generator outside the derived algebra, decided in closed form
     (the module docstring of lmc.normal), against the reference closure."""
@@ -341,9 +352,9 @@ def test_principal_ideal_matches_reference():
         g = data.draw(principal_generators(ctx))
         assert not g.in_derived()
         named = principal_maps(m, c)
-        name = data.draw(st.sampled_from(sorted(named) + ["fixes-g"]))
-        if name == "fixes-g":
-            phi = ideal_fixing_map(data, ctx, g)
+        name = data.draw(st.sampled_from(sorted(named) + ["fixes-g", "bracket-shift"]))
+        if name in ("fixes-g", "bracket-shift"):
+            phi = ideal_fixing_map(data, ctx, g) if name == "fixes-g" else bracket_shift_map(data, ctx)
             is_normal = normal.decide_normal(phi).normal
         else:
             phi, is_normal = named[name]
@@ -355,6 +366,18 @@ def test_principal_ideal_matches_reference():
     check()
     # both verdicts occur on maps that are not normal
     assert {(False, False), (False, True)} <= seen
+
+
+def test_principal_ideal_sees_every_condition():
+    # at m = 4 the closed form checks two conditions; for these g the
+    # first one it checks holds, and only the second tells that
+    # x1 -> x1 + [x2,x4] moves (g) out of itself
+    ctx = Context(4, 3)
+    x = [gen(ctx, i) for i in range(1, 5)]
+    phi = endo.Endomorphism(ctx, (x[0] + liealg.bracket(x[1], x[3]), *x[1:]))
+    for g in (x[0], x[0] + liealg.bracket(x[2], x[1]), x[0] + x[1]):
+        assert not normal.preserves_ideal(phi, [g])
+        assert not ref.preserves_ideal(phi, [g])
 
 
 def row_of_vector(ctx, vec):

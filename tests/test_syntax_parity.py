@@ -1,16 +1,29 @@
 """The text paths of lmc against the versions they replaced.
 
-tests/syntax_reference.py keeps the parser that added one LieElement (or
-one TruncPoly) per term to a running sum, the printer that sorted Fraction
-items(), and to_basis by one sparse solve per degree.  lmc.syntax now sums
-the terms of a text into coefficients keyed by code and wraps once,
-arith.poly_str reads the codes, and liealg.to_basis reads each coordinate
-off the leading term of its tuple.  Each must give the same element,
-polynomial, text, coordinates, and the same error (type and message,
-ParseError line and column included) on any input.
+tests/syntax_reference.py keeps the per-character tokenizer, which built
+one token with its line and column per character run and scanned those
+tokens again for a bracket of bare generators; the parser that added one
+LieElement (or one TruncPoly) per term to a running sum; the printer that
+sorted Fraction items(); and to_basis by one sparse solve per degree.
+lmc.syntax scans text once, by one regex, into (kind, value, offset)
+tuples, reads a bracket of bare generators as one 'chain' token, works
+out a line and column only when it raises, and sums the terms of a text
+into coefficients keyed by code, wrapped once; arith.poly_str reads the
+codes, and liealg.to_basis reads each coordinate off the leading term of
+its tuple.  Each must give the same element, polynomial, text,
+coordinates, or the same error (type and message, ParseError line and
+column included), on any input.
+
+The generated texts mix well-formed sums with the pieces where the two
+could part: every whitespace character but '\\n' is one column; a letter
+is any character with str.isalpha(), so 'ß' is one and '½' and '٣' are
+not; a number or index past the integer-string limit fails at its first
+character, inside a chain too; a chain reads as '[' in messages and
+counts towards MAX_NESTING; an out-of-range chain index fails at its 'x'.
 """
 
 import contextlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -48,39 +61,78 @@ def invariants_off():
         liealg.CHECK_INVARIANTS = saved
 
 
-# -- element text -------------------------------------------------------------------
+# -- text pieces ------------------------------------------------------------------
+
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+SPACES = ["", "", " ", "\n", "\r", "\t", "\x0b", "\x0c", "\r\n", " ", " \n  "]
+ODD = ["ß", "ß2", "½", "٣", "$", "x0", "x" + LONG, LONG, "[x2,x" + LONG + "]", "[x1,\tx9]", "[x1]", "x"]
+
+
+def deep(k):
+    """k brackets nested on the left, a generator chain innermost."""
+    return "[" * (k - 1) + "[x2,x1]" + ",x1]" * (k - 1)
+
+
+# degree >= 300 in x2 and x1: zero, or the nesting error, at every context
+DEEP = [deep(k) for k in (syntax.MAX_NESTING - 1, syntax.MAX_NESTING, syntax.MAX_NESTING + 1)]
 
 NUMBERS = st.one_of(
     st.integers(0, 12),
     st.integers(0, 10**30),
     st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda q: f"{q[0]}/{q[1]}"),
 )
+space = st.sampled_from(SPACES)
+odd = st.sampled_from(ODD + DEEP)
+
+
+def rarely(wild, strategy, otherwise):
+    """otherwise, or in a wild text a draw of strategy one time in eight."""
+    if not wild:
+        return otherwise
+    return st.integers(0, 7).flatmap(lambda k: otherwise if k else strategy)
 
 
 @st.composite
-def element_text(draw, m, c, depth=2):
-    """A sum of terms: zero, negative and fractional coefficients, bare
-    generators, generator chains (repeated heads, longer than c) and, while
-    depth lasts, brackets of nested sums."""
-    n = draw(st.integers(1, 5))
+def chains(draw, m, longest, wild):
+    """'[xa, xb, ...]' of 2..longest generators split by any whitespace,
+    with repeated heads and, in a wild text, x0 or x(m+1) now and then."""
+    idx = draw(st.lists(st.integers(1, m), min_size=2, max_size=longest))
+    if draw(st.booleans()):
+        idx[1] = idx[0]
+    if draw(rarely(wild, st.just(True), st.just(False))):
+        idx[draw(st.integers(0, len(idx) - 1))] = draw(st.sampled_from([0, m + 1]))
+    body = ",".join(f"{draw(space)}x{i}{draw(space)}" for i in idx)
+    return f"[{draw(space)}{body}]"
+
+
+# -- element text -------------------------------------------------------------------
+
+
+@st.composite
+def element_text(draw, m, c, wild=None, depth=2):
+    """A sum of terms, any whitespace around signs and atoms: zero,
+    negative and fractional coefficients; bare generators, generator
+    chains (repeated heads, up to 5 or c+2 long) and, while depth lasts,
+    brackets of nested sums.  Half the texts are wild: there, now and
+    then, a coefficient has a zero denominator or too many digits, an atom
+    is an ODD or DEEP piece, and a bracket holds one argument."""
+    if wild is None:
+        wild = draw(st.booleans())
+    gen = st.integers(1, m).map(lambda i: f"x{i}")
     out = []
-    for k in range(n):
+    for k in range(draw(st.integers(1, 5))):
         sign = draw(st.sampled_from(["", "-"] if k == 0 else ["+", "-"]))
-        coeff = draw(st.one_of(st.just(""), NUMBERS.map(lambda q: f"{q}*")))
-        gen = st.integers(1, m).map(lambda i: f"x{i}")
-        kinds = ["gen", "chain"] + (["nested"] if depth else [])
-        kind = draw(st.sampled_from(kinds))
-        if kind == "gen":
-            atom = draw(gen)
-        elif kind == "chain":
-            atom = "[" + ",".join(draw(st.lists(gen, min_size=2, max_size=c + 2))) + "]"
-        else:
-            args = draw(
-                st.lists(st.one_of(element_text(m, c, depth - 1), gen), min_size=2, max_size=3)
-            )
-            atom = "[" + ", ".join(args) + "]"
-        out.append(f"{sign} {coeff}{atom}" if k else f"{sign}{coeff}{atom}")
-    return " ".join(out)
+        number = rarely(wild, st.sampled_from(["7/0", LONG]), NUMBERS.map(str))
+        coeff = draw(st.one_of(st.just(""), number.map(lambda q: f"{q}*")))
+        kinds = [gen, chains(m, max(5, c + 2), wild)]
+        if depth:
+            arg = st.one_of(element_text(m, c, wild, depth - 1), gen)
+            n_args = rarely(wild, st.just(1), st.integers(2, 3))
+            nested = n_args.flatmap(lambda n: st.lists(arg, min_size=n, max_size=n))
+            kinds.append(nested.map(lambda args: "[" + ", ".join(args) + "]"))
+        atom = draw(rarely(wild, odd, st.one_of(*kinds)))
+        out.append(f"{draw(space)}{sign}{draw(space)}{coeff}{atom}{draw(space)}")
+    return "".join(out)
 
 
 @CHECK
@@ -88,8 +140,8 @@ def element_text(draw, m, c, depth=2):
 def test_parse_element_matches_reference(data, mc):
     ctx = Context(*mc)
     text = data.draw(st.one_of(st.just("0"), element_text(ctx.m, ctx.c)))
-    got, want = syntax.parse_element(ctx, text), ref.parse_element(ctx, text)
-    assert got == want, text
+    got = outcome(syntax.parse_element, ctx, text)
+    assert got == outcome(ref.parse_element, ctx, text), repr(text)
 
 
 ELEMENT_TOKENS = [
@@ -121,31 +173,31 @@ def test_nesting_limit_and_long_numbers_raise_the_reference_error():
 
 @st.composite
 def poly_text(draw, nv):
-    n = draw(st.integers(1, 5))
+    """A sum of products, any whitespace around signs and terms, of
+    numbers and of variables with or without an exponent.  Half the texts
+    are wild: there, now and then, a number has a zero denominator or too
+    many digits, a variable is t0 or t(nv+1) or lacks its exponent after
+    '^', and a factor is a generator chain or an ODD or DEEP piece."""
+    wild = draw(st.booleans())
+    index = rarely(wild, st.sampled_from([0, nv + 1]), st.integers(1, nv))
+    exponent = st.one_of(st.just(""), st.integers(0, 4).map(lambda k: f"^{k}"))
+    variable = st.tuples(index, rarely(wild, st.just("^"), exponent)).map(lambda v: f"t{v[0]}{v[1]}")
+    number = rarely(wild, st.sampled_from(["5/0", LONG]), NUMBERS.map(str))
+    factor = rarely(wild, st.one_of(chains(nv, 5, wild), odd), st.one_of(number, variable))
     out = []
-    for k in range(n):
-        sign = draw(st.sampled_from(["", "-"] if k == 0 else [" + ", " - "]))
-        factors = draw(
-            st.lists(
-                st.one_of(
-                    NUMBERS.map(str),
-                    st.tuples(st.integers(1, nv), st.integers(0, 4)).map(
-                        lambda v: f"t{v[0]}" if v[1] == 1 else f"t{v[0]}^{v[1]}"
-                    ),
-                ),
-                min_size=1,
-                max_size=4,
-            )
-        )
-        out.append(sign + "*".join(factors))
-    return "".join(out)
+    for k in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["", "-"] if k == 0 else ["+", "-"]))
+        factors = draw(st.lists(factor, min_size=1, max_size=4))
+        out.append(draw(space) + sign + draw(space) + "*".join(factors))
+    return draw(space).join(out)
 
 
 @CHECK
 @given(st.data(), st.integers(1, 4), st.integers(0, 5))
 def test_parse_poly_matches_reference(data, nv, cap):
     text = data.draw(poly_text(nv))
-    assert syntax.parse_poly(text, nv, cap) == ref.parse_poly(text, nv, cap), text
+    got = outcome(syntax.parse_poly, text, nv, cap)
+    assert got == outcome(ref.parse_poly, text, nv, cap), repr(text)
 
 
 POLY_TOKENS = [
@@ -166,6 +218,45 @@ def test_parse_poly_checks_nv_and_cap_after_the_tokens_and_before_the_terms():
         got = outcome(syntax.parse_poly, text, nv, cap)
         assert got == outcome(ref.parse_poly, text, nv, cap)
         assert got[0] == "error"
+
+
+# -- pieces after whitespace ------------------------------------------------------
+
+# A DEEP text parses to zero, x1 or an error at an offset, whatever the
+# context, so one context runs them.
+PIECE_CASES = [(mc, piece) for mc in [(2, 2), (3, 2), (3, 3), (4, 4)] for piece in ODD]
+PIECE_CASES += [((2, 2), piece) for piece in DEEP]
+
+
+@pytest.mark.parametrize(
+    "mc,piece",
+    PIECE_CASES,
+    ids=[f"{m}{c}-" + (p if len(p) < 12 else f"{p[:5]}...({len(p)} chars)") for (m, c), p in PIECE_CASES],
+)
+def test_each_piece_matches_the_reference_after_any_whitespace(mc, piece):
+    ctx = Context(*mc)
+    for pad in SPACES:
+        for text in (piece, f"x1 +{pad}{piece}", f"{pad}-{piece}{pad}*x2", f"t1{pad}*{piece}"):
+            got = outcome(syntax.parse_element, ctx, text)
+            assert got == outcome(ref.parse_element, ctx, text), repr(text)
+            args = (text, ctx.m, ctx.module_cap)
+            assert outcome(syntax.parse_poly, *args) == outcome(ref.parse_poly, *args)
+
+
+def test_the_pieces_reach_both_outcomes():
+    ctx = Context(3, 3)
+    results = {piece: outcome(syntax.parse_element, ctx, f"x1\n + {piece}") for piece in ODD + DEEP}
+    assert results[DEEP[0]][0] == results[DEEP[1]][0] == "ok"
+    assert results[DEEP[2]][2:] == (
+        "2:304: expected at most 300 nested brackets, found '['", (2, 304)
+    )
+    assert results["ß"][2] == "2:4: expected an index after the letter, found 'ß'"
+    assert results["½"][2] == "2:4: expected a token, found '½'"
+    assert results["x0"][2] == "2:4: expected a generator index in 1..3, found x0"
+    assert results["[x1,\tx9]"][2] == "2:9: expected a generator index in 1..3, found x9"
+    assert results["[x2,x" + LONG + "]"][2:] == (
+        f"2:8: expected a shorter number, found {len(LONG)} digits", (2, 8)
+    )
 
 
 # -- printing -------------------------------------------------------------------------
