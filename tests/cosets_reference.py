@@ -2,7 +2,7 @@
 endomorphism-level certificates, kept as the oracle for lmc.cosets.
 
 reduce_mod_in solves one affine system over every parameter unknown with
-a fresh SparseSolver, raises ValidationError when that system has no
+a fresh Fraction SparseSolver (tests/linalg_reference.py), raises ValidationError when that system has no
 solution, and certifies its output by recognizing phi o theta^-1 in
 GInn; reduce_mod_inn_normal certifies by recognizing g o psi^-1 as
 inner.  Both return the same forms as lmc.cosets.
@@ -15,6 +15,7 @@ from fractions import Fraction
 from operator import add
 
 from kernel_reference import t_dot
+from linalg_reference import SparseSolver
 
 from lmc import endo as _endo
 from lmc import normal
@@ -22,7 +23,6 @@ from lmc.arith import TruncPoly, all_monomials
 from lmc.cosets import CosetForm, shape_check
 from lmc.errors import DomainError, ValidationError
 from lmc.liealg import LieElement
-from lmc.linalg import SparseSolver
 
 _ZERO = Fraction(0)
 

@@ -1,12 +1,14 @@
 """The bracket and the ideal-preservation test that lmc replaced: the
-reference for tests/test_ideal_parity.py.
+reference for tests/test_ideal_parity.py, and the bracket reference of
+tests/test_element_parity.py and tests/endo_reference.apply.
 
 bracket builds both linear forms through the tuple-keyed TruncPoly
 constructor and multiplies every coordinate by both.  preserves_ideal
 applies phi to every vector of the ideal's linear basis and compares the
 span of the images with the ideal; its closure brackets with this module's
-bracket and spans over the Fraction reference solver
-(tests/linalg_reference.py), so it shares neither with the code it checks.
+bracket and spans the Fraction coordinates of vector over the Fraction
+reference solver (tests/linalg_reference.py), so it shares neither with
+the code it checks.
 
 ideal_span is liealg.ideal_span before it tried each shift of a seed row
 once: it shifts every row that enlarged the span by every t_j, so a row
@@ -48,10 +50,20 @@ def bracket(u: LieElement, v: LieElement) -> LieElement:
     return LieElement(ctx, (_ZERO,) * ctx.m, mod)
 
 
+def vector(u: LieElement) -> dict:
+    """The Fraction coordinates of u: key (0, i, ()) for beta_i and (1, i, e)
+    for the term t^e of module coordinate i."""
+    vec = {(0, i, ()): b for i, b in enumerate(u.beta, start=1) if b}
+    for i, p in enumerate(u.mod, start=1):
+        for e, c in p.items():
+            vec[(1, i, e)] = c
+    return vec
+
+
 def _span_of(elements) -> SpanBasis:
     span = SpanBasis()
     for u in elements:
-        span.add(liealg.element_vector(u))
+        span.add(vector(u))
     return span
 
 
@@ -63,14 +75,14 @@ def ideal_closure(gens) -> list:
     basis = []
     queue = []
     for g in gens:
-        if span.add(liealg.element_vector(g)):
+        if span.add(vector(g)):
             basis.append(g)
             queue.append(g)
     while queue:
         w = queue.pop()
         for xj in xs:
             b = bracket(w, xj)
-            if not b.is_zero() and span.add(liealg.element_vector(b)):
+            if not b.is_zero() and span.add(vector(b)):
                 basis.append(b)
                 queue.append(b)
     return basis
@@ -86,7 +98,7 @@ def preserves_ideal(phi, gens) -> bool:
     basis = ideal_closure([g for g in gens if not g.is_zero()])
     span = _span_of(basis)
     images = [phi.apply(w) for w in basis]
-    if any(not span.contains(liealg.element_vector(w)) for w in images):
+    if any(not span.contains(vector(w)) for w in images):
         return False
     return _span_of(images).dim() == span.dim()
 

@@ -6,21 +6,24 @@ exp_ad sums 1 + ad u + ... + ad^(c-1) u/(c-1)! on every generator, one
 bracket per term, where endo.exp_ad materializes normal.inner_params.
 In recognize_inner the lowest nonvanishing graded part of the residual
 exp_ad(-u) phi - id determines the next graded piece of u by an exact
-linear solve against the ad-images of the basis of that degree; the
-residual is recomputed by a full composition every round.  Neither shares
-a step with the closed form of normal.inner_params.  ginn_invert cancels
+linear solve, on the Fraction solver of tests/linalg_reference.py,
+against the ad-images of the basis of that degree; the residual is
+recomputed by a full composition every round.  Neither shares a step
+with the closed form of normal.inner_params.  ginn_invert cancels
 the lowest graded part of the running parameters one degree at a time
 through normal.ginn_compose, where normal.ginn_invert sums the geometric
 series in closed form.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+
+from linalg_reference import SparseSolver
 
 from lmc import endo as _endo
 from lmc import liealg
 from lmc.errors import DomainError
 from lmc.liealg import Context, LieElement
-from lmc.linalg import SparseSolver
 from lmc.normal import GInnAut, ginn_compose
 
 _ZERO = Fraction(0)
@@ -44,14 +47,11 @@ def exp_ad(u: LieElement) -> "_endo.Endomorphism":
     return _endo.Endomorphism(ctx, tuple(images))
 
 
+@lru_cache(maxsize=None)
 def _ad_solver(ctx: Context, d: int) -> SparseSolver:
     """Columns: coordinates of ([x_1, v],...,[x_m, v]) for v running over the
     degree-d basis.  Keys (i, k, exps) address the module coordinate k of
     the bracket with x_i."""
-    key = ("ad_solver", ctx, d)
-    cached = _AD_SOLVERS.get(key)
-    if cached is not None:
-        return cached
     cols = []
     basis = liealg.enumerate_basis(ctx, d)
     for tup in basis:
@@ -66,12 +66,7 @@ def _ad_solver(ctx: Context, d: int) -> SparseSolver:
                 for e, cc in w.mod[k - 1].items():
                     col[(i, k, e)] = cc
         cols.append(col)
-    solver = SparseSolver(cols)
-    _AD_SOLVERS[key] = solver
-    return solver
-
-
-_AD_SOLVERS: dict = {}
+    return SparseSolver(cols)
 
 
 def recognize_inner(phi: "_endo.Endomorphism"):

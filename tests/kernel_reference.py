@@ -10,8 +10,8 @@ integer kernel; test_kernel_parity.py checks TruncPoly against it.
 
 t_dot is the TruncPoly-level sum that arith.t_dot replaced with one pass
 over packed codes: one with_cap, mul_var and addition per polynomial.
-pmul_codes is the product loop over numerator maps that arith._impl.pmul
-ran beside _impl.pmac before it became pmac on one pair.
+pmul is the product oracle of every packed product path, arith._impl.pmac
+with its one-term shift included.
 """
 
 from fractions import Fraction
@@ -135,20 +135,3 @@ def t_dot(polys, cap: int) -> TruncPoly:
         acc = term if acc is None else acc + term
     return acc
 
-
-def pmul_codes(a, b, lim):
-    """Product of two numerator maps {code: nonzero int} with every code >=
-    lim discarded, summed in full before the zeros are dropped."""
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        ((ea, ca),) = a.items()
-        return {ea + e: ca * c for e, c in b.items() if ea + e < lim}
-    out = {}
-    get = out.get
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e < lim:
-                out[e] = get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}

@@ -37,6 +37,9 @@ COPIED = ("src", "tests", "perfbench")
 GOLDEN = "tests/golden/test_golden.py::test_cli_corpus_replays_byte_identically"
 SYNTAX = "tests/test_syntax_parity.py::"
 COSETS = "tests/test_cosets_parity.py::"
+ELEMENT = "tests/test_element_parity.py::"
+SOLVE = "tests/test_solve_parity.py::"
+COMPOSE = "tests/test_compose_parity.py::"
 
 MUTANTS = [
     # -- maps, decisions and laws --------------------------------------------------
@@ -89,20 +92,75 @@ MUTANTS = [
         "    return True or all(\n        normal.ginn_sum(",
         ["tests/test_acceptance.py::test_criterion_10_mutation_tripwire"],
     ),
+    (
+        "apply of a map that is not IA skips the substitution",
+        "src/lmc/endo.py",
+        "if not ia:",
+        "if False:",
+        [
+            "tests/test_apply_parity.py::test_apply_matches_basis_expansion",
+            ELEMENT + "test_apply_matches_reference",
+            ELEMENT + "test_apply_takes_both_substitution_paths",
+        ],
+    ),
+    (
+        "the inverse E series has its sign flipped",
+        "src/lmc/normal.py",
+        "inv.append(-sum(",
+        "inv.append(sum(",
+        ["tests/test_inner_parity.py::test_recognize_inner_matches_reference"],
+    ),
+    # -- element layer -----------------------------------------------------------------
+    (
+        "bracket drops the constants of the generator coordinates",
+        "src/lmc/liealg.py",
+        "            if b:\n                pairs.append(({0: b.numerator}",
+        "            if False:\n                pairs.append(({0: b.numerator}",
+        [ELEMENT + "test_bracket_matches_reference", "tests/test_ideal_parity.py::test_bracket_matches_reference"],
+    ),
+    (
+        "to_basis reads each coordinate without its denominator factor",
+        "src/lmc/liealg.py",
+        "comm[tup] = Fraction(n * f, den)",
+        "comm[tup] = Fraction(n, den)",
+        [SYNTAX + "test_to_basis_matches_reference_on_every_sample_kind"],
+    ),
+    # -- matrix kernel -----------------------------------------------------------------
+    (
+        "msolve adds N Y where it subtracts it",
+        "src/lmc/arith.py",
+        "acc[x] = get(x, 0) - nn * nz",
+        "acc[x] = get(x, 0) + nn * nz",
+        [SOLVE + "test_neumann_inverse_matches_the_sum_of_powers", COMPOSE + "test_neumann_inverse_matches_the_sum_of_powers"],
+    ),
+    (
+        "mmul leaves the packed rows unsorted",
+        "src/lmc/arith.py",
+        "terms.sort()",
+        "pass",
+        ["tests/test_matrix_kernel_parity.py::test_product_matches_the_entrywise_product"],
+    ),
+    (
+        "the IA commutator solves with AB and BA swapped",
+        "src/lmc/arith.py",
+        "_solved(_impl.mmul(nb, na, lim), _impl.mmul(na, nb, lim),",
+        "_solved(_impl.mmul(na, nb, lim), _impl.mmul(nb, na, lim),",
+        [SOLVE + "test_group_commutator_matches_the_apply_chain", COMPOSE + "test_compose_and_commutator_match_the_apply_chain"],
+    ),
     # -- polynomial kernel -----------------------------------------------------------
     (
         "pmac's one-term shift ignores the cap",
         "src/lmc/arith.py",
         "out = {ea + eb: ca * cb for ea, ca in a.items() if ea < room}",
         "out = {ea + eb: ca * cb for ea, ca in a.items()}",
-        [GOLDEN],
+        [GOLDEN, "tests/test_kernel_parity.py::test_ring_operations_match"],
     ),
     (
         "poly_mac drops every pair after the first",
         "src/lmc/arith.py",
         "    for p, q in pairs:\n        p, q = (p, q) if",
         "    for p, q in pairs[:1]:\n        p, q = (p, q) if",
-        ["tests/test_element_parity.py::test_apply_takes_both_substitution_paths[2-2]"],
+        [ELEMENT + "test_apply_takes_both_substitution_paths[2-2]"],
     ),
     # -- coset reductions --------------------------------------------------------------
     (
@@ -117,7 +175,10 @@ MUTANTS = [
         "src/lmc/cosets.py",
         "if not (moved[0].graded(d + 1)",
         "if False and not (moved[0].graded(d + 1)",
-        ["tests/test_cosets.py::test_reduce_mod_in_rejects_an_image_outside_the_algebra[2-3]"],
+        [
+            "tests/test_cosets.py::test_reduce_mod_in_rejects_an_image_outside_the_algebra[2-3]",
+            COSETS + "test_reduce_mod_in_rejects_a_map_outside_the_algebra_as_the_full_solve",
+        ],
     ),
     (
         "theta reads f_1 off M[1][2] by t_1",

@@ -6,7 +6,10 @@ sum, a generator chain through commutator, which this module keeps;
 parse_poly builds one TruncPoly per term and adds it likewise.  poly_str
 sorts the Fraction items() of a polynomial by monomial_sort_key, kept here.
 to_basis solves each degree of the module coordinates against the
-left-normed basis columns with liealg._basis_solver.  The tokenizer
+left-normed basis columns with the Fraction solver of
+tests/linalg_reference.py, where liealg.to_basis reads each coordinate
+off its leading term; it raises lmc's messages, and it is the to_basis
+reference of tests/endo_reference.apply as well.  The tokenizer
 built one _Token, with its line and column, per token in a per-character
 loop, and _generator_chain scanned those tokens again for a bracket of
 bare generators; lmc.syntax now scans the text with one regex into
@@ -17,6 +20,9 @@ error with its type, message, line and column.
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+
+from linalg_reference import SparseSolver
 
 from lmc import liealg
 from lmc.arith import FIELD_BITS, TruncPoly, format_rational, signed_sum
@@ -339,6 +345,17 @@ def poly_str(p: TruncPoly) -> str:
 # -- basis coordinates -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _basis_solver(m: int, k: int) -> SparseSolver:
+    """The degree-k left-normed basis tuples as columns {(i1 - 1, code1): 1,
+    (i2 - 1, code2): -1} (liealg._tuple_codes), over the Fraction solver."""
+    cols = []
+    for tup in liealg._tuples(m, k):
+        i1, code1, i2, code2 = liealg._tuple_codes(m, tup)
+        cols.append({(i1, code1): 1, (i2, code2): -1})
+    return SparseSolver(cols)
+
+
 def to_basis(u: LieElement) -> BasisForm:
     """Unique left-normed basis coordinates, one sparse solve per degree."""
     ctx = u.ctx
@@ -351,7 +368,7 @@ def to_basis(u: LieElement) -> BasisForm:
     for k, rhs in by_degree.items():
         if k < 2 or k > ctx.c:
             raise ValidationError(f"module carries an impossible degree {k}")
-        coeffs = liealg._basis_solver(ctx, k).solve(rhs)
+        coeffs = _basis_solver(ctx.m, k).solve(rhs)
         if coeffs is None:
             raise ValidationError(
                 "element is not in the embedded algebra (membership violated)"

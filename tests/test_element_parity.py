@@ -1,14 +1,17 @@
 """The element layer's one integer pass per module coordinate against the
-TruncPoly chains it replaced (tests/element_reference.py).
+references it replaced.
 
-liealg.bracket, Endomorphism.apply, normal.ginn_sum and
-endo._from_jacobian must give the element the reference gives, compared
-with == and also numerator map by numerator map and denominator by
-denominator, with Fraction linear coordinates and a tuple of module
-coordinates, since LieElement._clean takes them as they come.  Inputs
-have fractional linear parts and fractional module denominators; they
-are derived (no linear part), one-term (a multiple of one generator) or
-dense, on contexts with c = 1 and c = 2 among others.  apply runs on IA
+liealg.bracket against tests/ideal_reference.bracket, which multiplies
+every coordinate by both linear forms; Endomorphism.apply against the
+basis expansion of tests/endo_reference.apply; normal.ginn_sum and
+endo._from_jacobian against the TruncPoly chains of
+tests/element_reference.py.  Each must give the element the reference
+gives, compared with == and also numerator map by numerator map and
+denominator by denominator, with Fraction linear coordinates and a tuple
+of module coordinates, since LieElement._clean takes them as they come.
+Inputs have fractional linear parts and fractional module denominators;
+they are derived (no linear part), one-term (a multiple of one generator)
+or dense, on contexts with c = 1 and c = 2 among others.  apply runs on IA
 maps and on maps that are not IA: a scalar linear part (the dilation
 path of Endomorphism._substituted), a non-scalar one
 (arith.LinearSubstitution) and sampled `aut` maps.
@@ -20,6 +23,8 @@ on, as tests/conftest.py sets it, and runs no t_dot when it is off.
 from fractions import Fraction as F
 
 import element_reference as ref
+import endo_reference
+import ideal_reference
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -94,7 +99,7 @@ def test_bracket_matches_reference(data):
     ctx = data.draw(contexts)
     u, v = data.draw(elements(ctx)), data.draw(elements(ctx))
     for a, b in ((u, v), (v, u), (u, u)):
-        assert_same(liealg.bracket(a, b), ref.bracket(a, b))
+        assert_same(liealg.bracket(a, b), ideal_reference.bracket(a, b))
 
 
 @pytest.mark.parametrize("m,c", CONTEXTS)
@@ -107,13 +112,13 @@ def test_bracket_matches_reference_on_fixed_shapes(m, c):
     cases = [(dense, xi) for xi in x] + [(xi, dense) for xi in x]
     cases += [(dense, dense), (w, w), (w, dense), (half_x, w), (dense, half_x), (x[0], x[1])]
     for u, v in cases:
-        assert_same(liealg.bracket(u, v), ref.bracket(u, v))
+        assert_same(liealg.bracket(u, v), ideal_reference.bracket(u, v))
     assert liealg.bracket(w, w).is_zero() and liealg.bracket(dense, dense).is_zero()
 
 
 @settings(max_examples=120, deadline=None, database=None)
 @given(st.data())
-def test_apply_matches_summation_reference(data):
+def test_apply_matches_reference(data):
     ctx = data.draw(contexts)
     kind = data.draw(st.sampled_from(["ia", "dilation", "substitution", "aut"]))
     if kind == "aut":  # its linear part may be scalar, or even I
@@ -122,7 +127,7 @@ def test_apply_matches_summation_reference(data):
         phi = data.draw(maps(ctx, kind))
         assert phi.is_ia() == (kind == "ia")
     u = data.draw(elements(ctx))
-    assert_same(phi.apply(u), ref.apply(phi, u))
+    assert_same(phi.apply(u), endo_reference.apply(phi, u))
     if kind != "aut" and "subs" in phi._cache:  # a map that is not IA read a derived part
         assert isinstance(phi._cache["subs"], LinearSubstitution) == (kind != "dilation")
 
@@ -136,7 +141,7 @@ def test_apply_takes_both_substitution_paths(m, c):
     shear = [[F(1) if i == k else F(1, 2) if i == k + 1 else F(0) for i in range(m)] for k in range(m)]
     for a, path in ((scalar, "dilation"), (shear, "substitution")):
         phi = endo.compose(endo.linear_endo(ctx, a), ia)
-        assert_same(phi.apply(u), ref.apply(phi, u))
+        assert_same(phi.apply(u), endo_reference.apply(phi, u))
         assert isinstance(phi._cache["subs"], LinearSubstitution) == (path == "substitution")
 
 

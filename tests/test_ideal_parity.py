@@ -410,7 +410,7 @@ def test_ideal_span_matches_reference_closure(m, c):
         got = liealg.ideal_closure(gens)
         assert len(got) == len(expected), iname
         ref_span = ref._span_of(expected)
-        assert all(ref_span.contains(liealg.element_vector(w)) for w in got), iname
+        assert all(ref_span.contains(ref.vector(w)) for w in got), iname
 
 
 def test_ideal_span_tries_each_shift_once_and_keeps_the_rows(monkeypatch):

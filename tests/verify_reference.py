@@ -71,13 +71,16 @@ def from_basis(b):
 
 
 def ginn_apply(g, u):
-    """psi(u) = u + sum_j [u, x_j] f_j, one bracket per nonzero f_j."""
+    """psi(u) = u + sum_j [u, x_j] f_j, one bracket per nonzero f_j, its
+    module coordinates times f_j."""
+    ctx = g.ctx
     acc = u
-    for j in range(1, g.ctx.m + 1):
+    for j in range(1, ctx.m + 1):
         if g.f[j - 1].is_zero():
             continue
-        w = liealg.bracket(u, liealg.generator(g.ctx, j))
-        acc = acc + liealg.ad_polynomial_action(w, g.f[j - 1])
+        w = liealg.bracket(u, liealg.generator(ctx, j))
+        f = g.f[j - 1].with_cap(ctx.module_cap)
+        acc = acc + liealg.LieElement(ctx, w.beta, tuple(p * f for p in w.mod))
     return acc
 
 
