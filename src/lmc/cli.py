@@ -13,7 +13,10 @@ value is a usage error.  One '--' before a subcommand name is dropped, so
 The arguments of every subcommand are one table, SUBCOMMANDS: a command
 line of the plain shape _read_argv knows is read from it directly, and
 argparse, built from the same table, reads every form that reader
-declines and gives every help text and error message.
+declines and gives every help text and error message.  One output rule,
+in _print: each handler gives its JSON payload and, where it has one, its
+text rendering; JSON prints the payload on one line, and text prints the
+rendering, or the payload indented by 2 where there is none.
 """
 
 from __future__ import annotations
@@ -105,13 +108,6 @@ def _load_aut(path: str):
     return syntax.parse_automorphism(_read_file(path), check_context=_check_size)
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload))
-    else:
-        print(json.dumps(payload, indent=2))
-
-
 def _env_format():
     """LMC_FORMAT, or None when it is unset or empty; any value but text
     and json is a usage error."""
@@ -121,8 +117,22 @@ def _env_format():
     return value or None
 
 
-def _format(args, default: str) -> str:
-    return args.format or _env_format() or default
+def _print(args, default: str, payload, text=None) -> None:
+    """Print a subcommand's output by the one output rule (module
+    docstring) in the format --format, else LMC_FORMAT, else default.
+    payload is the JSON value, or a function of the format that gives the
+    whole output; text, where given, makes the text rendering."""
+    fmt = args.format or _env_format() or default
+    if callable(payload):
+        print(payload(fmt))
+    elif fmt == "text" and text is not None:
+        print(text())
+    else:
+        print(json.dumps(payload, indent=2 if fmt == "text" else None))
+
+
+def _jacobian_rows(jac):
+    return [[syntax.print_poly(p) for p in row] for row in jac.rows]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -133,11 +143,8 @@ def _cmd_eval(args) -> int:
     u = syntax.parse_element(ctx, args.expr)
     basis = syntax.print_element(u, "basis")
     wreath = syntax.print_element(u, "wreath")
-    if _format(args, "text") == "text":
-        print(f"basis:  {basis}")
-        print(f"wreath: {wreath}")
-    else:
-        _emit({"m": ctx.m, "c": ctx.c, "basis": basis, "wreath": wreath}, "json")
+    payload = {"m": ctx.m, "c": ctx.c, "basis": basis, "wreath": wreath}
+    _print(args, "text", payload, lambda: f"basis:  {basis}\nwreath: {wreath}")
     return EXIT_OK
 
 
@@ -146,113 +153,82 @@ def _cmd_bracket(args) -> int:
     u = syntax.parse_element(ctx, args.e1)
     v = syntax.parse_element(ctx, args.e2)
     result = syntax.print_element(liealg.bracket(u, v), "basis")
-    if _format(args, "text") == "text":
-        print(result)
-    else:
-        _emit({"m": ctx.m, "c": ctx.c, "basis": result}, "json")
+    _print(args, "text", {"m": ctx.m, "c": ctx.c, "basis": result}, lambda: result)
     return EXIT_OK
 
 
 def _cmd_basis(args) -> int:
     ctx = _context(args, pairs=False)  # enumerating tuples makes no product
-    degrees = list(range(1, ctx.c + 1)) if args.degree is None else [args.degree]
+    degrees = range(1, ctx.c + 1) if args.degree is None else [args.degree]
     table = {}
     for k in degrees:
-        tuples = liealg.enumerate_basis(ctx, k)
-        table[k] = {
-            "dim": len(tuples),
-            "tuples": ["(" + ",".join(map(str, t)) + ")" for t in tuples],
-        }
-    if _format(args, "text") == "text":
-        total = 0
-        for k, row in table.items():
-            total += row["dim"]
-            print(f"degree {k}: dim {row['dim']}: {' '.join(row['tuples'])}")
+        tuples = ["(" + ",".join(map(str, t)) + ")" for t in liealg.enumerate_basis(ctx, k)]
+        table[str(k)] = {"dim": len(tuples), "tuples": tuples}
+
+    def text():
+        lines = [f"degree {k}: dim {r['dim']}: {' '.join(r['tuples'])}" for k, r in table.items()]
         if args.degree is None:
-            print(f"total dim {total}")
-    else:
-        _emit({"m": ctx.m, "c": ctx.c, "degrees": {str(k): v for k, v in table.items()}}, "json")
+            lines.append(f"total dim {sum(r['dim'] for r in table.values())}")
+        return "\n".join(lines)
+
+    _print(args, "text", {"m": ctx.m, "c": ctx.c, "degrees": table}, text)
     return EXIT_OK
 
 
-_AUT_ARITY = {"compose": 2, "invert": 1, "commutator": 2, "jacobian": 1, "apply": 2}
+# op -> (number of arguments, library call on the first file's map and the
+# other arguments: more maps, or for apply the element text)
+_AUT_OPS = {
+    "compose": (2, endo.compose),
+    "invert": (1, endo.invert),
+    "commutator": (2, endo.group_commutator),
+    "jacobian": (1, endo.jacobian),
+    "apply": (2, lambda phi, expr: phi.apply(syntax.parse_element(phi.ctx, expr))),
+}
 
 
 def _cmd_aut(args) -> int:
     op = args.op
-    fmt = _format(args, "text" if op == "apply" else "json")
-    arity = _AUT_ARITY[op]
+    arity, call = _AUT_OPS[op]
     if len(args.args) != arity:
         what = "FILE EXPR" if op == "apply" else f"{arity} automorphism file(s)"
         raise UsageError(f"aut {op} takes {what}")
-    if op == "compose":
-        result = endo.compose(_load_aut(args.args[0]), _load_aut(args.args[1]))
-    elif op == "invert":
-        result = endo.invert(_load_aut(args.args[0]))
-    elif op == "commutator":
-        result = endo.group_commutator(_load_aut(args.args[0]), _load_aut(args.args[1]))
+    phi = _load_aut(args.args[0])
+    rest = args.args[1:] if op == "apply" else [_load_aut(path) for path in args.args[1:]]
+    result = call(phi, *rest)
+    if op == "apply":
+        out = syntax.print_element(result, "basis")
+        _print(args, "text", {"m": phi.ctx.m, "c": phi.ctx.c, "basis": out}, lambda: out)
     elif op == "jacobian":
-        phi = _load_aut(args.args[0])
-        jac = endo.jacobian(phi)
-        payload = {
-            "m": phi.ctx.m,
-            "c": phi.ctx.c,
-            "jacobian": [[syntax.print_poly(p) for p in row] for row in jac.rows],
-        }
-        _emit(payload, fmt)
-        return EXIT_OK
-    else:  # apply
-        phi = _load_aut(args.args[0])
-        u = syntax.parse_element(phi.ctx, args.args[1])
-        out = syntax.print_element(phi.apply(u), "basis")
-        if fmt == "text":
-            print(out)
-        else:
-            _emit({"m": phi.ctx.m, "c": phi.ctx.c, "basis": out}, "json")
-        return EXIT_OK
-    print(syntax.print_automorphism(result, "json" if fmt == "json" else "text"))
+        _print(args, "json", {"m": phi.ctx.m, "c": phi.ctx.c, "jacobian": _jacobian_rows(result)})
+    else:
+        _print(args, "json", lambda fmt: syntax.print_automorphism(result, fmt))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     phi = _load_aut(args.file)
     kind = args.kind
-    negative = False
+    if kind in ("inner", "ginner") and not phi.is_ia():
+        what = "inner" if kind == "inner" else "generalized inner"
+        raise ValidationError(f"{what} automorphisms are IA; input is not")
     if kind == "ia":
-        result = phi.is_ia()
-        payload = {"check": "ia", "result": result}
-        negative = not result
+        payload = {"check": "ia", "result": phi.is_ia()}
     elif kind == "inner":
-        if not phi.is_ia():
-            raise ValidationError("inner automorphisms are IA; input is not")
         u = normal.recognize_inner(phi)
-        payload = {
-            "check": "inner",
-            "result": u is not None,
-            "generator": None if u is None else syntax.print_element(u),
-        }
-        negative = u is None
+        generator = None if u is None else syntax.print_element(u)
+        payload = {"check": "inner", "result": u is not None, "generator": generator}
     elif kind == "ginner":
-        if not phi.is_ia():
-            raise ValidationError("generalized inner automorphisms are IA; input is not")
         g = normal.recognize_ginn(phi)
-        payload = {
-            "check": "ginner",
-            "result": g is not None,
-            "f": None if g is None else [str(p) for p in g.f],
-        }
-        negative = g is None
+        f = None if g is None else [str(p) for p in g.f]
+        payload = {"check": "ginner", "result": g is not None, "f": f}
     else:  # normal
         verdict = normal.decide_normal(phi, search_witness=args.witness)
-        payload = {"check": "normal"}
-        payload.update(verdict.to_dict(syntax.print_element))
+        payload = {"check": "normal", **verdict.to_dict(syntax.print_element)}
         g = verdict.aut.g if verdict.normal and phi.is_ia() else None
         payload["inner"] = g is not None and normal.inner_generator(g) is not None
-        negative = not verdict.normal
-    _emit(payload, _format(args, "json"))
-    if args.do_assert and negative:
-        return EXIT_ASSERT
-    return EXIT_OK
+    _print(args, "json", payload)
+    negative = not payload["normal" if kind == "normal" else "result"]
+    return EXIT_ASSERT if args.do_assert and negative else EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
@@ -277,17 +253,14 @@ def _cmd_reduce(args) -> int:
         subgroup = "Inn"
         warnings = cosets.psi_diagnostics(form.jac).get("warnings", [])
         conj = normal.ginn_compose(g, normal.ginn_invert(form.params))
-    conjugator = normal.ginn_to_endo(conj)
     payload = {
         "subgroup": subgroup,
-        "canonical_jacobian": [
-            [syntax.print_poly(p) for p in row] for row in form.jac.rows
-        ],
-        "conjugator": syntax.automorphism_dict(conjugator),
+        "canonical_jacobian": _jacobian_rows(form.jac),
+        "conjugator": syntax.automorphism_dict(normal.ginn_to_endo(conj)),
     }
     if warnings:
         payload["warnings"] = warnings
-    _emit(payload, _format(args, "json"))
+    _print(args, "json", payload)
     return EXIT_OK
 
 
@@ -296,7 +269,7 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--trials {args.trials} is above {MAX_TRIALS}, the limit of lmc")
     ctx = _context(args)
     report = verify.check_law(args.law, ctx, args.trials, args.seed, args.coeff_bound)
-    _emit(report.to_dict(), _format(args, "json"))
+    _print(args, "json", report.to_dict())
     return EXIT_OK if report.ok else EXIT_ASSERT
 
 
@@ -347,7 +320,7 @@ SUBCOMMANDS = {
     "aut": (
         "automorphism algebra on JSON files",
         (
-            Arg("op", tuple(_AUT_ARITY)),
+            Arg("op", tuple(_AUT_OPS)),
             Arg(
                 "args",
                 nargs="+",

@@ -38,6 +38,7 @@ of the generalized inner map exp(ad u).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import liealg
@@ -92,16 +93,18 @@ class JacobianMatrix:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
         return JacobianMatrix(self.ctx, poly_matmul(self.rows, other.rows))
 
-    def __sub__(self, other: "JacobianMatrix") -> "JacobianMatrix":
+    def _entrywise(self, other: "JacobianMatrix", op) -> "JacobianMatrix":
         if self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
         return JacobianMatrix(
-            self.ctx,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+            self.ctx, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
+
+    def __add__(self, other: "JacobianMatrix") -> "JacobianMatrix":
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other: "JacobianMatrix") -> "JacobianMatrix":
+        return self._entrywise(other, operator.sub)
 
     def __eq__(self, other):
         if not isinstance(other, JacobianMatrix):
@@ -140,17 +143,6 @@ class JacobianMatrix:
             raise DomainError("Neumann inverse needs a unipotent matrix")
         ident = JacobianMatrix.identity(self.ctx)
         return JacobianMatrix(self.ctx, poly_solve(self.rows, ident.rows))
-
-    def __add__(self, other: "JacobianMatrix") -> "JacobianMatrix":
-        if self.ctx != other.ctx:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        return JacobianMatrix(
-            self.ctx,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
 
     def __repr__(self):
         body = "; ".join(

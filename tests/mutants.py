@@ -40,6 +40,7 @@ COSETS = "tests/test_cosets_parity.py::"
 ELEMENT = "tests/test_element_parity.py::"
 SOLVE = "tests/test_solve_parity.py::"
 COMPOSE = "tests/test_compose_parity.py::"
+OUTPUT = "tests/test_cli.py::test_every_subcommand_prints_by_the_one_output_rule"
 
 MUTANTS = [
     # -- maps, decisions and laws --------------------------------------------------
@@ -161,6 +162,20 @@ MUTANTS = [
         "    for p, q in pairs:\n        p, q = (p, q) if",
         "    for p, q in pairs[:1]:\n        p, q = (p, q) if",
         [ELEMENT + "test_apply_takes_both_substitution_paths[2-2]"],
+    ),
+    (
+        "the substitution drops the den power of each term",
+        "src/lmc/arith.py",
+        "c *= den ** (cap - (code >> top))",
+        "c *= 1",
+        ["tests/test_apply_parity.py::test_substitution_kernel_matches_term_by_term"],
+    ),
+    (
+        "a linear form keeps each numerator without its lcm factor",
+        "src/lmc/arith.py",
+        "nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}",
+        "nums = {e: c.numerator for e, c in terms.items()}",
+        ["tests/test_kernel_parity.py::test_linear_form_matches"],
     ),
     # -- coset reductions --------------------------------------------------------------
     (
@@ -285,6 +300,35 @@ MUTANTS = [
         "|([0-9]+)|",
         r"|(\d+)|",
         [SYNTAX + "test_each_piece_matches_the_reference_after_any_whitespace"],
+    ),
+    # -- command line ------------------------------------------------------------------
+    (
+        "text output of a JSON-default command loses its indent",
+        "src/lmc/cli.py",
+        'indent=2 if fmt == "text" else None',
+        "indent=None",
+        [OUTPUT],
+    ),
+    (
+        "the aut map ops always print JSON",
+        "src/lmc/cli.py",
+        "lambda fmt: syntax.print_automorphism(result, fmt)",
+        'lambda fmt: syntax.print_automorphism(result, "json")',
+        [OUTPUT],
+    ),
+    (
+        "aut jacobian ignores the format",
+        "src/lmc/cli.py",
+        '_print(args, "json", {"m": phi.ctx.m',
+        '_print(argparse.Namespace(format="json"), "json", {"m": phi.ctx.m',
+        [OUTPUT],
+    ),
+    (
+        "LMC_FORMAT is not applied to JSON-default commands",
+        "src/lmc/cli.py",
+        "fmt = args.format or _env_format() or default",
+        'fmt = args.format or (default == "text" and _env_format()) or default',
+        [OUTPUT],
     ),
 ]
 

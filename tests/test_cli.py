@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,6 +345,56 @@ def test_an_empty_lmc_format_counts_as_unset(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LMC_FORMAT", "")
     assert [run(capsys, *argv) for argv in lines] == unset
     assert unset[0][0] == unset[1][0] == 0
+
+
+_ELAPSED = re.compile(r'("elapsed_seconds": )[-+.0-9e]+')
+
+
+def test_every_subcommand_prints_by_the_one_output_rule(tmp_path, capsys, monkeypatch):
+    """Each subcommand with no format, --format and LMC_FORMAT: the README's
+    defaults, --format over LMC_FORMAT, JSON on one line, and the text of
+    each subcommand, which is the JSON indented by 2 where it has none."""
+    fa =write_aut(tmp_path, "a.json", SECTION3)
+    fb = write_aut(tmp_path, "b.json", {"m": 2, "c": 3, "images": ["x1 + 3*[x1,x2]", "x2"]})
+    mc = ["--m", "2", "--c", "3"]
+    maps = {"compose": [fa, fb], "invert": [fa], "commutator": [fa, fb]}
+    text_default = [["eval", *mc, "x1 + [x1,x2]"], ["bracket", *mc, "x1", "x2"],
+                    ["basis", *mc], ["aut", "apply", fa, "[x1,x2]"]]
+    json_default = [["aut", op, *files] for op, files in maps.items()] + [
+        ["aut", "jacobian", fa], ["check", "ia", fa], ["check", "normal", fa],
+        ["reduce", "--modulo", "in", fa],
+        ["verify", "--law", "abelian", "--m", "2", "--c", "2", "--trials", "2"]]
+
+    def out(argv, env=None):
+        if env is None:
+            monkeypatch.delenv("LMC_FORMAT", raising=False)
+        else:
+            monkeypatch.setenv("LMC_FORMAT", env)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        return _ELAPSED.sub(r"\g<1>0.0", stdout)
+
+    for default, lines in (("text", text_default), ("json", json_default)):
+        for argv in lines:
+            as_json, as_text = (out([*argv, "--format", f]) for f in ("json", "text"))
+            assert out(argv) == {"json": as_json, "text": as_text}[default], argv
+            for env, other in (("json", "text"), ("text", "json")):
+                assert out(argv, env) == out([*argv, "--format", env], other), (argv, env)
+            assert as_json.count("\n") == 1, argv
+            payload = json.loads(as_json)
+            if argv[0] == "basis":
+                rows = payload["degrees"].items()
+                want = [f"degree {k}: dim {r['dim']}: {' '.join(r['tuples'])}" for k, r in rows]
+                want.append("total dim 5")
+            elif argv[0] == "eval":
+                want = [f"basis:  {payload['basis']}", f"wreath: {payload['wreath']}"]
+            elif default == "text":
+                want = [payload["basis"]]
+            elif argv[1] in maps:
+                want = [f"x{i} -> {s}" for i, s in enumerate(payload["images"], 1)]
+            else:
+                want = [json.dumps(payload, indent=2)]
+            assert as_text == "\n".join(want) + "\n", argv
 
 
 def _parse_outcome(parser, argv):
