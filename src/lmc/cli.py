@@ -131,10 +131,6 @@ def _print(args, default: str, payload, text=None) -> None:
         print(json.dumps(payload, indent=2 if fmt == "text" else None))
 
 
-def _jacobian_rows(jac):
-    return [[syntax.print_poly(p) for p in row] for row in jac.rows]
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -199,7 +195,7 @@ def _cmd_aut(args) -> int:
         out = syntax.print_element(result, "basis")
         _print(args, "text", {"m": phi.ctx.m, "c": phi.ctx.c, "basis": out}, lambda: out)
     elif op == "jacobian":
-        _print(args, "json", {"m": phi.ctx.m, "c": phi.ctx.c, "jacobian": _jacobian_rows(result)})
+        _print(args, "json", {"m": phi.ctx.m, "c": phi.ctx.c, "jacobian": syntax.jacobian_rows(result)})
     else:
         _print(args, "json", lambda fmt: syntax.print_automorphism(result, fmt))
     return EXIT_OK
@@ -255,7 +251,7 @@ def _cmd_reduce(args) -> int:
         conj = normal.ginn_compose(g, normal.ginn_invert(form.params))
     payload = {
         "subgroup": subgroup,
-        "canonical_jacobian": _jacobian_rows(form.jac),
+        "canonical_jacobian": syntax.jacobian_rows(form.jac),
         "conjugator": syntax.automorphism_dict(normal.ginn_to_endo(conj)),
     }
     if warnings:

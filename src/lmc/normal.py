@@ -64,7 +64,6 @@ generalized inner.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -395,9 +394,6 @@ class NormalityVerdict:
         if self.reason:
             out["reason"] = self.reason
         return out
-
-    def to_json(self, element_printer=None) -> str:
-        return json.dumps(self.to_dict(element_printer))
 
 
 def preserves_ideal(phi: "_endo.Endomorphism", gens) -> bool:

@@ -365,6 +365,11 @@ def _is_str_list(value, n: int) -> bool:
     )
 
 
+def jacobian_rows(jac) -> list:
+    """The entries of a Jacobian matrix as printed polynomials, row by row."""
+    return [[print_poly(p) for p in row] for row in jac.rows]
+
+
 def automorphism_dict(phi) -> dict:
     """JSON-ready dict: images in basis style, plus the Jacobian for IA maps."""
     out = {
@@ -373,16 +378,17 @@ def automorphism_dict(phi) -> dict:
         "images": [print_element(im, "basis") for im in phi.images],
     }
     if phi.is_ia():
-        jac = _endo.jacobian(phi)
-        out["jacobian"] = [[print_poly(p) for p in row] for row in jac.rows]
+        out["jacobian"] = jacobian_rows(_endo.jacobian(phi))
     return out
 
 
 def print_automorphism(phi, format: str = "json") -> str:
-    d = automorphism_dict(phi)
+    """The JSON of automorphism_dict, or the text lines x_i -> image, which
+    print no Jacobian."""
     if format == "json":
-        return json.dumps(d)
+        return json.dumps(automorphism_dict(phi))
     if format == "text":
-        lines = [f"x{i} -> {s}" for i, s in enumerate(d["images"], start=1)]
-        return "\n".join(lines)
+        return "\n".join(
+            f"x{i} -> {print_element(im, 'basis')}" for i, im in enumerate(phi.images, start=1)
+        )
     raise ValidationError(f"unknown automorphism format {format!r}")

@@ -95,9 +95,6 @@ class LawReport:
             "elapsed_seconds": round(self.elapsed, 6),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _rng(kind: str, ctx: Context, seed) -> random.Random:
     return random.Random(f"{kind}:{ctx.m}:{ctx.c}:{seed}")

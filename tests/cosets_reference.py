@@ -2,10 +2,18 @@
 endomorphism-level certificates, kept as the oracle for lmc.cosets.
 
 reduce_mod_in solves one affine system over every parameter unknown with
-a fresh Fraction SparseSolver (tests/linalg_reference.py), raises ValidationError when that system has no
-solution, and certifies its output by recognizing phi o theta^-1 in
-GInn; reduce_mod_inn_normal certifies by recognizing g o psi^-1 as
-inner.  Both return the same forms as lmc.cosets.
+a fresh Fraction SparseSolver (tests/linalg_reference.py), raises
+ValidationError when that system has no solution, and certifies its
+output by recognizing phi o theta^-1 in GInn; reduce_mod_inn_normal
+certifies by recognizing g o psi^-1 as inner.  Both return the same forms
+as lmc.cosets.  Nothing here calls lmc.normal or cosets.shape_check, as
+lmc.cosets does (both read Jacobians with endo.jacobian): the maps are
+materialized, composed and inverted by tests/endo_reference.py, GInn maps
+are recognized by the solve of tests/ginn_reference.py and composed by
+its TruncPoly chain, the linear-generator exponential and inner
+recognition are the bracket series and the degree peeling of
+tests/inner_reference.py, and theta_shape, psi_shape and df_shape test
+the S-condition with endo_reference.column_defect.
 
 df_shape is the df predicate before the S-condition dropped its two t_dot
 sums: it builds s + sum t_i q_i and sum t_i r_i and asks both to vanish.
@@ -14,15 +22,18 @@ sums: it builds s + sum t_i q_i and sum t_i r_i and asks both to vanish.
 from fractions import Fraction
 from operator import add
 
+import endo_reference as endo_ref
+import inner_reference as inner_ref
+from ginn_reference import ginn_compose, ginn_of_jacobian, ginn_of_map
 from kernel_reference import t_dot
 from linalg_reference import SparseSolver
 
 from lmc import endo as _endo
-from lmc import normal
 from lmc.arith import TruncPoly, all_monomials
-from lmc.cosets import CosetForm, shape_check
+from lmc.cosets import CosetForm
 from lmc.errors import DomainError, ValidationError
 from lmc.liealg import LieElement
+from lmc.normal import GInnAut
 
 _ZERO = Fraction(0)
 
@@ -92,21 +103,39 @@ def reduce_mod_in(phi):
     for (i0, e0), val in zip(unknown_index, solution):
         if val:
             params[i0 - 1][e0] = val
-    g = normal.GInnAut(
-        ctx, tuple(TruncPoly(ctx.m, ctx.param_cap, d) for d in params)
-    )
-    theta = _endo.compose(normal.ginn_to_endo(g), phi)
+    g = GInnAut(ctx, tuple(TruncPoly(ctx.m, ctx.param_cap, d) for d in params))
+    theta = endo_ref.compose(endo_ref.ginn_to_endo(g), phi)
     theta_jac = _endo.jacobian(theta)
-    if not shape_check(theta_jac, "theta"):
+    if not theta_shape(theta_jac):
         raise ValidationError("reduction produced a non-theta matrix")
-    if normal.recognize_ginn(_endo.compose(phi, _endo.invert(theta))) is None:
+    if ginn_of_map(endo_ref.compose(phi, endo_ref.invert(theta))) is None:
         raise ValidationError("reduction lost the coset")
     return CosetForm(theta, g, theta_jac)
 
 
+def _s_condition(jac):
+    return all(endo_ref.column_defect(jac, j).is_zero() for j in range(1, jac.ctx.m + 1))
+
+
+def theta_shape(jac):
+    """The S-condition, J[1][1] = 1, J[i][1] free of t_1 (i >= 2), J[1][2] free of t_2."""
+    rows, one = jac.rows, TruncPoly.const(jac.ctx.m, jac.ctx.module_cap, 1)
+    return _s_condition(jac) and rows[0][0] == one and 2 not in rows[0][1].support_vars() and all(
+        1 not in row[0].support_vars() for row in rows[1:]
+    )
+
+
+def psi_shape(jac):
+    """The S-condition and the GInn pattern of q, q_i free of 1, t_1..t_(i-1)."""
+    g = _s_condition(jac) and ginn_of_jacobian(jac)
+    return bool(g) and all(
+        not q.constant_term() and q.depends_only_on(range(i, jac.ctx.m + 1)) for i, q in enumerate(g.f, 1)
+    )
+
+
 def df_shape(jac):
     ctx = jac.ctx
-    if not jac.satisfies_s_condition():
+    if not _s_condition(jac):
         return False
     rows = jac.rows
     s = rows[0][0] - TruncPoly.const(ctx.m, ctx.module_cap, 1)
@@ -133,7 +162,7 @@ def reduce_mod_inn_normal(g):
     gamma = tuple(-p.constant_term() for p in params.f)
     if any(gamma):
         linear = LieElement(ctx, gamma, (ctx.zero_poly(),) * ctx.m)
-        params = normal.ginn_compose(normal.inner_params(linear), params)
+        params = ginn_compose(ginn_of_map(inner_ref.exp_ad(linear)), params)
     for k in range(1, ctx.m):
         fbars = {}
         for j in range(k + 1, ctx.m + 1):
@@ -146,13 +175,13 @@ def reduce_mod_inn_normal(g):
         for i, fbar in fbars.items():
             w[k - 1] = w[k - 1] + fbar.mul_var(i)
             w[i - 1] = -fbar.mul_var(k)
-        params = normal.ginn_compose(normal.GInnAut(ctx, tuple(w)), params)
-    psi = normal.ginn_to_endo(params)
-    jac = normal.ginn_jacobian(params)
-    if not shape_check(jac, "psi"):
+        params = ginn_compose(GInnAut(ctx, tuple(w)), params)
+    psi = endo_ref.ginn_to_endo(params)
+    jac = endo_ref.ginn_jacobian(params)
+    if not psi_shape(jac):
         raise ValidationError("reduction produced a non-psi matrix")
-    cert = normal.recognize_inner(
-        _endo.compose(normal.ginn_to_endo(g), _endo.invert(psi))
+    cert = inner_ref.recognize_inner(
+        endo_ref.compose(endo_ref.ginn_to_endo(g), endo_ref.invert(psi))
     )
     if cert is None:
         raise ValidationError("reduction left the inner coset")

@@ -2,8 +2,10 @@
 module coordinate: the ginn_sum and from_jacobian references for
 tests/test_element_parity.py.
 
-ginn_sum adds one product per nonzero bracket coordinate, where lmc
-collects the products of each coordinate and calls arith.poly_mac once.
+ginn_sum, the one test-side formula of the GInn sum u + sum_j [u, x_j] f_j
+(tests/verify_reference.py certifies the law inputs with it), adds one
+product per nonzero bracket coordinate, where lmc collects the products
+of each coordinate and calls arith.poly_mac once.
 from_jacobian subtracts a TruncPoly.const from each entry, where
 endo._from_jacobian drops the code 0 from the numerators.  The bracket
 and apply references of the same file are tests/ideal_reference.bracket

@@ -1,26 +1,23 @@
-"""The bracket and the ideal-preservation test that lmc replaced: the
-reference for tests/test_ideal_parity.py, and the bracket reference of
-tests/test_element_parity.py and tests/endo_reference.apply.
+"""The bracket, the ideal closure and the ideal-preservation test that lmc
+replaced: the reference for tests/test_ideal_parity.py, and the bracket
+reference of tests/test_element_parity.py and tests/endo_reference.apply.
 
 bracket builds both linear forms through the tuple-keyed TruncPoly
-constructor and multiplies every coordinate by both.  preserves_ideal
-applies phi to every vector of the ideal's linear basis and compares the
-span of the images with the ideal; its closure brackets with this module's
-bracket and spans the Fraction coordinates of vector over the Fraction
-reference solver (tests/linalg_reference.py), so it shares neither with
-the code it checks.
-
-ideal_span is liealg.ideal_span before it tried each shift of a seed row
-once: it shifts every row that enlarged the span by every t_j, so a row
-such as t_i t_j w is reduced once from t_i w and again from t_j w.
+constructor and multiplies every coordinate by both.  ideal_closure
+brackets every new basis element with x_1..x_m by this module's bracket
+and spans the Fraction coordinates of vector over the Fraction reference
+solver (tests/linalg_reference.py); spans_equal compares two such spans.
+preserves_ideal applies phi to every vector of the closure and compares
+the span of the images with the ideal.  None of them runs liealg.bracket,
+liealg.ideal_span or lmc.linalg.
 """
 
 from fractions import Fraction
 
 from linalg_reference import SpanBasis
 
-from lmc import liealg, linalg
-from lmc.arith import TruncPoly, code_limit, var_code
+from lmc import liealg
+from lmc.arith import TruncPoly
 from lmc.errors import ContextMismatch
 from lmc.liealg import LieElement
 
@@ -60,11 +57,19 @@ def vector(u: LieElement) -> dict:
     return vec
 
 
-def _span_of(elements) -> SpanBasis:
+def span_of(elements) -> SpanBasis:
     span = SpanBasis()
     for u in elements:
         span.add(vector(u))
     return span
+
+
+def spans_equal(elems_a, elems_b) -> bool:
+    """The two lists span one space: equal dimension, and b inside a."""
+    span_a = span_of(elems_a)
+    return span_a.dim() == span_of(elems_b).dim() and all(
+        span_a.contains(vector(w)) for w in elems_b
+    )
 
 
 def ideal_closure(gens) -> list:
@@ -96,37 +101,8 @@ def preserves_ideal(phi, gens) -> bool:
     if all(g.is_zero() for g in gens):
         return True
     basis = ideal_closure([g for g in gens if not g.is_zero()])
-    span = _span_of(basis)
+    span = span_of(basis)
     images = [phi.apply(w) for w in basis]
     if any(not span.contains(vector(w)) for w in images):
         return False
-    return _span_of(images).dim() == span.dim()
-
-
-def ideal_span(gens) -> linalg.SpanBasis:
-    """Span of the smallest ideal containing gens, over integer rows."""
-    gens = list(gens)
-    ctx = gens[0].ctx
-    m = ctx.m
-    span = linalg.SpanBasis()
-    queue = []
-    for g in gens:
-        row = liealg.element_row(g)
-        if not span.add(row):
-            continue
-        if g.in_derived():
-            queue.append(row)
-            continue
-        for j in range(1, m + 1):
-            row = liealg.element_row(liealg.bracket(g, liealg.generator(ctx, j)))
-            if row and span.add(row):
-                queue.append(row)
-    lim = code_limit(m, ctx.module_cap) * m
-    steps = [var_code(m, j) * m for j in range(1, m + 1)]
-    while queue:
-        row = queue.pop()
-        for step in steps:
-            shifted = {k + step: v for k, v in row.items() if k + step < lim}
-            if shifted and span.add(shifted):
-                queue.append(shifted)
-    return span
+    return span_of(images).dim() == span.dim()

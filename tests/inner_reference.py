@@ -11,20 +11,21 @@ against the ad-images of the basis of that degree; the residual is
 recomputed by a full composition every round.  Neither shares a step
 with the closed form of normal.inner_params.  ginn_invert cancels
 the lowest graded part of the running parameters one degree at a time
-through normal.ginn_compose, where normal.ginn_invert sums the geometric
-series in closed form.
+through the TruncPoly chain of tests/ginn_reference.ginn_compose, where
+normal.ginn_invert sums the geometric series in closed form.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
+from ginn_reference import ginn_compose
 from linalg_reference import SparseSolver
 
 from lmc import endo as _endo
 from lmc import liealg
 from lmc.errors import DomainError
 from lmc.liealg import Context, LieElement
-from lmc.normal import GInnAut, ginn_compose
+from lmc.normal import GInnAut
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -1,7 +1,7 @@
 """The Fraction-valued sparse solvers that lmc.linalg replaced: the
 reference for tests/test_linalg_parity.py, and the one solver of the
-oracles (tests/oracles.py and the cosets, ideal, inner and syntax
-references), so none of them runs on lmc.linalg.
+oracles (the cosets, ginn, ideal, inner and syntax references), so none
+of them runs on lmc.linalg.
 
 Gauss-Jordan over Fraction with the smallest key of each reduced vector as
 its pivot, exactly as the library ran before its rows became integers.

@@ -93,7 +93,7 @@ def test_criterion_2_group_laws():
         ]
         for law, (m, c) in cases:
             report = check_law(law, Context(m, c), trials=100, seed=101)
-            assert report.ok and report.passed == 100, report.to_json()
+            assert report.ok and report.passed == 100, report.to_dict()
 
 
 def test_criterion_3_jacobian_calculus():

@@ -31,11 +31,12 @@ one t_dot call per column, those of the S-condition.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
-of the subcommand it runs.  The bracket certificate of a law trial reads
+of the subcommand it runs; the text output of an aut map op prints the
+images only, no Jacobian entry.  The bracket certificate of a law trial reads
 one table of generator brackets: m^2 bracket calls per trial, not per map.
 Every name in the tracer's SPANS exists where Tracer.install looks it up,
-and no reference module or oracle uses a name of lmc that only the tracer
-and that name's own tests still use.
+no reference module uses a name of lmc that only the tracer and that
+name's own tests still use, and none uses the lmc code it checks.
 """
 
 import argparse
@@ -468,6 +469,22 @@ def test_a_sum_of_generator_chains_parses_in_one_pass():
         assert tracer.calls["liealg.__init__"] == 1
 
 
+def test_text_output_of_a_map_op_prints_no_jacobian(monkeypatch, capsys, tmp_path):
+    ctx = Context(3, 4)
+    paths = []
+    for name in ("a", "b"):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(syntax.print_automorphism(sample("ia", ctx, f"seams-{name}", 2)))
+    printed = []
+    print_poly = syntax.print_poly
+    monkeypatch.setattr(syntax, "print_poly", lambda p: printed.append(p) or print_poly(p))
+    assert cli.main(["aut", "compose", *map(str, paths), "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("x1 -> ")
+    assert printed == []
+    assert cli.main(["aut", "compose", *map(str, paths), "--format", "json"]) == 0
+    assert len(printed) == ctx.m**2  # the JSON carries the Jacobian
+
+
 def test_main_registers_only_the_subparser_it_runs(monkeypatch, capsys):
     added = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -517,26 +534,64 @@ def _dotted(node) -> list:
     return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
 
 
+# The lmc code each reference module checks, which it may not run itself:
+# a mutant there would change both sides of a comparison.
+CHECKED_CODE = {
+    "cosets_reference.py": {
+        "lmc.cosets.shape_check", "lmc.cosets.reduce_mod_in", "lmc.cosets.reduce_mod_inn_normal",
+        "lmc.normal.recognize_ginn", "lmc.normal.recognize_inner", "lmc.normal.ginn_compose",
+        "lmc.normal.inner_params", "lmc.normal.ginn_to_endo", "lmc.normal.ginn_jacobian"},
+    "element_reference.py": {"lmc.normal.ginn_sum", "lmc.endo._from_jacobian"},
+    "endo_reference.py": {
+        "lmc.normal._ginn_s", "lmc.normal.ginn_jacobian", "lmc.normal.ginn_to_endo", "lmc.endo.compose",
+        "lmc.endo.invert", "lmc.endo.group_commutator", "lmc.liealg.bracket"},
+    "ginn_reference.py": {
+        "lmc.normal.ginn_pattern", "lmc.normal.recognize_ginn", "lmc.normal.ginn_jacobian",
+        "lmc.normal.ginn_to_endo", "lmc.normal.ginn_compose", "lmc.normal._in_s", "lmc.arith.t_dot",
+        "lmc.arith.poly_mac"},
+    "ideal_reference.py": {
+        "lmc.liealg.bracket", "lmc.liealg.ideal_span", "lmc.liealg.ideal_closure", "lmc.liealg.span_of",
+        "lmc.liealg.element_row", "lmc.linalg.SpanBasis", "lmc.normal.preserves_ideal"},
+    "inner_reference.py": {
+        "lmc.endo.exp_ad", "lmc.normal.recognize_inner", "lmc.normal.recognize_ginn",
+        "lmc.normal.inner_generator", "lmc.normal.inner_params", "lmc.normal.ginn_compose",
+        "lmc.normal.ginn_invert"},
+    "syntax_reference.py": {"lmc.liealg.to_basis", "lmc.syntax.parse_element", "lmc.syntax.parse_poly"},
+    "verify_reference.py": {
+        "lmc.normal.ginn_to_endo", "lmc.normal.ginn_sum", "lmc.liealg.from_basis", "lmc.liealg.bracket"},
+}
+
+
+def _lmc_names(path) -> set:
+    """The dotted lmc names a module imports or reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, used = {}, set()  # local name -> what it names; names read
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                bound[alias.asname or alias.name] = full
+                used.add(full)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                bound[local] = alias.name if alias.asname else local
+    for node in ast.walk(tree):
+        parts = _dotted(node)
+        if len(parts) > 1 and parts[0] in bound:
+            used.add(".".join([bound[parts[0]], *parts[1:]]))
+    return used
+
+
 def test_no_oracle_uses_a_name_src_no_longer_runs():
     tests = Path(__file__).resolve().parent
-    for path in [*sorted(tests.glob("*_reference.py")), tests / "oracles.py"]:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        bound, used = {}, set()  # local name -> what it names; names read
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    full = f"{node.module}.{alias.name}"
-                    bound[alias.asname or alias.name] = full
-                    used.add(full)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.partition(".")[0]
-                    bound[local] = alias.name if alias.asname else local
-        for node in ast.walk(tree):
-            parts = _dotted(node)
-            if len(parts) > 1 and parts[0] in bound:
-                used.add(".".join([bound[parts[0]], *parts[1:]]))
+    paths = sorted(tests.glob("*_reference.py"))
+    assert set(CHECKED_CODE) <= {path.name for path in paths}
+    for path in paths:
+        used = _lmc_names(path)
         assert not used & UNUSED_BY_SRC, f"{path.name} uses {sorted(used & UNUSED_BY_SRC)}"
+        checked = used & CHECKED_CODE.get(path.name, set())
+        assert not checked, f"{path.name} runs the code it checks: {sorted(checked)}"
 
 
 def test_a_law_trial_brackets_each_ordered_generator_pair_once():

@@ -1,13 +1,13 @@
-"""The GInn parameter algebra against the code it replaced
-(tests/ginn_reference.py).
+"""The GInn parameter algebra against tests/ginn_reference.py.
 
 normal.ginn_pattern reads each parameter off one entry and certifies the
-rest by the closed-form Jacobian; the reference divides every
-off-diagonal entry.  Both must return equal parameters, or both None, on
-GInn Jacobians, on sampled IA Jacobians, and on GInn Jacobians perturbed
-in an off-diagonal entry (i, j) other than the one read (by a term t_j
-divides) or in a diagonal entry.  normal.ginn_compose and normal._in_s
-must give the numerators and denominators of the TruncPoly chains.
+rest by the closed-form Jacobian; the reference solves S = J - I for the
+parameters over the S of each monomial parameter, built without lmc.normal.
+Both must return equal parameters, or both None, on GInn Jacobians, on
+sampled IA Jacobians, and on GInn Jacobians perturbed in an off-diagonal
+entry (i, j) other than the one read (by a term t_j divides) or in a
+diagonal entry.  normal.ginn_compose and normal._in_s must give the
+numerators and denominators of the TruncPoly chains.
 """
 
 from fractions import Fraction as F
@@ -62,25 +62,27 @@ def _jacobian(ctx, kind, seed, pick):
 
 @CHECK
 @given(st.sampled_from(CONTEXTS), st.sampled_from(KINDS), st.integers(0, 10**6), st.data())
-def test_ginn_pattern_matches_the_per_entry_match(mc, kind, seed, data):
+def test_ginn_pattern_matches_the_solve(mc, kind, seed, data):
     ctx = Context(*mc)
     jac = _jacobian(ctx, kind, seed, lambda n: data.draw(st.integers(0, n - 1)))
-    _same(normal.ginn_pattern(jac), ref.ginn_pattern(jac))
+    _same(normal.ginn_pattern(jac), ref.ginn_of_jacobian(jac))
 
 
 @pytest.mark.parametrize("m,c", CONTEXTS)
 def test_ginn_pattern_parity_sees_both_verdicts(m, c):
     ctx = Context(m, c)
-    verdicts = set()
+    cases = [("ia", endo.jacobian(sample("ia", ctx, f"rgo{trial}", 2))) for trial in range(10)]
     for kind in KINDS:
         for seed in range(4):
             picks = iter(range(seed, seed + 10))
-            jac = _jacobian(ctx, kind, f"pattern-{seed}", lambda n: next(picks) % n)
-            got = normal.ginn_pattern(jac)
-            _same(got, ref.ginn_pattern(jac))
-            verdicts.add(got is None)
-            if kind == "ginn":
-                assert got is not None and normal.ginn_jacobian(got) == jac
+            cases.append((kind, _jacobian(ctx, kind, f"pattern-{seed}", lambda n: next(picks) % n)))
+    verdicts = set()
+    for kind, jac in cases:
+        got = normal.ginn_pattern(jac)
+        _same(got, ref.ginn_of_jacobian(jac))
+        verdicts.add(got is None)
+        if kind == "ginn":
+            assert got is not None and normal.ginn_jacobian(got) == jac
     assert verdicts == {True, False}
 
 

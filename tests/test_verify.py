@@ -60,7 +60,7 @@ def test_laws_pass_small_budgets():
     ]
     for law, m, c in cases:
         report = check_law(law, Context(m, c), 10, seed=1)
-        assert report.ok, report.to_json()
+        assert report.ok, report.to_dict()
         assert report.passed == report.requested == 10
 
 
@@ -71,7 +71,7 @@ def test_report_reproducible_and_serializable():
     d1.pop("elapsed_seconds")
     d2.pop("elapsed_seconds")
     assert d1 == d2
-    parsed = json.loads(r1.to_json())
+    parsed = json.loads(json.dumps(r1.to_dict()))
     assert parsed["law"] == "abelian"
     assert parsed["trials_passed"] == 7
     assert parsed["counterexample"] is None
@@ -165,7 +165,7 @@ def test_aut_sample_is_an_integer_linear_map_after_an_ia_sample():
 @pytest.mark.parametrize("m,c", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (3, 4), (2, 5), (4, 4)])
 def test_inner_conjugation_holds(m, c):
     report = check_law("inner_conjugation", Context(m, c), 4, seed=1)
-    assert report.ok, report.to_json()
+    assert report.ok, report.to_dict()
     assert report.passed == 4
 
 

@@ -6,9 +6,10 @@ The sampler must return equal objects for every kind the reference has
 must equal the Fraction sum over exponent tuples, also with fractional
 coefficients and with contributions that cancel; NormalAut.to_endo,
 which dilates the columns of S, must equal the chain-rule composite
-alpha I after ginn_to_endo(g) for negative and fractional alpha; and the
+alpha I after the ginn_to_endo(g) of tests/endo_reference.py for negative and fractional alpha; and the
 certificate of the law inputs, which reads one bracket table per call,
-must accept and reject exactly the maps the per-map ginn_apply did,
+must accept and reject exactly the maps the per-map GInn sum of
+tests/element_reference.py over the reference bracket does,
 among them maps changed in one basis coordinate.  The four laws that
 verify states as commutator words must report as the functions that
 wrote them out did (elapsed time aside) and take the same commutators, at every context each

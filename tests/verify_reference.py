@@ -8,8 +8,9 @@ liealg.from_basis sums integer numerators at packed codes over one
 denominator.
 
 agree_with_ginn_apply: every generator image of every map checked against
-a ginn_apply that calls the bracket [x_i, x_j] afresh for each map and
-each nonzero f_j, where verify._agree_with_ginn_apply reads one table of
+the GInn sum of tests/element_reference.ginn_sum over the reference
+bracket of tests/ideal_reference.py, taken afresh for each map and each
+nonzero f_j, where verify._agree_with_ginn_apply reads one table of
 brackets per call.
 
 sample: the sampler as it was, drawing GInn parameters over a freshly
@@ -18,12 +19,12 @@ SAMPLE_KINDS are the kinds it had; the later kind `aut` draws from its
 own generator, so these kinds' draws must not change with it.
 
 to_endo: a scaled normal map as the chain-rule composite of the scalar
-map alpha I after ginn_to_endo(g), where NormalAut.to_endo dilates the
-columns of S in closed form.
+map alpha I after the GInn map of tests/endo_reference.ginn_to_endo, where
+NormalAut.to_endo dilates the columns of S in closed form.
 
 LAWS: abelian, nilpotent2, metabelian and class2_by_abelian as the four
 functions they were, each writing out its commutators, with the GInn maps
-certified by certified_ginn_maps and the scaled normal maps through
+of endo_reference.ginn_to_endo certified by certified_ginn_maps and the scaled normal maps through
 with_ginn_endo; lmc.verify states each as a commutator word evaluated by
 one recursion on maps certified by one _certified_maps.  Both certify
 with verify._agree_with_ginn_apply.
@@ -31,6 +32,10 @@ with verify._agree_with_ginn_apply.
 
 import random
 from fractions import Fraction
+
+import endo_reference
+from element_reference import ginn_sum
+from ideal_reference import bracket
 
 from lmc import endo, liealg, normal, verify
 from lmc.arith import TruncPoly, all_monomials
@@ -70,32 +75,20 @@ def from_basis(b):
     return liealg.LieElement(ctx, b.linear, mod)
 
 
-def ginn_apply(g, u):
-    """psi(u) = u + sum_j [u, x_j] f_j, one bracket per nonzero f_j, its
-    module coordinates times f_j."""
-    ctx = g.ctx
-    acc = u
-    for j in range(1, ctx.m + 1):
-        if g.f[j - 1].is_zero():
-            continue
-        w = liealg.bracket(u, liealg.generator(ctx, j))
-        f = g.f[j - 1].with_cap(ctx.module_cap)
-        acc = acc + liealg.LieElement(ctx, w.beta, tuple(p * f for p in w.mod))
-    return acc
-
-
 def agree_with_ginn_apply(gs, maps) -> bool:
+    def image(g, i):
+        x_i = liealg.generator(g.ctx, i)
+        return ginn_sum(x_i, lambda j: bracket(x_i, liealg.generator(g.ctx, j)), g.f)
+
     return all(
-        ginn_apply(g, liealg.generator(g.ctx, i)) == im
-        for g, phi in zip(gs, maps)
-        for i, im in enumerate(phi.images, start=1)
+        image(g, i) == im for g, phi in zip(gs, maps) for i, im in enumerate(phi.images, start=1)
     )
 
 
 def to_endo(n):
     ctx = n.g.ctx
     scalar = [[n.alpha if i == j else _ZERO for j in range(ctx.m)] for i in range(ctx.m)]
-    return endo.compose(endo.linear_endo(ctx, scalar), normal.ginn_to_endo(n.g))
+    return endo.compose(endo.linear_endo(ctx, scalar), endo_reference.ginn_to_endo(n.g))
 
 
 def sample(kind, ctx, seed, coeff_bound=3):
@@ -161,7 +154,7 @@ def _sample_ia(ctx, rnd, bound):
 
 def certified_ginn_maps(ctx, seeds, bound, count):
     gs = [verify.sample("ginn", ctx, seeds(k), bound) for k in range(count)]
-    maps = tuple(normal.ginn_to_endo(g) for g in gs)
+    maps = tuple(endo_reference.ginn_to_endo(g) for g in gs)
     return maps, verify._agree_with_ginn_apply(gs, maps)
 
 
