@@ -562,33 +562,27 @@ CHECKED_CODE = {
 }
 
 
-def _lmc_names(path) -> set:
-    """The dotted lmc names a module imports or reads."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    bound, used = {}, set()  # local name -> what it names; names read
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                full = f"{node.module}.{alias.name}"
-                bound[alias.asname or alias.name] = full
-                used.add(full)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.partition(".")[0]
-                bound[local] = alias.name if alias.asname else local
-    for node in ast.walk(tree):
-        parts = _dotted(node)
-        if len(parts) > 1 and parts[0] in bound:
-            used.add(".".join([bound[parts[0]], *parts[1:]]))
-    return used
-
-
 def test_no_oracle_uses_a_name_src_no_longer_runs():
     tests = Path(__file__).resolve().parent
     paths = sorted(tests.glob("*_reference.py"))
     assert set(CHECKED_CODE) <= {path.name for path in paths}
     for path in paths:
-        used = _lmc_names(path)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, used = {}, set()  # local name -> what it names; names read
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    full = f"{node.module}.{alias.name}"
+                    bound[alias.asname or alias.name] = full
+                    used.add(full)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.partition(".")[0]
+                    bound[local] = alias.name if alias.asname else local
+        for node in ast.walk(tree):
+            parts = _dotted(node)
+            if len(parts) > 1 and parts[0] in bound:
+                used.add(".".join([bound[parts[0]], *parts[1:]]))
         assert not used & UNUSED_BY_SRC, f"{path.name} uses {sorted(used & UNUSED_BY_SRC)}"
         checked = used & CHECKED_CODE.get(path.name, set())
         assert not checked, f"{path.name} runs the code it checks: {sorted(checked)}"

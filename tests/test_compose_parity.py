@@ -128,3 +128,11 @@ def test_the_inputs_cover_both_paths():
     assert not phi.is_ia() and not psi.is_ia()
     phi, psi = kinds["ia"]
     assert endo.group_commutator(phi, psi) != endo.Endomorphism.identity(ctx)
+
+
+@pytest.mark.parametrize("m,c", [(2, 1), (2, 3), (3, 4), (4, 5)])
+def test_neumann_inverse_matches_the_sum_of_powers(m, c):
+    ctx = Context(m, c)
+    for k in range(3):
+        jac = endo.jacobian(sample("ia", ctx, f"neumann-{k}"))
+        assert jac.neumann_inverse() == ref.neumann_inverse(jac)

@@ -11,9 +11,7 @@ denominator by denominator, with Fraction linear coordinates and a tuple
 of module coordinates, since LieElement._clean takes them as they come.
 Inputs have fractional linear parts and fractional module denominators;
 they are derived (no linear part), one-term (a multiple of one generator)
-or dense, on contexts with c = 1 and c = 2 among others; the bracket also
-on every ordered pair of a fixed list (zero, x_m, linear, derived, mixed,
-fractional, [x2,x1]), where two derived elements must bracket to zero.  apply runs on IA
+or dense, on contexts with c = 1 and c = 2 among others.  apply runs on IA
 maps and on maps that are not IA: a scalar linear part (the dilation
 path of Endomorphism._substituted), a non-scalar one
 (arith.LinearSubstitution) and sampled `aut` maps.
@@ -116,21 +114,6 @@ def test_bracket_matches_reference_on_fixed_shapes(m, c):
     for u, v in cases:
         assert_same(liealg.bracket(u, v), ideal_reference.bracket(u, v))
     assert liealg.bracket(w, w).is_zero() and liealg.bracket(dense, dense).is_zero()
-    # every ordered pair of zero, x_m, linear, derived, mixed, fractional
-    # and [x2,x1]; two derived elements bracket to zero
-    mixed = sample("element", ctx, f"br-{m}-{c}")
-    linear = LieElement(ctx, mixed.beta, (ctx.zero_poly(),) * m)
-    fractional = LieElement(
-        ctx, tuple(F(k + 1, k + 3) for k in range(m)), (ctx.zero_poly(),) * m
-    ) + sample("element", ctx, f"br-{m}-{c}-frac").scale(F(2, 3))
-    named = [liealg.zero(ctx), x[-1], linear, mixed - linear, mixed, fractional]
-    named += [liealg.bracket(x[1], x[0])] if c >= 2 else []
-    assert c == 1 or not (mixed - linear).is_zero()
-    for u in named:
-        for v in named:
-            got = liealg.bracket(u, v)
-            assert_same(got, ideal_reference.bracket(u, v))
-            assert got.is_zero() or not (u.in_derived() and v.in_derived())
 
 
 @settings(max_examples=120, deadline=None, database=None)

@@ -1,10 +1,13 @@
-"""The ideal span and preserves_ideal against the versions they replaced.
+"""bracket, the ideal span and preserves_ideal against the versions they
+replaced.
 
-tests/ideal_reference.py keeps the ideal closure that brackets every new
-element, on the Fraction solver, and the ideal-preservation test that
-applies phi to every basis vector of the ideal.  The new preserves_ideal
-applies phi to the generators only and falls through to the full image
-span for a singular linear part.  Both must give the same
+tests/ideal_reference.py keeps the bracket that multiplies every coordinate
+by both linear forms, the ideal closure that brackets every new element,
+on the Fraction solver, and the ideal-preservation test that applies phi
+to every basis vector of the ideal.  The new bracket skips the products by
+a zero linear form and returns zero on two derived elements; the new
+preserves_ideal applies phi to the generators only and falls through to
+the full image span for a singular linear part.  Both must give the same
 results on automorphisms (generalized inner, IA but not generalized inner,
 scalar and non-scalar linear) and on singular endomorphisms, in contexts
 with c = 1 and (m, c) = (2, 2), with fractional generator coefficients.
@@ -86,6 +89,19 @@ def elements(ctx, tag):
     if ctx.c >= 2:
         out["commutator"] = liealg.bracket_chain(gen(ctx, 2), gen(ctx, 1))
     return out
+
+
+@pytest.mark.parametrize("m,c", CONTEXTS + [(2, 5), (4, 4)])
+def test_bracket_matches_reference(m, c):
+    ctx = Context(m, c)
+    els = elements(ctx, f"br-{m}-{c}")
+    assert c == 1 or not els["derived"].is_zero()
+    for a, u in els.items():
+        for b, v in els.items():
+            got = liealg.bracket(u, v)
+            assert got == ref.bracket(u, v), (a, b)
+            if u.in_derived() and v.in_derived():
+                assert got.is_zero(), (a, b)
 
 
 def images_map(ctx, images):
@@ -449,9 +465,7 @@ def test_element_row_is_proportional_to_element_vector(m, c):
 @pytest.mark.parametrize("m,c", CLOSURE_CONTEXTS)
 def test_ideal_closure_is_bracket_closed(m, c):
     ctx = Context(m, c)
-    named = ideals(ctx, f"bc-{m}-{c}")
-    named["sampled-pair"] = [sample("element", ctx, "g1", 2), sample("element", ctx, "g2", 2)]
-    for iname, gens in named.items():
+    for iname, gens in ideals(ctx, f"bc-{m}-{c}").items():
         basis = liealg.ideal_closure(gens)
         span = ref.span_of(basis)
         assert span.dim() == len(basis), iname

@@ -24,6 +24,7 @@ from lmc.liealg import (
 )
 from lmc.verify import sample
 
+import ideal_reference
 from ideal_reference import spans_equal
 
 
@@ -281,3 +282,14 @@ def test_ideal_closure_frozen_spans():
     assert spans_equal(got, expected)
 
     assert ideal_closure([liealg.zero(ctx)]) == []
+
+
+def test_ideal_closure_is_bracket_closed():
+    ctx = Context(3, 3)
+    gens = [sample("element", ctx, "g1", 2), sample("element", ctx, "g2", 2)]
+    basis = ideal_closure(gens)
+    span = ideal_reference.span_of(basis)
+    for w in basis:
+        for j in range(1, ctx.m + 1):
+            b = ideal_reference.bracket(w, generator(ctx, j))
+            assert span.contains(ideal_reference.vector(b))

@@ -7,6 +7,7 @@ from lmc.errors import DomainError, UsageError, ValidationError
 from lmc.liealg import Context
 from lmc.verify import sample
 
+import inner_reference
 from ginn_reference import ginn_of_map
 
 
@@ -162,6 +163,15 @@ def test_ginn_pattern_needs_the_diagonal():
     assert normal.ginn_pattern(endo.JacobianMatrix(ctx, rows)) is None
 
 
+def test_recognize_ginn_oracle_agreement_on_random_ia():
+    ctx = Context(3, 3)
+    for trial in range(10):
+        phi = sample("ia", ctx, f"rgo{trial}", 2)
+        ours = normal.recognize_ginn(phi)
+        oracle = ginn_of_map(phi)
+        assert (ours is None) == (oracle is None)
+
+
 def test_recognize_inner_round_trip():
     for m, c in [(2, 3), (3, 3), (3, 4)]:
         ctx = Context(m, c)
@@ -174,6 +184,23 @@ def test_recognize_inner_round_trip():
     ident = endo.Endomorphism.identity(Context(2, 3))
     u0 = normal.recognize_inner(ident)
     assert u0 is not None and u0.is_zero()
+
+
+def test_recognize_inner_rejects_section3():
+    phi = section3_map()
+    assert normal.recognize_inner(phi) is None
+    assert inner_reference.recognize_inner(phi) is None
+
+
+def test_recognize_inner_oracle_agreement():
+    for m, c in [(2, 3), (3, 3)]:
+        ctx = Context(m, c)
+        for trial in range(6):
+            phi = sample("ia", ctx, f"rio{trial}", 1)
+            ours = normal.recognize_inner(phi)
+            assert ours == inner_reference.recognize_inner(phi)
+            if ours is not None:
+                assert endo.exp_ad(ours) == phi
 
 
 def test_every_ginn_is_inner_at_class_two():

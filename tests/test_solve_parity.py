@@ -5,8 +5,7 @@ JacobianMatrix.neumann_inverse and endo.group_commutator solve Q Y = P for
 a unipotent Q = I + N in one arith._impl.msolve pass, Y_d = P_d -
 sum_{e>=1} N_e Y_(d-e).  Q^-1 P must equal the reference sum of powers of
 I - Q times P, and the commutator the chain through apply, which shares no
-product or solve with it; the inverse alone also on the Jacobians of
-sampled IA maps up to (4,5).  normal._ginn_s reads S off the numerators of
+product or solve with it.  normal._ginn_s reads S off the numerators of
 the f_i; the reference sums TruncPoly products.  Results must be equal on
 IA and non-IA pairs, fractional Jacobians, nested commutators (where D =
 P - Q starts in a high degree), zero and constant matrices, and c = 1, 2.
@@ -54,21 +53,13 @@ def matrices(draw, ctx, unipotent):
     return endo.JacobianMatrix(ctx, rows)
 
 
-def test_neumann_inverse_matches_the_sum_of_powers():
-    for m, c in [(2, 1), (2, 3), (3, 4), (4, 5)]:  # Jacobians of sampled IA maps
-        for k in range(3):
-            jac = endo.jacobian(sample("ia", Context(m, c), f"neumann-{k}"))
-            assert jac.neumann_inverse() == ref.neumann_inverse(jac)
-
-    @CHECK
-    @given(contexts, st.data())
-    def check(ctx, data):
-        q = data.draw(matrices(ctx, unipotent=True))
-        inv = q.neumann_inverse()
-        assert inv == ref.neumann_inverse(q)
-        assert inv @ q == endo.JacobianMatrix.identity(ctx) == q @ inv
-
-    check()
+@CHECK
+@given(contexts, st.data())
+def test_neumann_inverse_matches_the_sum_of_powers(ctx, data):
+    q = data.draw(matrices(ctx, unipotent=True))
+    inv = q.neumann_inverse()
+    assert inv == ref.neumann_inverse(q)
+    assert inv @ q == endo.JacobianMatrix.identity(ctx) == q @ inv
 
 
 @CHECK
