@@ -718,9 +718,11 @@ class LinearSubstitution:
         return _reduced(self.nv, cap, {e: c for e, c in acc.items() if c}, p.den * den**cap)
 
 
-def all_monomials(nv: int, max_deg: int):
+@lru_cache(maxsize=None)
+def all_monomials(nv: int, max_deg: int) -> tuple:
     """Exponent tuples of total degree <= max_deg, in graded order, ties
-    broken so that t1 < t2 < ... within a degree."""
+    broken so that t1 < t2 < ... within a degree; one tuple per (nv,
+    max_deg), shared by every caller."""
 
     def rec(rest, budget):
         if rest == 1:
@@ -731,7 +733,7 @@ def all_monomials(nv: int, max_deg: int):
             for tail in rec(rest - 1, budget - d):
                 yield (d,) + tail
 
-    return sorted(rec(nv, max_deg), key=lambda e: (sum(e), [-x for x in e]))
+    return tuple(sorted(rec(nv, max_deg), key=lambda e: (sum(e), [-x for x in e])))
 
 
 def format_rational(q: Fraction) -> str:

@@ -381,6 +381,13 @@ def _basis_terms(m: int, c: int) -> dict:
     return {t: (t, *_tuple_codes(m, t)) for k in range(2, c + 1) for t in _tuples(m, k)}
 
 
+@lru_cache(maxsize=None)
+def _basis_codes(m: int, c: int) -> tuple:
+    """_tuple_codes(m, t) of the basis tuples t of degrees 2..c, in the
+    order of enumerate_basis."""
+    return tuple(term[1:] for term in _basis_terms(m, c).values())
+
+
 def from_basis(b: BasisForm) -> LieElement:
     """Image of the basis coordinates under the wreath embedding: the
     integer numerators of the coefficients over their common denominator,

@@ -35,18 +35,22 @@ that applies a map that is not IA (through arith.LinearSubstitution when
 the linear part is not scalar).
 
 The brackets [x_i, x_j] come from one table of liealg.bracket over all m^2
-ordered generator pairs, looked up at call time and built afresh by each
-certificate call, so once per trial.  That is as strong as bracketing per
-map: the certificate only ever brackets generator pairs, and their
-arguments are the same for every map.  No entry stands in for another:
-[x_j, x_i] is bracketed, not read as -[x_i, x_j].
+ordered generator pairs, built by the first certificate call in a context
+and kept with the liealg.bracket it was built with; a call that finds
+liealg.bracket rebound (patched, or wrapped by a tracer) builds it again.
+Brackets are pure, so that is as strong as bracketing per map: the
+certificate only ever brackets generator pairs, and their arguments are
+the same for every map.  No entry stands in for another: [x_j, x_i] is
+bracketed, not read as -[x_i, x_j].
 
 Sampling is deterministic in (kind, ctx, seed): coefficients are integers
-in [-coeff_bound, coeff_bound], drawn in a fixed order, and per-trial
-seeds are derived from the trial index, so reports are reproducible and
-trials independent.  Each kind draws from its own generator, so adding a
-kind changes no other kind's samples.  An `aut` sample is an integer
-matrix, redrawn until invertible, after an `ia` sample drawn next.
+b - bound for b = randrange(2 * bound + 1), the draw randint(-bound, bound)
+makes, with bound = coeff_bound, drawn in a fixed order (a basis
+commutator's straight into its packed module codes), and per-trial seeds
+are derived from the trial index, so reports are reproducible and trials
+independent.  Each kind draws from its own generator, so adding a kind
+changes no other kind's samples.  An `aut` sample is an integer matrix,
+redrawn until invertible, after an `ia` sample drawn next.
 """
 
 from __future__ import annotations
@@ -128,18 +132,26 @@ def sample(kind: str, ctx: Context, seed, coeff_bound: int = 3):
 
 def _sample_form(ctx, rnd, bound, beta):
     """The element with linear part beta and one draw per basis commutator
-    of degree 2..c, in enumeration order."""
-    comm = {}
-    for k in range(2, ctx.c + 1):
-        for tup in liealg.enumerate_basis(ctx, k):
-            v = rnd.randint(-bound, bound)
-            if v:
-                comm[tup] = Fraction(v)
-    return liealg.from_basis(liealg.BasisForm(ctx, beta, comm))
+    of degree 2..c, in enumeration order, each added straight into the
+    packed module codes of its commutator (liealg._basis_codes) as
+    liealg.from_basis adds a coefficient."""
+    draw, span = rnd.randrange, 2 * bound + 1
+    mods = [{} for _ in range(ctx.m)]
+    for i1, code1, i2, code2 in liealg._basis_codes(ctx.m, ctx.c):
+        v = draw(span) - bound
+        if v:
+            for d, code, n in ((mods[i1], code1, v), (mods[i2], code2, -v)):
+                n += d.get(code, 0)
+                if n:
+                    d[code] = n
+                else:
+                    del d[code]
+    mod = tuple(TruncPoly.from_codes(ctx.m, ctx.module_cap, d) for d in mods)
+    return liealg.LieElement._clean(ctx, tuple(map(Fraction, beta)), mod)
 
 
 def _sample_element(ctx, rnd, bound):
-    beta = tuple(rnd.randint(-bound, bound) for _ in range(ctx.m))
+    beta = tuple(rnd.randrange(2 * bound + 1) - bound for _ in range(ctx.m))
     return _sample_form(ctx, rnd, bound, beta)
 
 
@@ -147,11 +159,12 @@ def _sample_ginn(ctx, rnd, bound):
     if ctx.c == 1:
         return normal.GInnAut.identity(ctx)
     codes = _monomial_codes(ctx.m, ctx.param_cap)
+    draw, span = rnd.randrange, 2 * bound + 1
     fs = []
     for _ in range(ctx.m):
         nums = {}
         for code in codes:
-            v = rnd.randint(-bound, bound)
+            v = draw(span) - bound
             if v:
                 nums[code] = v
         fs.append(TruncPoly.from_codes(ctx.m, ctx.param_cap, nums))
@@ -177,7 +190,7 @@ def _sample_ia(ctx, rnd, bound):
 def _sample_aut(ctx, rnd, bound):
     m = ctx.m
     while True:
-        a = [[rnd.randint(-bound, bound) for _ in range(m)] for _ in range(m)]
+        a = [[rnd.randrange(2 * bound + 1) - bound for _ in range(m)] for _ in range(m)]
         if mat_inv(a) is not None:
             return _endo.compose(_endo.linear_endo(ctx, a), _sample_ia(ctx, rnd, bound))
 
@@ -211,17 +224,31 @@ def _certified_maps(kind, ctx, seeds, bound, count):
 def _agree_with_ginn_apply(gs, maps) -> bool:
     """Whether each map sends every generator x_i to x_i + sum_j [x_i, x_j]
     f_j, the assembly of normal.ginn_apply, with its GInn parameters f and
-    the brackets read from one table of liealg.bracket over the ordered
-    generator pairs, built afresh by each call (the certificate the module
-    docstring describes)."""
-    ctx = gs[0].ctx
-    x = [liealg.generator(ctx, i) for i in range(1, ctx.m + 1)]
-    table = [[liealg.bracket(xi, xj) for xj in x] for xi in x]
+    the brackets read from the context's table of liealg.bracket over the
+    ordered generator pairs (_generator_brackets; the certificate the
+    module docstring describes)."""
+    x, table = _generator_brackets(gs[0].ctx)
     return all(
         normal.ginn_sum(x[i], lambda j: table[i][j - 1], g.f) == im
         for g, phi in zip(gs, maps)
         for i, im in enumerate(phi.images)
     )
+
+
+# ctx -> (the liealg.bracket the table was built with, generators, table)
+_BRACKET_TABLES = {}
+
+
+def _generator_brackets(ctx):
+    """The generators x_1..x_m of ctx and the table [x_i, x_j] of
+    liealg.bracket over all m^2 ordered pairs, built once per context and
+    again whenever liealg.bracket is rebound (a patched or traced bracket)."""
+    bracket = liealg.bracket
+    cached = _BRACKET_TABLES.get(ctx)
+    if cached is None or cached[0] is not bracket:
+        x = [liealg.generator(ctx, i) for i in range(1, ctx.m + 1)]
+        cached = _BRACKET_TABLES[ctx] = (bracket, x, [[bracket(xi, xj) for xj in x] for xi in x])
+    return cached[1:]
 
 
 def _commutator(word, maps):

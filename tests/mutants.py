@@ -94,6 +94,20 @@ MUTANTS = [
         ["tests/test_acceptance.py::test_criterion_10_mutation_tripwire"],
     ),
     (
+        "the generator-bracket table outlives a rebound liealg.bracket",
+        "src/lmc/verify.py",
+        "if cached is None or cached[0] is not bracket:",
+        "if cached is None:",
+        ["tests/test_verify.py::test_bracket_broken_after_its_table_was_built_is_caught"],
+    ),
+    (
+        "the packed sampler draws commutator coefficients off by one",
+        "src/lmc/verify.py",
+        "liealg._basis_codes(ctx.m, ctx.c):\n        v = draw(span) - bound\n",
+        "liealg._basis_codes(ctx.m, ctx.c):\n        v = draw(span) - bound + 1\n",
+        ["tests/test_verify_parity.py::test_sample_is_unchanged_on_fixed_seeds"],
+    ),
+    (
         "apply of a map that is not IA skips the substitution",
         "src/lmc/endo.py",
         "if not ia:",

@@ -33,7 +33,9 @@ without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
 of the subcommand it runs; the text output of an aut map op prints the
 images only, no Jacobian entry.  The bracket certificate of a law trial reads
-one table of generator brackets: m^2 bracket calls per trial, not per map.
+one table of generator brackets per context: the first trial in a context
+makes its m^2 bracket calls and a later trial none, until liealg.bracket
+is rebound.
 Every name in the tracer's SPANS exists where Tracer.install looks it up,
 no reference module uses a name of lmc that only the tracer and that
 name's own tests still use, and none uses the lmc code it checks.
@@ -589,10 +591,22 @@ def test_no_oracle_uses_a_name_src_no_longer_runs():
 
 
 def test_a_law_trial_brackets_each_ordered_generator_pair_once():
+    # the table of generator brackets is built by the first trial in a
+    # context under a given liealg.bracket (here the tracer's wrapper) and
+    # read by every later one
     ctx = Context(3, 4)
     for seed in (1, 2, 3):
-        reports = []
-        tracer = _traced(lambda: reports.append(check_law("metabelian", ctx, 1, seed)))
-        assert reports[0].ok
-        assert tracer.calls["verify.sample"] == 4
-        assert tracer.calls["liealg.bracket"] == ctx.m**2 == 9
+        tracer = Tracer()
+        tracer.install()
+        try:
+            reports = [check_law("metabelian", ctx, 1, seed)]
+            first = tracer.calls.copy()
+            reports.append(check_law("metabelian", ctx, 1, seed + 10))
+            reports.append(check_law("abelian", Context(3, 2), 1, seed))
+            total = tracer.calls.copy()
+        finally:
+            tracer.uninstall()
+        assert all(report.ok for report in reports)
+        assert first["verify.sample"] == 4 and total["verify.sample"] == 10
+        assert first["liealg.bracket"] == ctx.m**2 == 9
+        assert total["liealg.bracket"] == 2 * 9  # the second trial none, (3,2) its own 9

@@ -95,6 +95,19 @@ def test_broken_bracket_is_caught(monkeypatch):
         assert not report.ok, (m, c)
 
 
+def test_bracket_broken_after_its_table_was_built_is_caught(monkeypatch):
+    # the certificate keeps one table of generator brackets per context; a
+    # trial run first with the true bracket builds it, and a table that
+    # outlived the rebinding of liealg.bracket would certify the flipped one
+    ctx = Context(3, 2)
+    assert check_law("abelian", ctx, 1, seed=2).ok
+    original = liealg.bracket
+    monkeypatch.setattr(liealg, "bracket", lambda u, v: original(u, v).scale(-1))
+    report = check_law("abelian", ctx, 100, seed=2)
+    assert not report.ok and report.passed == 0
+    json.loads(report.counterexample)
+
+
 def test_bracket_broken_on_one_ordered_pair_is_caught(monkeypatch):
     # only [x2, x1] flips its sign, [x1, x2] stays right: a certificate that
     # took -[x1, x2] for [x2, x1] would miss it

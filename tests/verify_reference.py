@@ -11,10 +11,12 @@ agree_with_ginn_apply: every generator image of every map checked against
 the GInn sum of tests/element_reference.ginn_sum over the reference
 bracket of tests/ideal_reference.py, taken afresh for each map and each
 nonzero f_j, where verify._agree_with_ginn_apply reads one table of
-brackets per call.
+generator brackets per context, kept until liealg.bracket is rebound.
 
-sample: the sampler as it was, drawing GInn parameters over a freshly
-sorted all_monomials and building elements with the from_basis above.
+sample: the sampler as it was, drawing each coefficient with randint,
+GInn parameters over all_monomials, and building elements with the
+from_basis above, where verify.sample draws with randrange into packed
+module codes.
 SAMPLE_KINDS are the kinds it had; the later kind `aut` draws from its
 own generator, so these kinds' draws must not change with it.
 
