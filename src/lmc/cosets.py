@@ -39,13 +39,16 @@ module vector W, with sum_k t_k W_k = 0.  ginn_compose(w, f) = w + f (1 +
 sum t_k w_k) is then w + f: each f_j = t_k fbar_j + r_j becomes r_j, and
 f_k gains t_j fbar_j.
 
-Every reduction output is certified: the shape predicate holds, and the
-output lies in the coset of its input.  For theta = psi_f o phi, a
-product of Jacobians, the materialized multiplier psi_f has the closed-form
-Jacobian ginn_jacobian(f), so it is generalized inner; the Jacobian is
-faithful on IA maps.  For psi, the parameters of g o psi^-1, from
-ginn_compose and ginn_invert, must have a certified generator under
-normal.inner_generator, the inner certificate recognize_inner uses too.
+Every reduction output is certified by its shape and by its coset, and
+each check sees a fault the others miss.  Theta shape: a multiplier f read
+wrong off M, or a psi_f that strays in column 1.  Theta coset: J(psi_f)
+must equal ginn_jacobian(f), so psi_f is generalized inner (the Jacobian is
+faithful on IA maps); it sees a ginn_to_endo that moves a column theta
+leaves free.  Psi shape: its S-condition pass sees a broken _ginn_s, which
+ginn_pattern, comparing against the same _ginn_s, cannot.  Inner coset:
+the parameters of g o psi^-1 must have a generator certified by
+normal.inner_generator, as in recognize_inner; it sees a wrong
+ginn_compose or ginn_invert.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> CosetForm:
     theta = _endo.compose(psi, phi)
     theta_jac = _endo.jacobian(theta)
     if not shape_check(theta_jac, "theta"):
-        raise ValidationError("reduction produced a non-theta matrix")  # unreachable
+        raise ValidationError("reduction produced a non-theta matrix")  # a wrong f or psi_f
     if _endo.jacobian(psi) != normal.ginn_jacobian(g):
         raise ValidationError("reduction lost the coset")  # a wrong ginn_to_endo
     return CosetForm(theta, g, theta_jac)
@@ -230,7 +233,7 @@ def reduce_mod_inn_normal(g: "normal.GInnAut") -> CosetForm:
         raise ValidationError("reduction produced a non-psi matrix")  # a broken _ginn_s
     diff = normal.ginn_compose(g, normal.ginn_invert(params))  # g o psi^-1
     if normal.inner_generator(diff) is None:
-        raise ValidationError("reduction left the inner coset")  # unreachable
+        raise ValidationError("reduction left the inner coset")  # a wrong compose or invert
     return CosetForm(normal.ginn_to_endo(params), params, jac)
 
 

@@ -15,8 +15,8 @@ Recognition:
     f_i once, by exact division of entry (i, j0) by t_j0 for j0 the first
     index other than i, and the closed-form Jacobian of those parameters
     must then equal the input, which checks every other entry.
-    recognize_ginn and the psi shape predicates of lmc.cosets use it, and
-    recognize_ginn certifies by re-materialization.
+    That match is recognize_ginn's one certificate; the psi shape
+    predicates of lmc.cosets use ginn_pattern too.
   * inner_params gives exp(ad u) in closed form.  Write u = sum gamma_j x_j
     + w, w derived with module vector W, and s = sum gamma_j t_j.  ad u
     multiplies the derived algebra by s, and sum_j t_j W_j = 0, so exp(ad u)
@@ -249,18 +249,12 @@ def ginn_pattern(jac: "_endo.JacobianMatrix"):
 def recognize_ginn(phi: "_endo.Endomorphism"):
     """Parameter vector f with materialization equal to phi, or None.
 
-    Requires an IA input.  The Jacobian is matched against the GInn
-    pattern (ginn_pattern), and the result is certified by
-    re-materialization.
+    Requires an IA input.  ginn_pattern's match ginn_jacobian(f) == J(phi)
+    is the one certificate: the Jacobian is faithful on IA maps.
     """
     if not phi.is_ia():
         raise DomainError("recognize_ginn expects an IA automorphism")
-    g = ginn_pattern(_endo.jacobian(phi))
-    if g is None:
-        return None
-    if ginn_to_endo(g) != phi:
-        return None  # unreachable when the Jacobian matches
-    return g
+    return ginn_pattern(_endo.jacobian(phi))
 
 
 @lru_cache(maxsize=None)

@@ -49,7 +49,10 @@ MUTANTS = [
         "src/lmc/normal.py",
         "return g if ginn_jacobian(g) == jac else None",
         "return g",
-        ["tests/test_cosets.py::test_psi_shape_accepts_triangular_support_and_rejects_otherwise"],
+        [
+            "tests/test_cosets.py::test_psi_shape_accepts_triangular_support_and_rejects_otherwise",
+            "tests/test_normal.py::test_recognize_ginn_and_decide_normal_match_the_oracle_one_commutator_off_ginn",
+        ],
     ),
     (
         "aut commutator without the final sigma_K",
@@ -282,6 +285,34 @@ MUTANTS = [
         "    if not jac.satisfies_s_condition():\n        return False\n    if shape",
         "    if False:\n        return False\n    if shape",
         ["tests/test_cosets.py::test_reduce_mod_inn_certificate_catches_an_s_condition_break"],
+    ),
+    (
+        "reduce_mod_in skips its theta shape certificate",
+        "src/lmc/cosets.py",
+        'if not shape_check(theta_jac, "theta"):',
+        "if False:",
+        ["tests/test_cosets.py::test_reduce_mod_in_certificate_catches_an_off_shape_multiplier"],
+    ),
+    (
+        "reduce_mod_in skips its coset certificate",
+        "src/lmc/cosets.py",
+        "if _endo.jacobian(psi) != normal.ginn_jacobian(g):",
+        "if False:",
+        ["tests/test_cosets.py::test_reduce_mod_in_certificate_catches_a_wrong_multiplier"],
+    ),
+    (
+        "reduce_mod_inn_normal skips its psi shape certificate",
+        "src/lmc/cosets.py",
+        'if not shape_check(jac, "psi"):',
+        "if False:",
+        ["tests/test_cosets.py::test_reduce_mod_inn_certificate_catches_an_s_condition_break"],
+    ),
+    (
+        "reduce_mod_inn_normal skips its inner coset certificate",
+        "src/lmc/cosets.py",
+        "if normal.inner_generator(diff) is None:",
+        "if False:",
+        ["tests/test_cosets.py::test_reduce_mod_inn_certificate_catches_a_wrong_inverse"],
     ),
     # -- text --------------------------------------------------------------------------
     (

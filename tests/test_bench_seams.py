@@ -367,6 +367,9 @@ def test_recognize_ginn_divides_one_entry_per_parameter():
     assert found == [g]
     assert tracer.calls["normal.recognize_ginn"] == 1
     assert tracer.calls["arith.divide_var"] == ctx.m
+    # the Jacobian match is recognize_ginn's one certificate
+    assert tracer.calls["normal.ginn_to_endo"] == 0
+    assert tracer.calls["normal.ginn_jacobian"] == 1
 
 
 def test_a_product_is_one_pmac_pass(monkeypatch):

@@ -158,6 +158,24 @@ def test_reduce_mod_in_certificate_catches_a_wrong_multiplier(monkeypatch):
         cosets.reduce_mod_in(sample("ia", ctx, "cert", 2))
 
 
+def test_reduce_mod_in_certificate_catches_an_off_shape_multiplier(monkeypatch):
+    # Adding [x2,x1,x1] to the image of x_1 moves column 1 of theta's
+    # Jacobian, which the theta shape constrains: the shape check fails
+    # before the coset certificate is reached.
+    ctx = Context(3, 4)
+    x = [liealg.generator(ctx, i) for i in range(1, 4)]
+    extra = liealg.bracket_chain(x[1], x[0], x[0])
+    ginn_to_endo = normal.ginn_to_endo
+
+    def perturbed(g):
+        images = ginn_to_endo(g).images
+        return endo.Endomorphism(ctx, (images[0] + extra,) + images[1:])
+
+    monkeypatch.setattr(normal, "ginn_to_endo", perturbed)
+    with pytest.raises(ValidationError, match="non-theta matrix"):
+        cosets.reduce_mod_in(sample("ia", ctx, "cert", 2))
+
+
 def test_reduce_mod_inn_certificate_catches_an_s_condition_break(monkeypatch):
     # ginn_pattern's certificate compares against ginn_jacobian, which is
     # built from the same _ginn_s, so only the psi shape's S-condition pass

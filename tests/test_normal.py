@@ -1,3 +1,4 @@
+import random
 import pytest
 from fractions import Fraction as F
 
@@ -170,6 +171,29 @@ def test_recognize_ginn_oracle_agreement_on_random_ia():
         ours = normal.recognize_ginn(phi)
         oracle = ginn_of_map(phi)
         assert (ours is None) == (oracle is None)
+
+
+@pytest.mark.parametrize("m,c", [(3, 3), (3, 4), (4, 3), (4, 4)])
+def test_recognize_ginn_and_decide_normal_match_the_oracle_one_commutator_off_ginn(m, c):
+    # ginn_to_endo(g) o e with e: x_p -> x_p + a [x_q, x_r, ...] for one
+    # basis commutator.  ginn_pattern reads f off one entry per row, so
+    # only its Jacobian certificate sees the other entries move; a = 0
+    # keeps the map generalized inner, so both verdicts show.
+    ctx = Context(m, c)
+    rnd = random.Random(f"one-off-{m}-{c}")
+    commutators = liealg.enumerate_basis(ctx)[m:]
+    x = [liealg.generator(ctx, j) for j in range(1, m + 1)]
+    for trial in range(10):
+        g = sample("ginn", ctx, f"one-off{trial}", 2)
+        p, tup, a = rnd.randrange(m), rnd.choice(commutators), trial % 5 - 2
+        w = liealg.bracket_chain(*(x[i - 1] for i in tup)).scale(a)
+        e = endo.Endomorphism(ctx, tuple(xj + w if j == p else xj for j, xj in enumerate(x)))
+        phi = endo.compose(normal.ginn_to_endo(g), e)
+        oracle = ginn_of_map(phi)
+        got = normal.recognize_ginn(phi)
+        assert (got is None) == (oracle is None), (trial, p, tup, a)
+        assert got is None or normal.ginn_to_endo(got) == phi
+        assert normal.decide_normal(phi).normal == (oracle is not None)
 
 
 def test_recognize_inner_round_trip():
