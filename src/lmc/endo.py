@@ -18,14 +18,16 @@ the derived algebra) are the case A = I, matrices I + S on which the
 Jacobian is a faithful semigroup isomorphism.
 
 So every map is handled as a matrix: compose is the chain rule, and
-group_commutator and the inverse of an IA map solve Q Y = P for a
-unipotent Q = I + N (K Q, K a constant matrix, for a commutator of maps
-that are not IA).  N has no constant term, so the degree-d part of Y
-is P_d - sum_{e>=1} N_e Y_(d-e), which needs only the parts of Y below
-degree d: power-series division, with the work of the one product N Y.
-A product is one pass of the matrix kernel arith.poly_matmul, a solve one
-pass of arith.poly_solve, a map built from a Jacobian keeps it, and
-sigma_A for A = alpha I is the dilation t -> alpha t.
+jacobian_commutator (J of group_commutator, from the two Jacobians) and
+the inverse of an IA map solve Q Y = P for a unipotent Q = I + N (Q over
+alpha beta for linear parts alpha I and beta I; K Q, K a constant matrix,
+for other maps that are not IA).  N has no constant term, so the degree-d
+part of Y is P_d - sum_{e>=1} N_e Y_(d-e), which needs only the parts of
+Y below degree d: power-series division, with the work of the one
+product N Y.  A product is one pass of the matrix kernel
+arith.poly_matmul, a solve one pass of arith.poly_solve, a map built from
+a Jacobian keeps it, and sigma_A for A = alpha I is the dilation t ->
+alpha t.
 
 Endomorphism.apply is the one action built from the bracket, and no
 composition calls it.  It collects, per module coordinate, the products
@@ -122,6 +124,18 @@ class JacobianMatrix:
                 if p.nums.get(0) != (p.den if i == j else None):
                     return False
         return True
+
+    def scalar(self):
+        """alpha when the constant part is alpha I, else None, read off the
+        packed numerators as is_unipotent reads I."""
+        n, d = self.rows[0][0].nums.get(0, 0), self.rows[0][0].den
+        if all(p.nums.get(0, 0) * d == n * p.den if i == j else 0 not in p.nums
+               for i, row in enumerate(self.rows) for j, p in enumerate(row)):
+            return Fraction(n, d)
+
+    def dilate(self, s) -> "JacobianMatrix":
+        """sigma_A for A = s I: every entry at s t (TruncPoly.dilate)."""
+        return JacobianMatrix(self.ctx, [[p.dilate(s) for p in row] for row in self.rows])
 
     def column_defect(self, j: int) -> TruncPoly:
         """sum_i t_i * (self - A)[i][j] at cap c (1-based column j), A the
@@ -392,27 +406,40 @@ def invert(phi: Endomorphism) -> Endomorphism:
 
 
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:
-    """phi^-1 psi^-1 phi psi under the repo composition order (psi first).
+    """phi^-1 psi^-1 phi psi (psi first): the map of jacobian_commutator."""
+    return _from_jacobian(jacobian_commutator(jacobian(phi), jacobian(psi)))
 
-    With P = J(phi psi) and Q = J(psi phi) from the chain rule, the
-    commutator c satisfies P = Q sigma_C(J(c)), C = BA the constant part of
-    Q.  On IA pairs C = I and J(c) = Q^-1 P, solved degree by degree with P
-    and Q as the kernel's integer numerators (arith.poly_commutator).
-    Otherwise K = C^-1 makes K Q unipotent, one solve (arith.poly_solve)
-    gives Y0 = (K Q)^-1 K P = sigma_C(J(c)), and one substitution gives
-    J(c) = sigma_K(Y0).
+
+def jacobian_commutator(ja: JacobianMatrix, jb: JacobianMatrix) -> JacobianMatrix:
+    """J(c), c = phi^-1 psi^-1 phi psi, from ja = J(phi) and jb = J(psi).
+
+    P = J(phi psi) and Q = J(psi phi) satisfy P = Q sigma_C(J(c)), C = BA
+    the constant part of Q.  IA pairs: J(c) = Q^-1 P (arith.poly_commutator).
+    A = alpha I, B = beta I: one arith.poly_solve of Q and P over alpha beta,
+    dilated by 1/(alpha beta).  Otherwise K = C^-1 makes K Q unipotent,
+    Y0 = (K Q)^-1 K P = sigma_C(J(c)) and J(c) = sigma_K(Y0).
     """
-    if phi.ctx != psi.ctx:
-        raise ContextMismatch(f"{phi.ctx} vs {psi.ctx}")
-    ctx = phi.ctx
-    ja, jb = jacobian(phi), jacobian(psi)
-    if phi.is_ia() and psi.is_ia():
-        return _from_jacobian(JacobianMatrix(ctx, poly_commutator(ja.rows, jb.rows)))
+    ctx = ja.ctx
+    if ctx != jb.ctx:
+        raise ContextMismatch(f"{ctx} vs {jb.ctx}")
+    if ja.is_unipotent() and jb.is_unipotent():
+        return JacobianMatrix(ctx, poly_commutator(ja.rows, jb.rows))
+    alpha, beta = ja.scalar(), jb.scalar()
+    if alpha and beta:  # a singular scalar takes the K route to its DomainError
+        k = 1 / (alpha * beta)
+        p, q = ja @ jb.dilate(alpha), jb @ ja.dilate(beta)
+        y0 = poly_solve(*([[x.scale(k) for x in row] for row in j.rows] for j in (q, p)))
+        return JacobianMatrix(ctx, y0).dilate(k)
+    phi, psi = (linear_endo(ctx, _constant_part(j)) for j in (ja, jb))
     p, q = ja @ _sigma(phi, jb), jb @ _sigma(psi, ja)
-    k = mat_inv([[x.constant_term() for x in row] for row in q.rows])
+    k = mat_inv(_constant_part(q))
     if k is None:
         raise DomainError("group_commutator needs automorphisms (invertible linear parts)")
     kmap = linear_endo(ctx, k)
     jk = jacobian(kmap)
     y0 = JacobianMatrix(ctx, poly_solve((jk @ q).rows, (jk @ p).rows))
-    return _from_jacobian(_sigma(kmap, y0))
+    return _sigma(kmap, y0)
+
+
+def _constant_part(jac: JacobianMatrix):
+    return [[x.constant_term() for x in row] for row in jac.rows]

@@ -18,9 +18,10 @@ proved for, so a report can never reflect a vacuous domain:
                      exp(ad phi^-1(u)), phi sampled
                      with any invertible linear part  any
 
-The first four are commutator words, (a,b) = a^-1 b^-1 a b the map of
-endo.group_commutator, each evaluated by one recursion (_commutator) on
-sampled normal maps, a GInn sample being the normal map with alpha 1.
+The first four are commutator words, (a,b) = a^-1 b^-1 a b, each
+evaluated by one recursion (_commutator) of endo.jacobian_commutator on
+the Jacobians of sampled normal maps, a GInn sample being the normal map
+with alpha 1; the Jacobian determines the map, so a law holds iff J(word) = I.
 Group commutators and compositions are Jacobian products (lmc.endo),
 and a sign-flipped bracket is still a Lie bracket, so these laws alone
 cannot see a broken bracket.  Their inputs are therefore certified
@@ -252,12 +253,12 @@ def _generator_brackets(ctx):
 
 
 def _commutator(word, maps):
-    """The group commutator the word names: an index is that map, a pair
-    (u, v) the commutator of its two words."""
+    """The Jacobian of the group commutator the word names: an index is
+    that map's, a pair (u, v) the commutator of its two words."""
     if isinstance(word, int):
-        return maps[word]
+        return _endo.jacobian(maps[word])
     u, v = word
-    return _endo.group_commutator(_commutator(u, maps), _commutator(v, maps))
+    return _endo.jacobian_commutator(_commutator(u, maps), _commutator(v, maps))
 
 
 def _word_law(kind, count, word):
@@ -265,7 +266,7 @@ def _word_law(kind, count, word):
 
     def law(ctx, seeds, bound):
         maps, ok = _certified_maps(kind, ctx, seeds, bound, count)
-        ok = ok and _commutator(word, maps) == _endo.Endomorphism.identity(ctx)
+        ok = ok and _commutator(word, maps) == _endo.JacobianMatrix.identity(ctx)
         return ok, maps
 
     return law

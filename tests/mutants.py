@@ -57,9 +57,33 @@ MUTANTS = [
     (
         "aut commutator without the final sigma_K",
         "src/lmc/endo.py",
-        "return _from_jacobian(_sigma(kmap, y0))",
-        "return _from_jacobian(y0)",
-        ["tests/test_bench_seams.py::test_compositions_of_maps_that_are_not_ia_call_neither_apply_nor_bracket"],
+        "return _sigma(kmap, y0)",
+        "return y0",
+        [
+            "tests/test_bench_seams.py::test_compositions_of_maps_that_are_not_ia_call_neither_apply_nor_bracket",
+            COMPOSE + "test_scalar_pairs_take_one_solve_and_match_the_apply_chain",
+        ],
+    ),
+    (
+        "the scalar commutator dilates by alpha beta where it dilates by its inverse",
+        "src/lmc/endo.py",
+        "return JacobianMatrix(ctx, y0).dilate(k)",
+        "return JacobianMatrix(ctx, y0).dilate(alpha * beta)",
+        [COMPOSE + "test_scalar_pairs_take_one_solve_and_match_the_apply_chain"],
+    ),
+    (
+        "a word law's final check J(word) = I always holds",
+        "src/lmc/verify.py",
+        "ok = ok and _commutator(word, maps) == _endo.JacobianMatrix.identity(ctx)",
+        "ok = ok and (_commutator(word, maps) == _endo.JacobianMatrix.identity(ctx) or True)",
+        ["tests/test_verify.py::test_a_word_that_is_not_the_identity_fails_on_certified_maps"],
+    ),
+    (
+        "metabelian takes ((a,c),(b,d)), also a law, for ((a,b),(c,d))",
+        "src/lmc/verify.py",
+        '"metabelian": _word_law("ginn", 4, ((0, 1), (2, 3))),',
+        '"metabelian": _word_law("ginn", 4, ((0, 2), (1, 3))),',
+        ["tests/test_verify_parity.py::test_word_laws_report_as_the_law_functions"],
     ),
     (
         "invert of a map that is not IA composes in the wrong order",

@@ -549,7 +549,8 @@ CHECKED_CODE = {
     "element_reference.py": {"lmc.normal.ginn_sum", "lmc.endo._from_jacobian"},
     "endo_reference.py": {
         "lmc.normal._ginn_s", "lmc.normal.ginn_jacobian", "lmc.normal.ginn_to_endo", "lmc.endo.compose",
-        "lmc.endo.invert", "lmc.endo.group_commutator", "lmc.liealg.bracket"},
+        "lmc.endo.invert", "lmc.endo.group_commutator", "lmc.endo.jacobian_commutator",
+        "lmc.liealg.bracket"},
     "ginn_reference.py": {
         "lmc.normal.ginn_pattern", "lmc.normal.recognize_ginn", "lmc.normal.ginn_jacobian",
         "lmc.normal.ginn_to_endo", "lmc.normal.ginn_compose", "lmc.normal._in_s", "lmc.arith.t_dot",
@@ -563,7 +564,8 @@ CHECKED_CODE = {
         "lmc.normal.ginn_invert"},
     "syntax_reference.py": {"lmc.liealg.to_basis", "lmc.syntax.parse_element", "lmc.syntax.parse_poly"},
     "verify_reference.py": {
-        "lmc.normal.ginn_to_endo", "lmc.normal.ginn_sum", "lmc.liealg.from_basis", "lmc.liealg.bracket"},
+        "lmc.normal.ginn_to_endo", "lmc.normal.ginn_sum", "lmc.liealg.from_basis", "lmc.liealg.bracket",
+        "lmc.endo.jacobian_commutator"},
 }
 
 

@@ -11,7 +11,9 @@ maps with linear parts that do not commute, sampled automorphisms (kind
 aut, dense with integer linear parts) and scaled normal maps, at c <= 3
 (no iteration step for IA pairs) and above.  compose also takes a left
 factor with a singular linear part, where invert and the commutator raise
-DomainError.
+DomainError.  endo.jacobian_commutator takes one poly_solve and no mat_inv
+when both linear parts are scalars (alpha = -1, alpha beta = 1 and
+scalar/IA pairs among them), and the K route when one is not.
 """
 
 import random
@@ -97,6 +99,51 @@ def test_compose_and_commutator_match_the_apply_chain(m, c):
         assert endo.compose(phi, psi) == ref.compose(phi, psi), name
         assert endo.group_commutator(phi, psi) == ref.group_commutator(phi, psi), name
         assert endo.invert(phi) == ref.invert(phi), name
+
+
+def _route_calls(monkeypatch):
+    """Count the kernel calls that tell jacobian_commutator's routes apart:
+    poly_commutator (IA pairs), poly_solve (both other routes) and mat_inv
+    (the K route alone)."""
+    seen = {"poly_commutator": 0, "poly_solve": 0, "mat_inv": 0}
+    for name in seen:
+        original = getattr(endo, name)
+
+        def counting(*args, name=name, original=original):
+            seen[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(endo, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("m,c", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_scalar_pairs_take_one_solve_and_match_the_apply_chain(monkeypatch, m, c):
+    ctx = Context(m, c)
+    tag = f"scalar-{m}-{c}"
+    scaled = {a: scaled_normal(ctx, f"{tag}-{a}", a) for a in (F(-1), F(2), F(1, 2), F(3, 2), F(-2))}
+    ia = sample("ia", ctx, f"{tag}-ia")
+    scalar_pairs = [
+        (scaled[F(-1)], scaled[F(2)]),  # alpha = -1
+        (scaled[F(2)], scaled[F(1, 2)]),  # alpha * beta = 1
+        (scaled[F(3, 2)], scaled[F(-2)]),
+        (scaled[F(-1)], ia),
+        (ia, scaled[F(1, 2)]),
+    ]
+    k_pairs = [
+        (scaled[F(2)], ref.compose(linear(ctx), ia)),
+        (sample("aut", ctx, f"{tag}-aut"), scaled[F(-1)]),
+    ]
+    for k_route, (phi, psi) in [(False, p) for p in scalar_pairs] + [(True, p) for p in k_pairs]:
+        ja, jb = endo.jacobian(phi), endo.jacobian(psi)
+        assert (ja.scalar() is None or jb.scalar() is None) is k_route
+        with monkeypatch.context() as patch:
+            seen = _route_calls(patch)
+            got = endo.jacobian_commutator(ja, jb)
+        assert seen == {"poly_commutator": 0, "poly_solve": 1, "mat_inv": int(k_route)}
+        want = ref.group_commutator(phi, psi)
+        assert endo.group_commutator(phi, psi) == want
+        assert endo.jacobian(endo.group_commutator(phi, psi)) == got == endo.jacobian(want)
 
 
 @pytest.mark.parametrize("m,c", [(2, 1), (2, 3), (3, 3), (3, 4)])

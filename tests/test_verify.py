@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lmc import endo, liealg, normal
+from lmc import endo, liealg, normal, verify
 from lmc.errors import UsageError
 from lmc.liealg import Context
 from lmc.verify import check_law, sample
@@ -132,6 +132,21 @@ def test_bracket_broken_on_one_ordered_pair_is_caught(monkeypatch):
         report = check_law(law, Context(m, c), 100, seed=2)
         assert not report.ok, (law, m, c)
         json.loads(report.counterexample)
+
+
+def test_a_word_that_is_not_the_identity_fails_on_certified_maps():
+    # past the contexts a word law is proved for its word is no identity,
+    # and the certificate still passes, so the final check J(word) = I
+    # alone must fail it
+    for kind, count, word, m, c in (
+        ("ginn", 2, (0, 1), 3, 3),
+        ("ginn", 3, ((0, 1), 2), 2, 4),
+        ("normal_scaled", 2, (0, 1), 2, 3),
+    ):
+        ctx, seeds = Context(m, c), lambda slot: f"not-a-law:{slot}"
+        assert verify._certified_maps(kind, ctx, seeds, 3, count)[1]
+        ok, maps = verify._word_law(kind, count, word)(ctx, seeds, 3)
+        assert not ok and len(maps) == count, (kind, word, m, c)
 
 
 def test_jacobian_functorial_composes_through_apply(monkeypatch):

@@ -12,7 +12,8 @@ must accept and reject exactly the maps the per-map GInn sum of
 tests/element_reference.py over the reference bracket does,
 among them maps changed in one basis coordinate.  The four laws that
 verify states as commutator words must report as the functions that
-wrote them out did (elapsed time aside) and take the same commutators, at every context each
+wrote them out did (elapsed time aside) and commute the Jacobians of the
+maps those functions commuted, at every context each
 law is proved for, with the bracket as it is, negated, and negated on the one
 ordered pair (x2, x1).
 """
@@ -174,26 +175,36 @@ def test_word_laws_report_as_the_law_functions(monkeypatch, law, mc, bracket):
     if bracket != "as-is":
         flipped = _flipped(liealg.bracket, bracket != "negated")
         monkeypatch.setattr(liealg, "bracket", flipped)
-    calls = []  # a wrong word that is also a law would pass on reports alone
-    commutator = endo.group_commutator
+    # a wrong word that is also a law would pass on reports alone, so the
+    # Jacobian pairs verify commutes must be those of the maps the
+    # reference commutes (its group_commutator also runs
+    # jacobian_commutator, whose calls it makes are not kept)
+    jac_calls, map_calls = [], []
+    jacobian_commutator, group_commutator = endo.jacobian_commutator, endo.group_commutator
 
-    def recording(phi, psi):
-        calls.append((phi, psi))
-        return commutator(phi, psi)
+    def recording_jacobians(ja, jb):
+        jac_calls.append((ja, jb))
+        return jacobian_commutator(ja, jb)
 
-    monkeypatch.setattr(endo, "group_commutator", recording)
+    def recording_maps(phi, psi):
+        map_calls.append((endo.jacobian(phi), endo.jacobian(psi)))
+        return group_commutator(phi, psi)
+
+    monkeypatch.setattr(endo, "jacobian_commutator", recording_jacobians)
+    monkeypatch.setattr(endo, "group_commutator", recording_maps)
     failed = 0
     for seed in (1, 2, 3):
         got = verify.check_law(law, ctx, 3, seed).to_dict()
-        got_calls = Counter(calls)
-        calls.clear()
+        got_calls = Counter(jac_calls)
+        assert not map_calls, seed
         with monkeypatch.context() as patch:
             patch.setitem(verify._LAWS, law, ref.LAWS[law])
             want = verify.check_law(law, ctx, 3, seed).to_dict()
         del got["elapsed_seconds"], want["elapsed_seconds"]
         assert got == want, seed
         if bracket == "as-is":  # the old class2_by_abelian took c1..c3 before its certificate
-            assert got_calls == Counter(calls), seed
-        calls.clear()
+            assert got_calls == Counter(map_calls), seed
+        jac_calls.clear()
+        map_calls.clear()
         failed += got["counterexample"] is not None
     assert failed == (0 if bracket == "as-is" else 3)
