@@ -29,10 +29,12 @@ items() and printing.
 The matrix kernel: poly_matmul multiplies two square matrices of TruncPoly
 entries (the Jacobians of lmc.endo) in one integer pass, _impl.mmul.  Each
 operand's numerators go over one common denominator, each row of the
-right operand is packed into (code, column, numerator) terms in ascending
-code order, and every term of the left operand runs down the row it
-selects and stops at the first code past the cap, the ordered product of
-Monagan and Pearce applied row by row.  Each entry is wrapped once.
+right operand is bucketed by degree into (column and code, numerator)
+terms and kept as one prefix list per degree d, its terms of degree at
+most d, and a term of degree e of the left operand runs down the prefix
+for cap - e of the row it selects: the ordered product of Monagan and
+Pearce applied row by row, with the cap test moved into the choice of
+prefix.  Each entry is wrapped once.
 
 The solve kernel: poly_solve gives Y = Q^-1 P for a unipotent Q = I + N
 in one integer pass, _impl.msolve.  N has no constant term, so the
@@ -140,34 +142,42 @@ class _impl:
         return out
 
     @staticmethod
-    def mmul(a, b, lim):
+    def mmul(a, b, lim, top):
         """Product of two square matrices of numerator maps (lists of rows),
         with every code >= lim discarded; the result is a fresh matrix of
-        maps.  Each row k of b is packed into one list of (code, key, num)
-        terms in ascending code order, key = j * lim + code for column j,
-        so a term of a with code ca in column k runs down row k of b and
-        stops at the first code >= lim - ca.  The sums of a row are keyed
-        by key + ca, which holds the pair (j, code) in one integer."""
-        packed = []
+        maps.  The degree of a code is code >> top, and the cap is (lim >>
+        top) - 1.  Each row k of b is bucketed by degree into (key, num)
+        terms, key = j * lim + code for column j, and kept as one prefix
+        list per degree d, its terms of degree at most d.  A term of a with
+        code ca of degree e in column k runs down the prefix for cap - e of
+        row k, every term of which keeps the product within the cap.  The
+        sums of a row are keyed by key + ca, which holds the pair (j, code)
+        in one integer."""
+        cap = (lim >> top) - 1
+        prefixes = []
         for row in b:
-            terms = [(e, j * lim + e, c) for j, p in enumerate(row) for e, c in p.items()]
-            terms.sort()
-            packed.append(terms)
+            buckets = [[] for _ in range(cap + 1)]
+            for j, p in enumerate(row):
+                base = j * lim
+                for e, c in p.items():
+                    buckets[e >> top].append((base + e, c))
+            run, prefix = [], []
+            for terms in buckets:
+                run = run + terms
+                prefix.append(run)
+            prefixes.append(prefix)
         out = []
         for row in a:
             acc = {}
             get = acc.get
-            for p, terms in zip(row, packed):
-                if not terms:
+            for p, prefix in zip(row, prefixes):
+                if not prefix[cap]:
                     continue
                 for ca, na in p.items():
-                    room = lim - ca
-                    for cb, key, nb in terms:
-                        if cb >= room:
-                            break
+                    for key, nb in prefix[cap - (ca >> top)]:
                         e = key + ca
                         acc[e] = get(e, 0) + na * nb
-            sums = [{} for _ in packed]
+            sums = [{} for _ in prefixes]
             for e, c in acc.items():
                 if c:
                     j, code = divmod(e, lim)
@@ -624,20 +634,21 @@ def poly_mac(base: TruncPoly, pairs) -> TruncPoly:
     return _reduced(nv, cap, _impl.pmac(nums, terms, code_limit(nv, cap)), den)
 
 
-def poly_matmul(a, b) -> list:
-    """Product of two square matrices (lists of rows) of TruncPoly entries
-    at one (nv, cap): one _impl.mmul over each operand's numerators on one
-    common denominator, and each entry wrapped once."""
+def poly_matmul(a, b) -> tuple:
+    """Product of two square matrices (sequences of rows) of TruncPoly
+    entries at one (nv, cap), as a tuple of row tuples: one _impl.mmul over
+    each operand's numerators on one common denominator, and each entry
+    wrapped once."""
     nv, cap = a[0][0].nv, a[0][0].cap
     (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
     den = da * db
-    return [
-        [_reduced(nv, cap, nums, den) for nums in row]
-        for row in _impl.mmul(na, nb, code_limit(nv, cap))
-    ]
+    return tuple(
+        tuple(_reduced(nv, cap, nums, den) for nums in row)
+        for row in _impl.mmul(na, nb, code_limit(nv, cap), FIELD_BITS * nv)
+    )
 
 
-def poly_solve(q, p) -> list:
+def poly_solve(q, p) -> tuple:
     """Q^-1 P for square matrices of TruncPoly entries at one (nv, cap) with
     Q unipotent: one _impl.msolve over the numerators of both on one
     common denominator, and each entry wrapped once."""
@@ -646,25 +657,25 @@ def poly_solve(q, p) -> list:
     return _solved(_over_den(q, den), _over_den(p, den), den, nv, cap)
 
 
-def poly_commutator(a, b) -> list:
+def poly_commutator(a, b) -> tuple:
     """(BA)^-1 AB for square matrices A and B of TruncPoly entries at one
     (nv, cap) with BA unipotent: AB and BA are two _impl.mmul passes over
     one denominator, that of A times that of B, and go into _impl.msolve
     as they are, so only the result is wrapped."""
     nv, cap = a[0][0].nv, a[0][0].cap
     (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
-    lim = code_limit(nv, cap)
-    return _solved(_impl.mmul(nb, na, lim), _impl.mmul(na, nb, lim), da * db, nv, cap)
+    lim, top = code_limit(nv, cap), FIELD_BITS * nv
+    return _solved(_impl.mmul(nb, na, lim, top), _impl.mmul(na, nb, lim, top), da * db, nv, cap)
 
 
-def _solved(q, p, den, nv, cap) -> list:
-    """_impl.msolve on numerator matrices q and p over den, each entry of
-    the result wrapped once over den^(cap+1)."""
+def _solved(q, p, den, nv, cap) -> tuple:
+    """_impl.msolve on numerator matrices q and p over den, as a tuple of
+    row tuples, each entry wrapped once over den^(cap+1)."""
     out_den = den ** (cap + 1)
-    return [
-        [_reduced(nv, cap, nums, out_den) for nums in row]
+    return tuple(
+        tuple(_reduced(nv, cap, nums, out_den) for nums in row)
         for row in _impl.msolve(q, p, code_limit(nv, cap), FIELD_BITS * nv, den)
-    ]
+    )
 
 
 def _over_one_den(rows):

@@ -61,28 +61,45 @@ _ZERO = Fraction(0)
 
 
 class JacobianMatrix:
-    """m x m matrix of truncated polynomials at cap c-1."""
+    """m x m matrix of truncated polynomials at cap c-1, kept as a tuple of
+    m row tuples.  The constructor checks the shape of what it is given;
+    the results of the kernel (products, solves, commutators, dilations)
+    and of the closed forms of lmc.normal are wrapped once by _clean, which
+    checks it again only under liealg.CHECK_INVARIANTS, as
+    LieElement._clean does."""
 
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: Context, rows):
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != ctx.m or any(len(r) != ctx.m for r in rows):
-            raise ValidationError(f"need an {ctx.m}x{ctx.m} matrix")
-        for row in rows:
-            for p in row:
-                if p.nv != ctx.m or p.cap != ctx.module_cap:
-                    raise ValidationError(
-                        f"entries must have {ctx.m} vars and cap {ctx.module_cap}"
-                    )
+        self._fill(ctx, tuple(tuple(row) for row in rows), True)
+
+    @classmethod
+    def _clean(cls, ctx: Context, rows) -> "JacobianMatrix":
+        """A JacobianMatrix of rows already as __init__ leaves them, checked
+        again only under liealg.CHECK_INVARIANTS."""
+        return object.__new__(cls)._fill(ctx, rows, liealg.CHECK_INVARIANTS)
+
+    def _fill(self, ctx, rows, check) -> "JacobianMatrix":
+        if check:
+            if type(rows) is not tuple or any(type(r) is not tuple for r in rows):
+                raise ValidationError("rows must be a tuple of row tuples")
+            if len(rows) != ctx.m or any(len(r) != ctx.m for r in rows):
+                raise ValidationError(f"need an {ctx.m}x{ctx.m} matrix")
+            for row in rows:
+                for p in row:
+                    if p.nv != ctx.m or p.cap != ctx.module_cap:
+                        raise ValidationError(
+                            f"entries must have {ctx.m} vars and cap {ctx.module_cap}"
+                        )
         self.ctx = ctx
         self.rows = rows
+        return self
 
     @classmethod
     def identity(cls, ctx: Context) -> "JacobianMatrix":
         one = TruncPoly.const(ctx.m, ctx.module_cap, 1)
         zero = TruncPoly.zero(ctx.m, ctx.module_cap)
-        return cls(
+        return cls._clean(
             ctx,
             tuple(
                 tuple(one if i == j else zero for j in range(ctx.m))
@@ -93,13 +110,14 @@ class JacobianMatrix:
     def __matmul__(self, other: "JacobianMatrix") -> "JacobianMatrix":
         if self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        return JacobianMatrix(self.ctx, poly_matmul(self.rows, other.rows))
+        return JacobianMatrix._clean(self.ctx, poly_matmul(self.rows, other.rows))
 
     def _entrywise(self, other: "JacobianMatrix", op) -> "JacobianMatrix":
         if self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        return JacobianMatrix(
-            self.ctx, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        return JacobianMatrix._clean(
+            self.ctx,
+            tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)),
         )
 
     def __add__(self, other: "JacobianMatrix") -> "JacobianMatrix":
@@ -135,7 +153,9 @@ class JacobianMatrix:
 
     def dilate(self, s) -> "JacobianMatrix":
         """sigma_A for A = s I: every entry at s t (TruncPoly.dilate)."""
-        return JacobianMatrix(self.ctx, [[p.dilate(s) for p in row] for row in self.rows])
+        return JacobianMatrix._clean(
+            self.ctx, tuple(tuple(p.dilate(s) for p in row) for row in self.rows)
+        )
 
     def column_defect(self, j: int) -> TruncPoly:
         """sum_i t_i * (self - A)[i][j] at cap c (1-based column j), A the
@@ -156,7 +176,7 @@ class JacobianMatrix:
         if not self.is_unipotent():
             raise DomainError("Neumann inverse needs a unipotent matrix")
         ident = JacobianMatrix.identity(self.ctx)
-        return JacobianMatrix(self.ctx, poly_solve(self.rows, ident.rows))
+        return JacobianMatrix._clean(self.ctx, poly_solve(self.rows, ident.rows))
 
     def __repr__(self):
         body = "; ".join(
@@ -313,7 +333,7 @@ def _sigma(phi: Endomorphism, jac: JacobianMatrix) -> JacobianMatrix:
     linear form of the image of x_r, which leaves jac as it is when phi is IA."""
     if phi.is_ia():
         return jac
-    return JacobianMatrix(
+    return JacobianMatrix._clean(
         jac.ctx, tuple(tuple(phi._substituted(p) for p in row) for row in jac.rows)
     )
 
@@ -423,13 +443,13 @@ def jacobian_commutator(ja: JacobianMatrix, jb: JacobianMatrix) -> JacobianMatri
     if ctx != jb.ctx:
         raise ContextMismatch(f"{ctx} vs {jb.ctx}")
     if ja.is_unipotent() and jb.is_unipotent():
-        return JacobianMatrix(ctx, poly_commutator(ja.rows, jb.rows))
+        return JacobianMatrix._clean(ctx, poly_commutator(ja.rows, jb.rows))
     alpha, beta = ja.scalar(), jb.scalar()
     if alpha and beta:  # a singular scalar takes the K route to its DomainError
         k = 1 / (alpha * beta)
         p, q = ja @ jb.dilate(alpha), jb @ ja.dilate(beta)
         y0 = poly_solve(*([[x.scale(k) for x in row] for row in j.rows] for j in (q, p)))
-        return JacobianMatrix(ctx, y0).dilate(k)
+        return JacobianMatrix._clean(ctx, y0).dilate(k)
     phi, psi = (linear_endo(ctx, _constant_part(j)) for j in (ja, jb))
     p, q = ja @ _sigma(phi, jb), jb @ _sigma(psi, ja)
     k = mat_inv(_constant_part(q))
@@ -437,7 +457,7 @@ def jacobian_commutator(ja: JacobianMatrix, jb: JacobianMatrix) -> JacobianMatri
         raise DomainError("group_commutator needs automorphisms (invertible linear parts)")
     kmap = linear_endo(ctx, k)
     jk = jacobian(kmap)
-    y0 = JacobianMatrix(ctx, poly_solve((jk @ q).rows, (jk @ p).rows))
+    y0 = JacobianMatrix._clean(ctx, poly_solve((jk @ q).rows, (jk @ p).rows))
     return _sigma(kmap, y0)
 
 

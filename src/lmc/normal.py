@@ -159,13 +159,13 @@ def ginn_to_endo(g: GInnAut) -> "_endo.Endomorphism":
     return _scaled_ginn_endo(_ONE, g)
 
 
-def _scaled_ginn_endo(alpha, g: GInnAut, s=None) -> "_endo.Endomorphism":
-    """x_j -> alpha x_j + alpha S_j(alpha t), S_j column j of S (s, if
-    given, else _ginn_s(g)): the scalar map alpha I after ginn_to_endo(g).
-    It multiplies a commutator of degree d by alpha^d, and a term t^e of a
-    module coordinate belongs to degree |e| + 1."""
+def _scaled_ginn_endo(alpha, g: GInnAut) -> "_endo.Endomorphism":
+    """x_j -> alpha x_j + alpha S_j(alpha t), S_j column j of S: the scalar
+    map alpha I after ginn_to_endo(g).  It multiplies a commutator of
+    degree d by alpha^d, and a term t^e of a module coordinate belongs to
+    degree |e| + 1."""
     ctx = g.ctx
-    cols = zip(*(_ginn_s(g) if s is None else s))
+    cols = zip(*_ginn_s(g))
     if alpha != 1:
         cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)
     beta = lambda j: tuple(alpha if k == j else _ZERO for k in range(ctx.m))
@@ -224,7 +224,7 @@ def ginn_sum(u: LieElement, bracket_with, f) -> LieElement:
 
 def ginn_jacobian(g: GInnAut) -> "_endo.JacobianMatrix":
     """Closed-form Jacobian I + S (see _ginn_s)."""
-    return _endo.JacobianMatrix(g.ctx, _ginn_s(g, unit=1))
+    return _endo.JacobianMatrix._clean(g.ctx, tuple(map(tuple, _ginn_s(g, unit=1))))
 
 
 def ginn_pattern(jac: "_endo.JacobianMatrix"):
@@ -361,11 +361,17 @@ class NormalAut:
         (_scaled_ginn_endo)."""
         return _scaled_ginn_endo(self.alpha, self.g)
 
-    def with_ginn_endo(self):
-        """(ginn_to_endo(g), to_endo()), both from one build of S."""
-        s = _ginn_s(self.g)
-        ginn = _scaled_ginn_endo(_ONE, self.g, s)
-        return ginn, ginn if self.alpha == 1 else _scaled_ginn_endo(self.alpha, self.g, s)
+    def jacobian(self, ginn=None) -> "_endo.JacobianMatrix":
+        """J(to_endo()) in closed form from ginn, the ginn_jacobian(g) that
+        is built when not given: ginn itself for alpha 1, else alpha
+        ginn(alpha t), the chain rule J(alpha I) sigma_(alpha I)(ginn) for
+        the scalar map alpha I after ginn_to_endo(g)."""
+        jac = ginn_jacobian(self.g) if ginn is None else ginn
+        a = self.alpha
+        if a == 1:
+            return jac
+        rows = tuple(tuple(p.dilate(a).scale(a) for p in row) for row in jac.rows)
+        return _endo.JacobianMatrix._clean(jac.ctx, rows)
 
 
 @dataclass

@@ -20,20 +20,25 @@ proved for, so a report can never reflect a vacuous domain:
 
 The first four are commutator words, (a,b) = a^-1 b^-1 a b, each
 evaluated by one recursion (_commutator) of endo.jacobian_commutator on
-the Jacobians of sampled normal maps, a GInn sample being the normal map
-with alpha 1; the Jacobian determines the map, so a law holds iff J(word) = I.
+the closed-form Jacobians of sampled normal maps, a GInn sample being the
+normal map with alpha 1: normal.ginn_jacobian(g), and alpha J(alpha t)
+of it for alpha != 1 (NormalAut.jacobian, the chain rule for alpha I
+after the GInn map).  The Jacobian determines the map, so a law holds
+iff J(word) = I.  A passing trial builds no map; a failed one
+materializes its maps (NormalAut.to_endo) for the counterexample.
 Group commutators and compositions are Jacobian products (lmc.endo),
 and a sign-flipped bracket is still a Lie bracket, so these laws alone
 cannot see a broken bracket.  Their inputs are therefore certified
-against it: the GInn part of every map of a word law must send each
-generator x_i to x_i + sum_j [x_i, x_j] f_j, the assembly of ginn_apply
-(normal.ginn_sum); jacobian_functorial builds phi psi through phi.apply,
-not compose, and applies phi to the images of phi^-1.  A failed
-certificate is a counterexample like a failed law.  inner_conjugation
-needs no certificate: its right side applies phi^-1 to u through the
-bracket, its left side is Jacobian products only, and it is the one law
-that applies a map that is not IA (through arith.LinearSubstitution when
-the linear part is not scalar).
+against it: column i of the Jacobian of the GInn part of every map of a
+word law must hold the coordinates of x_i + sum_j [x_i, x_j] f_j, the
+assembly of ginn_apply (normal.ginn_sum), which compares the images of
+the maps the Jacobians determine; jacobian_functorial builds phi psi
+through phi.apply, not compose, and applies phi to the images of
+phi^-1.  A failed certificate is a counterexample like a failed law.
+inner_conjugation needs no certificate: its right side applies phi^-1 to
+u through the bracket, its left side is Jacobian products only, and it
+is the one law that applies a map that is not IA (through
+arith.LinearSubstitution when the linear part is not scalar).
 
 The brackets [x_i, x_j] come from one table of liealg.bracket over all m^2
 ordered generator pairs, built by the first certificate call in a context
@@ -200,8 +205,12 @@ def _sample_aut(ctx, rnd, bound):
 
 
 def _describe(*objs) -> str:
+    """The counterexample text of a failed trial; a normal map is printed
+    as the map it materializes (NormalAut.to_endo)."""
     parts = []
     for obj in objs:
+        if isinstance(obj, normal.NormalAut):
+            obj = obj.to_endo()
         if isinstance(obj, normal.GInnAut):
             parts.append({"ginn_f": [str(p) for p in obj.f]})
         elif isinstance(obj, _endo.Endomorphism):
@@ -213,27 +222,34 @@ def _describe(*objs) -> str:
 
 def _certified_maps(kind, ctx, seeds, bound, count):
     """`count` sampled normal maps of `kind` ("ginn", wrapped as alpha 1,
-    or "normal_scaled"), materialized in closed form, and whether their
-    GInn parts pass _agree_with_ginn_apply."""
+    or "normal_scaled"), their closed-form Jacobians, and whether the
+    Jacobians of their GInn parts pass _agree_with_ginn_apply.  Each map
+    builds one ginn_jacobian, which is certified and from which
+    NormalAut.jacobian gives the map's own."""
     ns = [sample(kind, ctx, seeds(k), bound) for k in range(count)]
     if kind == "ginn":
         ns = [normal.NormalAut(1, g) for g in ns]
-    ginn, maps = zip(*(n.with_ginn_endo() for n in ns))
-    return maps, _agree_with_ginn_apply([n.g for n in ns], ginn)
+    ginn = [normal.ginn_jacobian(n.g) for n in ns]
+    jacs = [n.jacobian(j) for n, j in zip(ns, ginn)]
+    return ns, jacs, _agree_with_ginn_apply([n.g for n in ns], ginn)
 
 
-def _agree_with_ginn_apply(gs, maps) -> bool:
-    """Whether each map sends every generator x_i to x_i + sum_j [x_i, x_j]
-    f_j, the assembly of normal.ginn_apply, with its GInn parameters f and
-    the brackets read from the context's table of liealg.bracket over the
-    ordered generator pairs (_generator_brackets; the certificate the
-    module docstring describes)."""
+def _agree_with_ginn_apply(gs, jacs) -> bool:
+    """Whether column i of each Jacobian holds the coordinates, constant
+    terms included, of x_i + sum_j [x_i, x_j] f_j, the assembly of
+    normal.ginn_apply, with its GInn parameters f and the brackets read
+    from the context's table of liealg.bracket over the ordered generator
+    pairs (_generator_brackets; the certificate the module docstring
+    describes).  The Jacobian determines the map, so this is the
+    comparison of the maps' images."""
     x, table = _generator_brackets(gs[0].ctx)
-    return all(
-        normal.ginn_sum(x[i], lambda j: table[i][j - 1], g.f) == im
-        for g, phi in zip(gs, maps)
-        for i, im in enumerate(phi.images)
-    )
+    coords = range(1, len(x) + 1)
+    for g, jac in zip(gs, jacs):
+        for i, xi in enumerate(x):
+            im = normal.ginn_sum(xi, lambda j: table[i][j - 1], g.f)
+            if [im.full_poly(k) for k in coords] != [row[i] for row in jac.rows]:
+                return False
+    return True
 
 
 # ctx -> (the liealg.bracket the table was built with, generators, table)
@@ -252,22 +268,25 @@ def _generator_brackets(ctx):
     return cached[1:]
 
 
-def _commutator(word, maps):
-    """The Jacobian of the group commutator the word names: an index is
-    that map's, a pair (u, v) the commutator of its two words."""
+def _commutator(word, jacs):
+    """The Jacobian of the group commutator the word names, from the
+    Jacobians of the maps: an index is that map's, a pair (u, v) the
+    commutator of its two words."""
     if isinstance(word, int):
-        return _endo.jacobian(maps[word])
+        return jacs[word]
     u, v = word
-    return _endo.jacobian_commutator(_commutator(u, maps), _commutator(v, maps))
+    return _endo.jacobian_commutator(_commutator(u, jacs), _commutator(v, jacs))
 
 
 def _word_law(kind, count, word):
-    """The law that `word` is the identity on `count` maps of `kind`."""
+    """The law that `word` is the identity on `count` maps of `kind`; the
+    inputs it returns are the normal maps, which only a failed trial
+    materializes (_describe)."""
 
     def law(ctx, seeds, bound):
-        maps, ok = _certified_maps(kind, ctx, seeds, bound, count)
-        ok = ok and _commutator(word, maps) == _endo.JacobianMatrix.identity(ctx)
-        return ok, maps
+        ns, jacs, ok = _certified_maps(kind, ctx, seeds, bound, count)
+        ok = ok and _commutator(word, jacs) == _endo.JacobianMatrix.identity(ctx)
+        return ok, ns
 
     return law
 

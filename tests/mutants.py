@@ -67,15 +67,15 @@ MUTANTS = [
     (
         "the scalar commutator dilates by alpha beta where it dilates by its inverse",
         "src/lmc/endo.py",
-        "return JacobianMatrix(ctx, y0).dilate(k)",
-        "return JacobianMatrix(ctx, y0).dilate(alpha * beta)",
+        "return JacobianMatrix._clean(ctx, y0).dilate(k)",
+        "return JacobianMatrix._clean(ctx, y0).dilate(alpha * beta)",
         [COMPOSE + "test_scalar_pairs_take_one_solve_and_match_the_apply_chain"],
     ),
     (
         "a word law's final check J(word) = I always holds",
         "src/lmc/verify.py",
-        "ok = ok and _commutator(word, maps) == _endo.JacobianMatrix.identity(ctx)",
-        "ok = ok and (_commutator(word, maps) == _endo.JacobianMatrix.identity(ctx) or True)",
+        "ok = ok and _commutator(word, jacs) == _endo.JacobianMatrix.identity(ctx)",
+        "ok = ok and (_commutator(word, jacs) == _endo.JacobianMatrix.identity(ctx) or True)",
         ["tests/test_verify.py::test_a_word_that_is_not_the_identity_fails_on_certified_maps"],
     ),
     (
@@ -116,9 +116,19 @@ MUTANTS = [
     (
         "the law certificate _agree_with_ginn_apply returns True",
         "src/lmc/verify.py",
-        "    return all(\n        normal.ginn_sum(",
-        "    return True or all(\n        normal.ginn_sum(",
+        "!= [row[i] for row in jac.rows]:\n                return False",
+        "!= [row[i] for row in jac.rows]:\n                pass",
         ["tests/test_acceptance.py::test_criterion_10_mutation_tripwire"],
+    ),
+    (
+        "the law certificate skips the last column of each Jacobian",
+        "src/lmc/verify.py",
+        "for i, xi in enumerate(x):",
+        "for i, xi in enumerate(x[:-1]):",
+        [
+            "tests/test_verify_parity.py::test_certificate_accepts_and_rejects_as_the_per_map_one",
+            "tests/test_verify.py::test_bracket_broken_on_one_ordered_pair_is_caught",
+        ],
     ),
     (
         "the generator-bracket table outlives a rebound liealg.bracket",
@@ -166,6 +176,16 @@ MUTANTS = [
         "cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)",
         "cols = ([p.scale(alpha) for p in col] for col in cols)",
         ["tests/test_verify_parity.py::test_to_endo_is_the_scalar_map_after_the_ginn_map"],
+    ),
+    (
+        "the scaled Jacobian scales without dilating",
+        "src/lmc/normal.py",
+        "rows = tuple(tuple(p.dilate(a).scale(a) for p in row) for row in jac.rows)",
+        "rows = tuple(tuple(p.scale(a) for p in row) for row in jac.rows)",
+        [
+            SOLVE + "test_one_build_of_s_gives_both_maps_of_a_scaled_normal_map",
+            "tests/test_verify_parity.py::test_word_laws_report_as_the_law_functions",
+        ],
     ),
     (
         "ginn_compose multiplies f_b by 1 where it multiplies by 1 + s",
@@ -222,17 +242,31 @@ MUTANTS = [
         [SOLVE + "test_neumann_inverse_matches_the_sum_of_powers", COMPOSE + "test_neumann_inverse_matches_the_sum_of_powers"],
     ),
     (
-        "mmul leaves the packed rows unsorted",
+        "mmul leaves the packed rows unbucketed",
         "src/lmc/arith.py",
-        "terms.sort()",
-        "pass",
+        "buckets[e >> top].append((base + e, c))",
+        "buckets[0].append((base + e, c))",
         ["tests/test_matrix_kernel_parity.py::test_product_matches_the_entrywise_product"],
+    ),
+    (
+        "an mmul degree prefix stops one degree short",
+        "src/lmc/arith.py",
+        "run = run + terms\n                prefix.append(run)",
+        "prefix.append(run)\n                run = run + terms",
+        ["tests/test_matrix_kernel_parity.py::test_product_matches_the_entrywise_product"],
+    ),
+    (
+        "JacobianMatrix._clean never checks the shape",
+        "src/lmc/endo.py",
+        "_fill(ctx, rows, liealg.CHECK_INVARIANTS)",
+        "_fill(ctx, rows, False)",
+        ["tests/test_endo.py::test_kernel_results_are_validated_under_check_invariants"],
     ),
     (
         "the IA commutator solves with AB and BA swapped",
         "src/lmc/arith.py",
-        "_solved(_impl.mmul(nb, na, lim), _impl.mmul(na, nb, lim),",
-        "_solved(_impl.mmul(na, nb, lim), _impl.mmul(nb, na, lim),",
+        "_solved(_impl.mmul(nb, na, lim, top), _impl.mmul(na, nb, lim, top),",
+        "_solved(_impl.mmul(na, nb, lim, top), _impl.mmul(nb, na, lim, top),",
         [SOLVE + "test_group_commutator_matches_the_apply_chain", COMPOSE + "test_compose_and_commutator_match_the_apply_chain"],
     ),
     # -- polynomial kernel -----------------------------------------------------------
@@ -358,7 +392,10 @@ MUTANTS = [
         "src/lmc/syntax.py",
         "or len(gens) > ctx.c:",
         "or len(gens) >= ctx.c:",
-        [SYNTAX + "test_parse_element_matches_reference"],
+        [
+            SYNTAX + "test_parse_element_matches_reference",
+            "tests/test_syntax.py::test_generator_commutators_cover_every_head_and_length",
+        ],
     ),
     (
         "one more nesting level allowed",

@@ -35,7 +35,9 @@ of the subcommand it runs; the text output of an aut map op prints the
 images only, no Jacobian entry.  The bracket certificate of a law trial reads
 one table of generator brackets per context: the first trial in a context
 makes its m^2 bracket calls and a later trial none, until liealg.bracket
-is rebound.
+is rebound.  A passing word-law trial materializes no map (no
+normal.ginn_to_endo or NormalAut.to_endo call); a failed one
+materializes each of its maps once, for its counterexample.
 Every name in the tracer's SPANS exists where Tracer.install looks it up,
 no reference module uses a name of lmc that only the tracer and that
 name's own tests still use, and none uses the lmc code it checks.
@@ -565,7 +567,7 @@ CHECKED_CODE = {
     "syntax_reference.py": {"lmc.liealg.to_basis", "lmc.syntax.parse_element", "lmc.syntax.parse_poly"},
     "verify_reference.py": {
         "lmc.normal.ginn_to_endo", "lmc.normal.ginn_sum", "lmc.liealg.from_basis", "lmc.liealg.bracket",
-        "lmc.endo.jacobian_commutator"},
+        "lmc.endo.jacobian_commutator", "lmc.verify._agree_with_ginn_apply"},
 }
 
 
@@ -615,3 +617,23 @@ def test_a_law_trial_brackets_each_ordered_generator_pair_once():
         assert first["verify.sample"] == 4 and total["verify.sample"] == 10
         assert first["liealg.bracket"] == ctx.m**2 == 9
         assert total["liealg.bracket"] == 2 * 9  # the second trial none, (3,2) its own 9
+
+
+def test_a_passing_word_law_trial_materializes_no_map(monkeypatch):
+    # a word law certifies and commutes closed-form Jacobians; only a
+    # failed trial builds its maps, each once, for its counterexample
+    made = []
+    ginn_to_endo, to_endo = normal.ginn_to_endo, normal.NormalAut.to_endo
+    monkeypatch.setattr(normal, "ginn_to_endo", lambda g: made.append("ginn") or ginn_to_endo(g))
+    monkeypatch.setattr(normal.NormalAut, "to_endo", lambda n: made.append("normal") or to_endo(n))
+    original = liealg.bracket
+    for law, mc, count in (("metabelian", (3, 4), 4), ("class2_by_abelian", (2, 3), 6)):
+        ctx = Context(*mc)
+        assert check_law(law, ctx, 2, seed=7).ok
+        assert made == [], law
+        with monkeypatch.context() as patch:
+            patch.setattr(liealg, "bracket", lambda u, v: original(u, v).scale(-1))
+            report = check_law(law, ctx, 2, seed=7)
+        assert not report.ok and report.passed == 0
+        assert made == ["normal"] * count, law
+        made.clear()

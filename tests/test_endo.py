@@ -216,3 +216,32 @@ def test_an_ia_map_is_an_automorphism_without_a_linear_inverse(monkeypatch):
     singular = [[1 if k == 0 else 0 for i in range(3)] for k in range(3)]
     assert not endo.linear_endo(ctx, singular).is_automorphism()
     assert len(seen) == 2
+
+
+def test_kernel_results_are_validated_under_check_invariants(monkeypatch):
+    # JacobianMatrix._clean checks the shape again exactly when
+    # CHECK_INVARIANTS is on, as LieElement._clean does
+    assert liealg.CHECK_INVARIANTS  # set for the whole run by tests/conftest.py
+    ctx = Context(2, 3)
+    jac = endo.jacobian(aut(2, 3, "x1 + 1*[x1,x2]", "x2"))
+    wrong_cap = tuple(tuple(p.with_cap(1) for p in row) for row in jac.rows)
+    for rows in (wrong_cap, jac.rows[:1], [list(row) for row in jac.rows]):
+        with pytest.raises(ValidationError):
+            endo.JacobianMatrix._clean(ctx, rows)
+    monkeypatch.setattr(liealg, "CHECK_INVARIANTS", False)
+    assert endo.JacobianMatrix._clean(ctx, wrong_cap).rows is wrong_cap
+    # products, solves, commutators and dilations all wrap through _clean
+    wrapped = []
+    clean = endo.JacobianMatrix._clean
+
+    def spy(ctx, rows):
+        wrapped.append(rows)
+        return clean(ctx, rows)
+
+    monkeypatch.setattr(endo.JacobianMatrix, "_clean", spy)
+    scalar = endo.jacobian(endo.linear_endo(ctx, [[2, 0], [0, 2]]))
+    results = [
+        jac @ jac, jac.neumann_inverse(), jac.dilate(3),
+        endo.jacobian_commutator(jac, jac), endo.jacobian_commutator(scalar, jac),
+    ]
+    assert all(any(r.rows is rows for rows in wrapped) for r in results)

@@ -141,8 +141,21 @@ def test_ginn_jacobian_and_ginn_to_endo_match_the_sums(ctx, data):
 
 
 @settings(max_examples=20, deadline=None, database=None)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]), fractions, st.data())
+@given(
+    st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3)]),
+    fractions.filter(lambda a: a not in (0, 1)),
+    st.data(),
+)
 def test_one_build_of_s_gives_both_maps_of_a_scaled_normal_map(mc, alpha, data):
+    # the closed-form Jacobian of alpha I after the GInn map, from one
+    # ginn_jacobian or from its own, is the Jacobian of that composite
+    # built through apply, for alpha 1 and for alpha != 1
     ctx = Context(*mc)
-    n = normal.NormalAut(alpha or F(1), data.draw(ginns(ctx)))
-    assert n.with_ginn_endo() == (ref.ginn_to_endo(n.g), n.to_endo())
+    g = data.draw(ginns(ctx))
+    ginn = normal.ginn_jacobian(g)
+    for a in (F(1), alpha):
+        n = normal.NormalAut(a, g)
+        scalar = [[a if i == j else F(0) for j in range(ctx.m)] for i in range(ctx.m)]
+        composite = ref.compose(endo.linear_endo(ctx, scalar), ref.ginn_to_endo(g))
+        assert n.jacobian(ginn) == n.jacobian() == endo.jacobian(composite), a
+        assert n.to_endo() == composite, a

@@ -7,15 +7,17 @@ must equal the Fraction sum over exponent tuples, also with fractional
 coefficients and with contributions that cancel; NormalAut.to_endo,
 which dilates the columns of S, must equal the chain-rule composite
 alpha I after the ginn_to_endo(g) of tests/endo_reference.py for negative and fractional alpha; and the
-certificate of the law inputs, which reads one bracket table per call,
-must accept and reject exactly the maps the per-map GInn sum of
-tests/element_reference.py over the reference bracket does,
-among them maps changed in one basis coordinate.  The four laws that
-verify states as commutator words must report as the functions that
+certificate of the law inputs, which reads one bracket table per call
+and compares with the columns of Jacobians, must accept and reject the
+Jacobians of exactly the maps the per-map GInn sum of
+tests/element_reference.py over the reference bracket accepts and
+rejects, among them maps changed in one basis coordinate.  The four laws
+that verify states as commutator words must report as the functions that
 wrote them out did (elapsed time aside) and commute the Jacobians of the
-maps those functions commuted, at every context each
-law is proved for, with the bracket as it is, negated, and negated on the one
-ordered pair (x2, x1).
+maps those functions commuted, at every context each law is proved for,
+with the bracket as it is, negated, and negated on the one ordered pair
+(x2, x1), on both sides: the functions certify with the reference
+bracket, which is flipped with liealg.bracket.
 """
 
 from collections import Counter
@@ -130,7 +132,8 @@ def test_certificate_accepts_and_rejects_as_the_per_map_one(data):
     seed = data.draw(seeds)
     gs = [verify.sample("ginn", ctx, f"{seed}:{k}") for k in range(3)]
     maps = [normal.ginn_to_endo(g) for g in gs]
-    assert verify._agree_with_ginn_apply(gs, maps) is ref.agree_with_ginn_apply(gs, maps) is True
+    jacs = [normal.ginn_jacobian(g) for g in gs]
+    assert verify._agree_with_ginn_apply(gs, jacs) is ref.agree_with_ginn_apply(gs, maps) is True
     k = data.draw(st.integers(0, len(maps) - 1))
     i = data.draw(st.integers(0, m - 1))
     coeff = data.draw(fractions)
@@ -144,7 +147,8 @@ def test_certificate_accepts_and_rejects_as_the_per_map_one(data):
     else:
         change = liealg.from_basis(BasisForm(ctx, (0,) * m, {tup: coeff}))
     maps[k] = _changed(maps[k], i, change)
-    got = verify._agree_with_ginn_apply(gs, maps)
+    jacs[k] = endo.jacobian(maps[k])
+    got = verify._agree_with_ginn_apply(gs, jacs)
     assert got is ref.agree_with_ginn_apply(gs, maps)
     assert got is (coeff == 0)
 
@@ -173,8 +177,9 @@ def _flipped(original, pair_only):
 def test_word_laws_report_as_the_law_functions(monkeypatch, law, mc, bracket):
     ctx = Context(*mc)
     if bracket != "as-is":
-        flipped = _flipped(liealg.bracket, bracket != "negated")
-        monkeypatch.setattr(liealg, "bracket", flipped)
+        # the reference certifies with its own bracket, which flips too
+        for module in (liealg, ref):
+            monkeypatch.setattr(module, "bracket", _flipped(module.bracket, bracket != "negated"))
     # a wrong word that is also a law would pass on reports alone, so the
     # Jacobian pairs verify commutes must be those of the maps the
     # reference commutes (its group_commutator also runs

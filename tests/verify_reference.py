@@ -11,7 +11,8 @@ agree_with_ginn_apply: every generator image of every map checked against
 the GInn sum of tests/element_reference.ginn_sum over the reference
 bracket of tests/ideal_reference.py, taken afresh for each map and each
 nonzero f_j, where verify._agree_with_ginn_apply reads one table of
-generator brackets per context, kept until liealg.bracket is rebound.
+generator brackets per context, kept until liealg.bracket is rebound, and
+compares each sum with a column of a closed-form Jacobian.
 
 sample: the sampler as it was, drawing each coefficient with randint,
 GInn parameters over all_monomials, and building elements with the
@@ -25,11 +26,11 @@ map alpha I after the GInn map of tests/endo_reference.ginn_to_endo, where
 NormalAut.to_endo dilates the columns of S in closed form.
 
 LAWS: abelian, nilpotent2, metabelian and class2_by_abelian as the four
-functions they were, each writing out its commutators, with the GInn maps
-of endo_reference.ginn_to_endo certified by certified_ginn_maps and the scaled normal maps through
-with_ginn_endo; lmc.verify states each as a commutator word evaluated by
-one recursion on maps certified by one _certified_maps.  Both certify
-with verify._agree_with_ginn_apply.
+functions they were, each writing out its commutators of maps, the GInn
+maps of endo_reference.ginn_to_endo and the scaled normal maps of to_endo
+above, and certifying the GInn maps with agree_with_ginn_apply above;
+lmc.verify states each as a commutator word evaluated by one recursion on
+the closed-form Jacobians that one _certified_maps certifies.
 """
 
 import random
@@ -157,7 +158,7 @@ def _sample_ia(ctx, rnd, bound):
 def certified_ginn_maps(ctx, seeds, bound, count):
     gs = [verify.sample("ginn", ctx, seeds(k), bound) for k in range(count)]
     maps = tuple(endo_reference.ginn_to_endo(g) for g in gs)
-    return maps, verify._agree_with_ginn_apply(gs, maps)
+    return maps, agree_with_ginn_apply(gs, maps)
 
 
 def law_abelian(ctx, seeds, bound):
@@ -184,8 +185,9 @@ def law_metabelian(ctx, seeds, bound):
 
 def law_class2_by_abelian(ctx, seeds, bound):
     auts = [verify.sample("normal_scaled", ctx, seeds(k), bound) for k in range(6)]
-    ginn, ns = zip(*(n.with_ginn_endo() for n in auts))
-    ok = verify._agree_with_ginn_apply([n.g for n in auts], ginn)
+    ginn = [endo_reference.ginn_to_endo(n.g) for n in auts]
+    ok = agree_with_ginn_apply([n.g for n in auts], ginn)
+    ns = tuple(map(to_endo, auts))
     c1 = endo.group_commutator(ns[0], ns[1])
     c2 = endo.group_commutator(ns[2], ns[3])
     c3 = endo.group_commutator(ns[4], ns[5])
