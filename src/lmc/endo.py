@@ -26,8 +26,8 @@ part of Y is P_d - sum_{e>=1} N_e Y_(d-e), which needs only the parts of
 Y below degree d: power-series division, with the work of the one
 product N Y.  A product is one pass of the matrix kernel
 arith.poly_matmul, a solve one pass of arith.poly_solve, a map built from
-a Jacobian keeps it, and sigma_A for A = alpha I is the dilation t ->
-alpha t.
+a Jacobian keeps it (linear_endo is the map of a constant Jacobian), and
+sigma_A for A = alpha I is the dilation t -> alpha t.
 
 Endomorphism.apply is the one action built from the bracket, and no
 composition calls it.  It collects, per module coordinate, the products
@@ -394,13 +394,9 @@ def exp_ad(u: LieElement) -> Endomorphism:
 
 def linear_endo(ctx: Context, a) -> Endomorphism:
     """Multiplicative extension of the linear map with matrix a (columns are
-    generator images)."""
-    zp = ctx.zero_poly()
-    images = []
-    for i in range(ctx.m):
-        beta = tuple(Fraction(a[k][i]) for k in range(ctx.m))
-        images.append(LieElement(ctx, beta, (zp,) * ctx.m))
-    return Endomorphism(ctx, tuple(images))
+    generator images), built from its Jacobian: the constant matrix a."""
+    const = lambda x: TruncPoly.const(ctx.m, ctx.module_cap, x)
+    return _from_jacobian(JacobianMatrix(ctx, ([const(x) for x in row] for row in a)))
 
 
 def decompose(phi: Endomorphism):

@@ -376,16 +376,9 @@ def _tuple_codes(m: int, tup):
 @lru_cache(maxsize=None)
 def _basis_terms(m: int, c: int) -> dict:
     """{t: (t, *_tuple_codes(m, t))} over the basis tuples t of degrees
-    2..c.  A key equal to t, such as (2.0, 1.0), finds t with its int
-    entries."""
+    2..c, in the order of enumerate_basis.  A key equal to t, such as
+    (2.0, 1.0), finds t with its int entries."""
     return {t: (t, *_tuple_codes(m, t)) for k in range(2, c + 1) for t in _tuples(m, k)}
-
-
-@lru_cache(maxsize=None)
-def _basis_codes(m: int, c: int) -> tuple:
-    """_tuple_codes(m, t) of the basis tuples t of degrees 2..c, in the
-    order of enumerate_basis."""
-    return tuple(term[1:] for term in _basis_terms(m, c).values())
 
 
 def from_basis(b: BasisForm) -> LieElement:

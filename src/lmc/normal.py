@@ -59,7 +59,9 @@ decide_normal implements the case table: the linear part must be a scalar
 alpha; alpha != 1 survives only on L_{m,1}, L_{2,2} and L_{2,3}, and in the
 other contexts a scaling is defeated by an explicit witness ideal whose
 closure is not preserved.  IA maps are normal exactly when they are
-generalized inner.
+generalized inner.  A normal map (NormalAut) is alpha I after a GInn map
+g; its Jacobian alpha J_g(alpha t) is in closed form, and
+NormalAut.to_endo is the map endo._from_jacobian builds from it.
 """
 
 from __future__ import annotations
@@ -156,21 +158,10 @@ def _ginn_s(g: GInnAut, unit: int = 0):
 def ginn_to_endo(g: GInnAut) -> "_endo.Endomorphism":
     """Materialize: x_j -> x_j + sum_k [x_j,x_k] f_k, whose module vector is
     column j of S."""
-    return _scaled_ginn_endo(_ONE, g)
-
-
-def _scaled_ginn_endo(alpha, g: GInnAut) -> "_endo.Endomorphism":
-    """x_j -> alpha x_j + alpha S_j(alpha t), S_j column j of S: the scalar
-    map alpha I after ginn_to_endo(g).  It multiplies a commutator of
-    degree d by alpha^d, and a term t^e of a module coordinate belongs to
-    degree |e| + 1."""
     ctx = g.ctx
-    cols = zip(*_ginn_s(g))
-    if alpha != 1:
-        cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)
-    beta = lambda j: tuple(alpha if k == j else _ZERO for k in range(ctx.m))
+    beta = lambda j: tuple(_ONE if k == j else _ZERO for k in range(ctx.m))
     return _endo.Endomorphism(
-        ctx, tuple(LieElement._clean(ctx, beta(j), tuple(col)) for j, col in enumerate(cols))
+        ctx, tuple(LieElement._clean(ctx, beta(j), col) for j, col in enumerate(zip(*_ginn_s(g))))
     )
 
 
@@ -357,9 +348,9 @@ class NormalAut:
             )
 
     def to_endo(self) -> "_endo.Endomorphism":
-        """The scalar map alpha I after ginn_to_endo(g), in closed form
-        (_scaled_ginn_endo)."""
-        return _scaled_ginn_endo(self.alpha, self.g)
+        """The scalar map alpha I after ginn_to_endo(g), built from its
+        closed-form Jacobian, which it keeps."""
+        return _endo._from_jacobian(self.jacobian())
 
     def jacobian(self, ginn=None) -> "_endo.JacobianMatrix":
         """J(to_endo()) in closed form from ginn, the ginn_jacobian(g) that
@@ -381,16 +372,13 @@ class NormalityVerdict:
     witness: list | None = None  # generators of a non-preserved ideal
     reason: str = ""
 
-    def to_dict(self, element_printer=None) -> dict:
+    def to_dict(self, element_printer) -> dict:
         out = {"normal": self.normal}
         if self.aut is not None:
             out["alpha"] = format_rational(self.aut.alpha)
             out["f"] = [str(p) for p in self.aut.g.f]
         if self.witness is not None:
-            if element_printer is None:
-                out["witness"] = [repr(w) for w in self.witness]
-            else:
-                out["witness"] = [element_printer(w) for w in self.witness]
+            out["witness"] = [element_printer(w) for w in self.witness]
         if self.reason:
             out["reason"] = self.reason
         return out

@@ -25,7 +25,8 @@ normal map with alpha 1: normal.ginn_jacobian(g), and alpha J(alpha t)
 of it for alpha != 1 (NormalAut.jacobian, the chain rule for alpha I
 after the GInn map).  The Jacobian determines the map, so a law holds
 iff J(word) = I.  A passing trial builds no map; a failed one
-materializes its maps (NormalAut.to_endo) for the counterexample.
+materializes its maps from their Jacobians (NormalAut.to_endo) for the
+counterexample.
 Group commutators and compositions are Jacobian products (lmc.endo),
 and a sign-flipped bracket is still a Lie bracket, so these laws alone
 cannot see a broken bracket.  Their inputs are therefore certified
@@ -70,7 +71,7 @@ from functools import lru_cache
 
 from . import endo as _endo
 from . import liealg, normal, syntax
-from .arith import TruncPoly, all_monomials, var_code
+from .arith import TruncPoly, _encode, all_monomials
 from .errors import UsageError
 from .liealg import Context
 from .linalg import mat_inv
@@ -139,11 +140,11 @@ def sample(kind: str, ctx: Context, seed, coeff_bound: int = 3):
 def _sample_form(ctx, rnd, bound, beta):
     """The element with linear part beta and one draw per basis commutator
     of degree 2..c, in enumeration order, each added straight into the
-    packed module codes of its commutator (liealg._basis_codes) as
+    packed module codes of its commutator (liealg._basis_terms) as
     liealg.from_basis adds a coefficient."""
     draw, span = rnd.randrange, 2 * bound + 1
     mods = [{} for _ in range(ctx.m)]
-    for i1, code1, i2, code2 in liealg._basis_codes(ctx.m, ctx.c):
+    for _, i1, code1, i2, code2 in liealg._basis_terms(ctx.m, ctx.c).values():
         v = draw(span) - bound
         if v:
             for d, code, n in ((mods[i1], code1, v), (mods[i2], code2, -v)):
@@ -180,11 +181,8 @@ def _sample_ginn(ctx, rnd, bound):
 @lru_cache(maxsize=None)
 def _monomial_codes(m: int, cap: int) -> tuple:
     """The codes of all_monomials(m, cap), in its order, which is the order
-    of the draws: the code of t^e is sum_j e_j var_code(m, j)."""
-    return tuple(
-        sum(x * var_code(m, j) for j, x in enumerate(e, start=1))
-        for e in all_monomials(m, cap)
-    )
+    of the draws."""
+    return tuple(_encode(e, m) for e in all_monomials(m, cap))
 
 
 def _sample_ia(ctx, rnd, bound):

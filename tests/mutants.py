@@ -55,6 +55,16 @@ MUTANTS = [
         ],
     ),
     (
+        "linear_endo reads its matrix transposed",
+        "src/lmc/endo.py",
+        "[const(x) for x in row] for row in a)",
+        "[const(x) for x in col] for col in zip(*a))",
+        [
+            "tests/test_endo.py::test_linear_endo_sends_each_generator_to_its_column",
+            COMPOSE + "test_compose_and_commutator_match_the_apply_chain",
+        ],
+    ),
+    (
         "aut commutator without the final sigma_K",
         "src/lmc/endo.py",
         "return _sigma(kmap, y0)",
@@ -140,8 +150,8 @@ MUTANTS = [
     (
         "the packed sampler draws commutator coefficients off by one",
         "src/lmc/verify.py",
-        "liealg._basis_codes(ctx.m, ctx.c):\n        v = draw(span) - bound\n",
-        "liealg._basis_codes(ctx.m, ctx.c):\n        v = draw(span) - bound + 1\n",
+        "liealg._basis_terms(ctx.m, ctx.c).values():\n        v = draw(span) - bound\n",
+        "liealg._basis_terms(ctx.m, ctx.c).values():\n        v = draw(span) - bound + 1\n",
         ["tests/test_verify_parity.py::test_sample_is_unchanged_on_fixed_seeds"],
     ),
     (
@@ -171,13 +181,6 @@ MUTANTS = [
         [SOLVE + "test_ginn_jacobian_and_ginn_to_endo_match_the_sums", "tests/test_ginn_parity.py::test_ginn_pattern_parity_sees_both_verdicts"],
     ),
     (
-        "a scaled normal map scales S without dilating it",
-        "src/lmc/normal.py",
-        "cols = ([p.dilate(alpha).scale(alpha) for p in col] for col in cols)",
-        "cols = ([p.scale(alpha) for p in col] for col in cols)",
-        ["tests/test_verify_parity.py::test_to_endo_is_the_scalar_map_after_the_ginn_map"],
-    ),
-    (
         "the scaled Jacobian scales without dilating",
         "src/lmc/normal.py",
         "rows = tuple(tuple(p.dilate(a).scale(a) for p in row) for row in jac.rows)",
@@ -185,6 +188,7 @@ MUTANTS = [
         [
             SOLVE + "test_one_build_of_s_gives_both_maps_of_a_scaled_normal_map",
             "tests/test_verify_parity.py::test_word_laws_report_as_the_law_functions",
+            "tests/test_verify_parity.py::test_to_endo_is_the_scalar_map_after_the_ginn_map",
         ],
     ),
     (

@@ -19,7 +19,7 @@ solve.  A Jacobian product is one call of arith._impl.mmul and a solve
 one call of arith._impl.msolve, which
 wrappers patched in place see, and neither calls arith._impl.pmul; a map
 built from a Jacobian keeps it, so endo.jacobian reads no images of a
-composite or commutator.  A bracket, and apply on an IA map, build each
+composite, a commutator, a linear map or a scaled normal map.  A bracket, and apply on an IA map, build each
 module coordinate in one arith._impl.pmac pass: no pmul, padd or psub.
 A polynomial product is one pmac pass (pmul is pmac on one pair), a GInn
 composition makes no pmul call, and recognize_ginn reads each parameter
@@ -46,6 +46,7 @@ name's own tests still use, and none uses the lmc code it checks.
 import argparse
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -342,6 +343,17 @@ def test_a_map_built_from_a_jacobian_keeps_it():
     # commutator keep the matrices they were built from
     assert tracer.calls["liealg.full_poly"] == 2 * ctx.m**2
     assert made[1] == endo.jacobian(endo.Endomorphism(ctx, made[0].images))
+    # a linear map and a scaled normal map keep their closed-form Jacobians
+    ctx = Context(2, 3)
+    n = normal.NormalAut(Fraction(-3, 2), sample("ginn", ctx, "seams-w", 2))
+    a = [[Fraction(2), Fraction(-1, 3)], [Fraction(1), Fraction(3)]]
+    built = {"linear": endo.linear_endo(ctx, a), "normal": n.to_endo()}
+    kept = {}
+    tracer = _traced(lambda: kept.update((k, endo.jacobian(phi)) for k, phi in built.items()))
+    assert tracer.calls["liealg.full_poly"] == 0
+    assert kept["normal"] == n.jacobian()
+    for k, phi in built.items():
+        assert kept[k] == endo.jacobian(endo.Endomorphism(ctx, phi.images)), k
 
 
 def test_bracket_and_ia_apply_call_no_polynomial_add_or_product(monkeypatch):

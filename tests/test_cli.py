@@ -146,6 +146,23 @@ def test_aut_commutator_of_a_singular_map_is_bad_input(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_misused_aut_and_check_arguments_print_one_line(tmp_path, capsys):
+    # the argument counts and the IA requirement the parser cannot see
+    aut = write_aut(tmp_path, "aut.json", SECTION3)
+    scaling = write_aut(tmp_path, "two.json", {"m": 3, "c": 2, "images": ["2*x1", "2*x2", "2*x3"]})
+    for argv, code, line in (
+        (["aut", "compose", aut], 64, "usage error: aut compose takes 2 automorphism file(s)"),
+        (["aut", "apply", aut], 64, "usage error: aut apply takes FILE EXPR"),
+        (["check", "inner", scaling], 65, "bad input: inner automorphisms are IA; input is not"),
+        (
+            ["check", "ginner", scaling],
+            65,
+            "bad input: generalized inner automorphisms are IA; input is not",
+        ),
+    ):
+        assert run(capsys, *argv) == (code, "", f"lmc: {line}\n"), argv
+
+
 def test_check_normal_section3(tmp_path, capsys):
     path = write_aut(tmp_path, "aut.json", SECTION3)
     code, out, _ = run(capsys, "check", "normal", path)

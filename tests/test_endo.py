@@ -169,6 +169,17 @@ def test_decompose():
     assert endo.compose(endo.linear_endo(ctx, a), chi) == psi
 
 
+def test_linear_endo_sends_each_generator_to_its_column():
+    ctx = Context(3, 3)
+    a = [[F(1), F(2), F(0)], [F(-1, 3), F(1), F(0)], [F(0), F(5), F(2)]]
+    phi = endo.linear_endo(ctx, a)
+    for j, image in enumerate(phi.images):
+        assert image == sum(
+            (liealg.generator(ctx, k + 1).scale(a[k][j]) for k in range(3)), liealg.zero(ctx)
+        )
+    assert phi.linear_matrix() == a
+
+
 def test_group_commutator_frozen():
     ctx = Context(2, 3)
     psi = aut(2, 3, "x1 + 1*[x1,x2]", "x2 + 2*[x1,x2]")

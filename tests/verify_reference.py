@@ -23,7 +23,7 @@ own generator, so these kinds' draws must not change with it.
 
 to_endo: a scaled normal map as the chain-rule composite of the scalar
 map alpha I after the GInn map of tests/endo_reference.ginn_to_endo, where
-NormalAut.to_endo dilates the columns of S in closed form.
+NormalAut.to_endo is the map of its closed-form Jacobian alpha J_g(alpha t).
 
 LAWS: abelian, nilpotent2, metabelian and class2_by_abelian as the four
 functions they were, each writing out its commutators of maps, the GInn
