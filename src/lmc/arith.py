@@ -42,8 +42,18 @@ degree-d part of Y is P_d - sum_{e>=1} N_e Y_(d-e), power-series division
 applied to matrices: each degree needs only the parts of Y below it, and
 the pairs of terms multiplied are those of the one product N Y.  Over a
 common denominator a, Z_d = a^(d+1) Y_d obeys the integer recursion Z_d =
-a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e).  poly_commutator feeds the two
-products AB and BA of mmul to msolve as they are.
+a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e).
+
+The commutator kernels skip the identity and wrap only their result.
+poly_commutator gives (BA)^-1 AB for unipotent A and B as I + Q^-1 D,
+with X = A - I and Y = B - I on numerators, D = XY - YX from two mmul
+passes and N = Q - I = X + Y + YX handed to msolve as its three parts;
+when D is zero, as it is at c = 2 and for commutators whose factors'
+lowest degrees add up past the cap, the result is I with no solve.
+poly_scalar_commutator, for constant parts alpha I and beta I, runs the
+dilations by alpha and beta, the scaling by 1/(alpha beta), the two
+products, the solve and the final dilation by 1/(alpha beta) on
+numerators in one call.
 
 t_dot, the sum_i t_i p_i of the membership and S-conditions, is likewise
 one pass that adds the code of t_i to every code of p_i, and poly_mac,
@@ -186,27 +196,30 @@ class _impl:
         return out
 
     @staticmethod
-    def msolve(q, p, lim, top, a):
+    def msolve(parts, p, lim, top, a):
         """Numerators of Y = Q^-1 P over a^(cap+1), cap = (lim >> top) - 1,
-        for square matrices q and p of numerator maps over one denominator
-        a and Q = I + N unipotent (the constant terms of q, code 0, are a I
-        and are not read); the degree of a code is code >> top.  N has no
-        constant term, so Y_d = P_d - sum_{e>=1} N_e Y_(d-e) reads only the
-        parts of Y below degree d.  Z_d = a^(d+1) Y_d keeps it in integers,
-        Z_d = a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e), and Z is kept packed
-        per row and degree as (key, num) terms, key = j * lim + code as in
-        mmul: the pairs multiplied are those of the one product N Y."""
+        for a square matrix p of numerator maps over the denominator a and
+        Q = I + N unipotent, N the sum of the square matrices of parts,
+        each over a (constant terms, code 0, are not read: Q's are a I);
+        the degree of a code is code >> top.  N has no constant term, so
+        Y_d = P_d - sum_{e>=1} N_e Y_(d-e) reads only the parts of Y below
+        degree d.  Z_d = a^(d+1) Y_d keeps it in integers, Z_d = a^d Pn_d -
+        sum_e a^(e-1) Nn_e Z_(d-e), and Z is kept packed per row and degree
+        as (key, num) terms, key = j * lim + code as in mmul: the pairs
+        multiplied are those of the one product N Y, and a group of N_e
+        whose part of Y below is zero is skipped."""
         cap = (lim >> top) - 1
-        size = range(len(q))
+        size = range(len(p))
         powers = [a**d for d in range(cap + 1)]
         n_rows = []  # per row: (degree e, column k, [(code, a^(e-1) num)]) by e
-        for row in q:
+        for rows in zip(*parts):
             terms = {}
-            for k, nums in enumerate(row):
-                for code, c in nums.items():
-                    e = code >> top
-                    if e:
-                        terms.setdefault((e, k), []).append((code, c * powers[e - 1]))
+            for row in rows:
+                for k, nums in enumerate(row):
+                    for code, c in nums.items():
+                        e = code >> top
+                        if e:
+                            terms.setdefault((e, k), []).append((code, c * powers[e - 1]))
             n_rows.append(sorted((e, k, t) for (e, k), t in terms.items()))
         z = [[[] for _ in range(cap + 1)] for _ in size]  # z[i][d]: terms of Z_d in row i
         for i in size:
@@ -222,6 +235,8 @@ class _impl:
                     if e > d:
                         break
                     below = z[k][d - e]
+                    if not below:
+                        continue
                     for cn, nn in terms:
                         for key, nz in below:
                             x = key + cn
@@ -445,11 +460,10 @@ class TruncPoly:
         denominator times q^cap for s = p/q."""
         if type(s) not in _EXACT:
             s = Fraction(s)
-        p, q = s.numerator, s.denominator
         cap, top = self.cap, FIELD_BITS * self.nv
-        powers = [p**d * q ** (cap - d) for d in range(cap + 1)]
+        powers, f = _dilation(s, cap)
         nums = {e: v for e, c in self.nums.items() if (v := c * powers[e >> top])}
-        return _reduced(self.nv, cap, nums, self.den * q**cap)
+        return _reduced(self.nv, cap, nums, self.den * f)
 
     def _var_field(self, j: int):
         """Bit offset of the exponent field of t_j, and the code of t_j."""
@@ -641,11 +655,7 @@ def poly_matmul(a, b) -> tuple:
     wrapped once."""
     nv, cap = a[0][0].nv, a[0][0].cap
     (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
-    den = da * db
-    return tuple(
-        tuple(_reduced(nv, cap, nums, den) for nums in row)
-        for row in _impl.mmul(na, nb, code_limit(nv, cap), FIELD_BITS * nv)
-    )
+    return _wrapped(_impl.mmul(na, nb, code_limit(nv, cap), FIELD_BITS * nv), nv, cap, da * db)
 
 
 def poly_solve(q, p) -> tuple:
@@ -654,28 +664,90 @@ def poly_solve(q, p) -> tuple:
     common denominator, and each entry wrapped once."""
     nv, cap = q[0][0].nv, q[0][0].cap
     den = lcm(*(x.den for rows in (q, p) for row in rows for x in row))
-    return _solved(_over_den(q, den), _over_den(p, den), den, nv, cap)
+    lim, top = code_limit(nv, cap), FIELD_BITS * nv
+    z = _impl.msolve([_over_den(q, den)], _over_den(p, den), lim, top, den)
+    return _wrapped(z, nv, cap, den ** (cap + 1))
 
 
 def poly_commutator(a, b) -> tuple:
-    """(BA)^-1 AB for square matrices A and B of TruncPoly entries at one
-    (nv, cap) with BA unipotent: AB and BA are two _impl.mmul passes over
-    one denominator, that of A times that of B, and go into _impl.msolve
-    as they are, so only the result is wrapped."""
+    """(BA)^-1 AB for unipotent square matrices A and B of TruncPoly entries
+    at one (nv, cap), as I + Z with Z = Q^-1 D for X = A - I, Y = B - I,
+    D = AB - BA = XY - YX and Q = BA = I + N, N = X + Y + YX.  XY and YX
+    are two _impl.mmul passes over the numerators of X and Y, whose
+    product is over the denominator of A times that of B; Z is one
+    _impl.msolve of D with N passed as its three parts, and only I + Z is
+    wrapped.  When D is zero the commutator is I, with no solve."""
     nv, cap = a[0][0].nv, a[0][0].cap
     (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
     lim, top = code_limit(nv, cap), FIELD_BITS * nv
-    return _solved(_impl.mmul(nb, na, lim, top), _impl.mmul(na, nb, lim, top), da * db, nv, cap)
-
-
-def _solved(q, p, den, nv, cap) -> tuple:
-    """_impl.msolve on numerator matrices q and p over den, as a tuple of
-    row tuples, each entry wrapped once over den^(cap+1)."""
+    x, y = _minus_identity(na), _minus_identity(nb)
+    xy, yx = _impl.mmul(x, y, lim, top), _impl.mmul(y, x, lim, top)
+    d = [list(map(_impl.psub, r, s)) for r, s in zip(xy, yx)]
+    if not any(map(any, d)):
+        one, zero = _make(nv, cap, {0: 1}), _make(nv, cap, {})
+        return tuple(tuple(one if i == j else zero for j in range(nv)) for i in range(nv))
+    den = da * db
+    z = _impl.msolve([_scaled(x, db), _scaled(y, da), yx], d, lim, top, den)
     out_den = den ** (cap + 1)
-    return tuple(
-        tuple(_reduced(nv, cap, nums, out_den) for nums in row)
-        for row in _impl.msolve(q, p, code_limit(nv, cap), FIELD_BITS * nv, den)
-    )
+    for i, row in enumerate(z):
+        row[i][0] = out_den  # Z has no constant term
+    return _wrapped(z, nv, cap, out_den)
+
+
+def poly_scalar_commutator(a, b, alpha, beta) -> tuple:
+    """sigma_k(Q^-1 P), k = 1/(alpha beta), for square matrices A and B of
+    TruncPoly entries at one (nv, cap) with constant parts alpha I and
+    beta I, alpha and beta nonzero: P = A sigma_alpha(B), Q = B
+    sigma_beta(A) and sigma_s the dilation t -> s t.  The two dilations,
+    which carry the scaling by k that makes k Q unipotent and put k P and
+    k Q over one denominator, the two _impl.mmul products, the one
+    _impl.msolve and the final sigma_k all run on numerators, and only
+    the result is wrapped."""
+    nv, cap = a[0][0].nv, a[0][0].cap
+    (na, da), (nb, db) = _over_one_den(a), _over_one_den(b)
+    lim, top = code_limit(nv, cap), FIELD_BITS * nv
+    k = 1 / Fraction(alpha * beta)
+    (sa, fa), (sb, fb) = _dilation(alpha, cap), _dilation(beta, cap)
+    p = _impl.mmul(na, _dilated(nb, [s * k.numerator * fb for s in sa], top), lim, top)
+    q = _impl.mmul(nb, _dilated(na, [s * k.numerator * fa for s in sb], top), lim, top)
+    den = da * db * fa * fb * k.denominator  # k Q is I + N over den
+    y = _impl.msolve([q], p, lim, top, den)
+    powers, f = _dilation(k, cap)
+    return _wrapped(_dilated(y, powers, top), nv, cap, den ** (cap + 1) * f)
+
+
+def _wrapped(rows, nv, cap, den) -> tuple:
+    """A matrix of numerator maps over den as a tuple of row tuples of
+    TruncPoly, each entry wrapped once."""
+    return tuple(tuple(_reduced(nv, cap, nums, den) for nums in row) for row in rows)
+
+
+def _minus_identity(rows):
+    """The numerator maps of A - I for a unipotent A over one denominator:
+    the diagonal without its constant term, which equals that denominator."""
+    return [
+        [{e: c for e, c in p.items() if e} if i == j else p for j, p in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+def _scaled(rows, f):
+    """A matrix of numerator maps times the int f."""
+    return rows if f == 1 else [[{e: c * f for e, c in p.items()} for p in row] for row in rows]
+
+
+def _dilation(s, cap):
+    """For s = p/q in lowest terms (q > 0): p^d q^(cap-d) for d = 0..cap,
+    the factor of a degree-d numerator of f(s t), and q^cap, that of the
+    denominator of f(s t)."""
+    p, q = s.numerator, s.denominator
+    return [p**d * q ** (cap - d) for d in range(cap + 1)], q**cap
+
+
+def _dilated(rows, powers, top):
+    """A matrix of numerator maps with each code of degree d times
+    powers[d], all of them nonzero."""
+    return [[{e: c * powers[e >> top] for e, c in p.items()} for p in row] for row in rows]
 
 
 def _over_one_den(rows):

@@ -27,7 +27,11 @@ Y below degree d: power-series division, with the work of the one
 product N Y.  A product is one pass of the matrix kernel
 arith.poly_matmul, a solve one pass of arith.poly_solve, a map built from
 a Jacobian keeps it (linear_endo is the map of a constant Jacobian), and
-sigma_A for A = alpha I is the dilation t -> alpha t.
+sigma_A for A = alpha I is the dilation t -> alpha t.  The commutator of
+IA maps skips the identity: for X = J(phi) - I and Y = J(psi) - I it is
+J(c) = I + Q^-1 (XY - YX), and I with no solve when XY = YX
+(arith.poly_commutator).  That of scalar linear parts is one
+arith.poly_scalar_commutator, dilations included, on numerators.
 
 Endomorphism.apply is the one action built from the bracket, and no
 composition calls it.  It collects, per module coordinate, the products
@@ -50,6 +54,7 @@ from .arith import (
     poly_commutator,
     poly_mac,
     poly_matmul,
+    poly_scalar_commutator,
     poly_solve,
     t_dot,
 )
@@ -63,8 +68,8 @@ _ZERO = Fraction(0)
 class JacobianMatrix:
     """m x m matrix of truncated polynomials at cap c-1, kept as a tuple of
     m row tuples.  The constructor checks the shape of what it is given;
-    the results of the kernel (products, solves, commutators, dilations)
-    and of the closed forms of lmc.normal are wrapped once by _clean, which
+    the results of the kernel (products, solves, commutators) and of
+    the closed forms of lmc.normal are wrapped once by _clean, which
     checks it again only under liealg.CHECK_INVARIANTS, as
     LieElement._clean does."""
 
@@ -150,12 +155,6 @@ class JacobianMatrix:
         if all(p.nums.get(0, 0) * d == n * p.den if i == j else 0 not in p.nums
                for i, row in enumerate(self.rows) for j, p in enumerate(row)):
             return Fraction(n, d)
-
-    def dilate(self, s) -> "JacobianMatrix":
-        """sigma_A for A = s I: every entry at s t (TruncPoly.dilate)."""
-        return JacobianMatrix._clean(
-            self.ctx, tuple(tuple(p.dilate(s) for p in row) for row in self.rows)
-        )
 
     def column_defect(self, j: int) -> TruncPoly:
         """sum_i t_i * (self - A)[i][j] at cap c (1-based column j), A the
@@ -430,10 +429,12 @@ def jacobian_commutator(ja: JacobianMatrix, jb: JacobianMatrix) -> JacobianMatri
     """J(c), c = phi^-1 psi^-1 phi psi, from ja = J(phi) and jb = J(psi).
 
     P = J(phi psi) and Q = J(psi phi) satisfy P = Q sigma_C(J(c)), C = BA
-    the constant part of Q.  IA pairs: J(c) = Q^-1 P (arith.poly_commutator).
-    A = alpha I, B = beta I: one arith.poly_solve of Q and P over alpha beta,
-    dilated by 1/(alpha beta).  Otherwise K = C^-1 makes K Q unipotent,
-    Y0 = (K Q)^-1 K P = sigma_C(J(c)) and J(c) = sigma_K(Y0).
+    the constant part of Q.  IA pairs: J(c) = Q^-1 P = I + Q^-1 (XY - YX)
+    for X = ja - I and Y = jb - I, and I with no solve when XY - YX is
+    zero (arith.poly_commutator).  A = alpha I, B = beta I: Q^-1 P,
+    dilated by 1/(alpha beta), in one arith.poly_scalar_commutator.
+    Otherwise K = C^-1 makes K Q unipotent, Y0 = (K Q)^-1 K P =
+    sigma_C(J(c)) and J(c) = sigma_K(Y0).
     """
     ctx = ja.ctx
     if ctx != jb.ctx:
@@ -442,10 +443,7 @@ def jacobian_commutator(ja: JacobianMatrix, jb: JacobianMatrix) -> JacobianMatri
         return JacobianMatrix._clean(ctx, poly_commutator(ja.rows, jb.rows))
     alpha, beta = ja.scalar(), jb.scalar()
     if alpha and beta:  # a singular scalar takes the K route to its DomainError
-        k = 1 / (alpha * beta)
-        p, q = ja @ jb.dilate(alpha), jb @ ja.dilate(beta)
-        y0 = poly_solve(*([[x.scale(k) for x in row] for row in j.rows] for j in (q, p)))
-        return JacobianMatrix._clean(ctx, y0).dilate(k)
+        return JacobianMatrix._clean(ctx, poly_scalar_commutator(ja.rows, jb.rows, alpha, beta))
     phi, psi = (linear_endo(ctx, _constant_part(j)) for j in (ja, jb))
     p, q = ja @ _sigma(phi, jb), jb @ _sigma(psi, ja)
     k = mat_inv(_constant_part(q))

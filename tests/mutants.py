@@ -76,10 +76,13 @@ MUTANTS = [
     ),
     (
         "the scalar commutator dilates by alpha beta where it dilates by its inverse",
-        "src/lmc/endo.py",
-        "return JacobianMatrix._clean(ctx, y0).dilate(k)",
-        "return JacobianMatrix._clean(ctx, y0).dilate(alpha * beta)",
-        [COMPOSE + "test_scalar_pairs_take_one_solve_and_match_the_apply_chain"],
+        "src/lmc/arith.py",
+        "powers, f = _dilation(k, cap)",
+        "powers, f = _dilation(alpha * beta, cap)",
+        [
+            SOLVE + "test_poly_scalar_commutator_matches_the_dilated_sum_of_powers",
+            COMPOSE + "test_scalar_pairs_take_one_solve_and_match_the_apply_chain",
+        ],
     ),
     (
         "a word law's final check J(word) = I always holds",
@@ -267,11 +270,25 @@ MUTANTS = [
         ["tests/test_endo.py::test_kernel_results_are_validated_under_check_invariants"],
     ),
     (
-        "the IA commutator solves with AB and BA swapped",
+        "the IA commutator solves for YX - XY where it solves for XY - YX",
         "src/lmc/arith.py",
-        "_solved(_impl.mmul(nb, na, lim, top), _impl.mmul(na, nb, lim, top),",
-        "_solved(_impl.mmul(na, nb, lim, top), _impl.mmul(nb, na, lim, top),",
-        [SOLVE + "test_group_commutator_matches_the_apply_chain", COMPOSE + "test_compose_and_commutator_match_the_apply_chain"],
+        "d = [list(map(_impl.psub, r, s)) for r, s in zip(xy, yx)]",
+        "d = [list(map(_impl.psub, r, s)) for r, s in zip(yx, xy)]",
+        [SOLVE + "test_poly_commutator_matches_the_sum_of_powers", COMPOSE + "test_compose_and_commutator_match_the_apply_chain"],
+    ),
+    (
+        "the IA commutator's N = Q - I takes XY where it takes YX",
+        "src/lmc/arith.py",
+        "[_scaled(x, db), _scaled(y, da), yx]",
+        "[_scaled(x, db), _scaled(y, da), xy]",
+        [SOLVE + "test_poly_commutator_matches_the_sum_of_powers", COMPOSE + "test_compose_and_commutator_match_the_apply_chain"],
+    ),
+    (
+        "the IA commutator is I when one entry of XY - YX is zero",
+        "src/lmc/arith.py",
+        "if not any(map(any, d)):",
+        "if not all(map(all, d)):",
+        [SOLVE + "test_poly_commutator_matches_the_sum_of_powers", COMPOSE + "test_compose_and_commutator_match_the_apply_chain"],
     ),
     # -- polynomial kernel -----------------------------------------------------------
     (
@@ -434,7 +451,10 @@ MUTANTS = [
         "src/lmc/syntax.py",
         'raise cur.error(x_at, f"a generator index',
         'raise cur.error(at, f"a generator index',
-        [SYNTAX + "test_parse_element_matches_reference"],
+        [
+            SYNTAX + "test_parse_element_matches_reference",
+            "tests/test_syntax.py::test_brackets_that_are_not_generator_chains_keep_their_parse_errors",
+        ],
     ),
     (
         "a long chain index fails at the bracket",

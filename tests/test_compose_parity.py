@@ -11,9 +11,11 @@ maps with linear parts that do not commute, sampled automorphisms (kind
 aut, dense with integer linear parts) and scaled normal maps, at c <= 3
 (no iteration step for IA pairs) and above.  compose also takes a left
 factor with a singular linear part, where invert and the commutator raise
-DomainError.  endo.jacobian_commutator takes one poly_solve and no mat_inv
-when both linear parts are scalars (alpha = -1, alpha beta = 1 and
-scalar/IA pairs among them), and the K route when one is not.
+DomainError.  endo.jacobian_commutator takes one poly_scalar_commutator,
+and no poly_solve, mat_inv, TruncPoly.dilate or TruncPoly.scale, when
+both linear parts are scalars (alpha = -1, alpha beta = 1 and scalar/IA
+pairs among them), and the K route, one poly_solve and one mat_inv, when
+one is not.
 """
 
 import random
@@ -23,6 +25,7 @@ import endo_reference as ref
 import pytest
 
 from lmc import endo, liealg, normal
+from lmc.arith import TruncPoly
 from lmc.errors import DomainError
 from lmc.liealg import Context
 from lmc.verify import sample
@@ -103,17 +106,20 @@ def test_compose_and_commutator_match_the_apply_chain(m, c):
 
 def _route_calls(monkeypatch):
     """Count the kernel calls that tell jacobian_commutator's routes apart:
-    poly_commutator (IA pairs), poly_solve (both other routes) and mat_inv
-    (the K route alone)."""
-    seen = {"poly_commutator": 0, "poly_solve": 0, "mat_inv": 0}
+    poly_commutator (IA pairs), poly_scalar_commutator (scalar pairs),
+    poly_solve and mat_inv (the K route), and the TruncPoly dilations and
+    scalings that the scalar kernel runs on numerators instead."""
+    kernels = ["poly_commutator", "poly_scalar_commutator", "poly_solve", "mat_inv"]
+    seen = dict.fromkeys(kernels + ["dilate", "scale"], 0)
     for name in seen:
-        original = getattr(endo, name)
+        owner = endo if name in kernels else TruncPoly
+        original = getattr(owner, name)
 
         def counting(*args, name=name, original=original):
             seen[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(endo, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return seen
 
 
@@ -140,7 +146,12 @@ def test_scalar_pairs_take_one_solve_and_match_the_apply_chain(monkeypatch, m, c
         with monkeypatch.context() as patch:
             seen = _route_calls(patch)
             got = endo.jacobian_commutator(ja, jb)
-        assert seen == {"poly_commutator": 0, "poly_solve": 1, "mat_inv": int(k_route)}
+        dilations = seen.pop("dilate") + seen.pop("scale")
+        assert seen == {
+            "poly_commutator": 0, "poly_scalar_commutator": int(not k_route),
+            "poly_solve": int(k_route), "mat_inv": int(k_route),
+        }
+        assert k_route or not dilations
         want = ref.group_commutator(phi, psi)
         assert endo.group_commutator(phi, psi) == want
         assert endo.jacobian(endo.group_commutator(phi, psi)) == got == endo.jacobian(want)

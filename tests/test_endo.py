@@ -241,7 +241,8 @@ def test_kernel_results_are_validated_under_check_invariants(monkeypatch):
             endo.JacobianMatrix._clean(ctx, rows)
     monkeypatch.setattr(liealg, "CHECK_INVARIANTS", False)
     assert endo.JacobianMatrix._clean(ctx, wrong_cap).rows is wrong_cap
-    # products, solves, commutators and dilations all wrap through _clean
+    # products, solves and commutators (IA and scalar pairs) all wrap
+    # through _clean
     wrapped = []
     clean = endo.JacobianMatrix._clean
 
@@ -252,7 +253,7 @@ def test_kernel_results_are_validated_under_check_invariants(monkeypatch):
     monkeypatch.setattr(endo.JacobianMatrix, "_clean", spy)
     scalar = endo.jacobian(endo.linear_endo(ctx, [[2, 0], [0, 2]]))
     results = [
-        jac @ jac, jac.neumann_inverse(), jac.dilate(3),
+        jac @ jac, jac.neumann_inverse(),
         endo.jacobian_commutator(jac, jac), endo.jacobian_commutator(scalar, jac),
     ]
     assert all(any(r.rows is rows for rows in wrapped) for r in results)

@@ -5,15 +5,22 @@ JacobianMatrix.neumann_inverse and endo.group_commutator solve Q Y = P for
 a unipotent Q = I + N in one arith._impl.msolve pass, Y_d = P_d -
 sum_{e>=1} N_e Y_(d-e).  Q^-1 P must equal the reference sum of powers of
 I - Q times P, and the commutator the chain through apply, which shares no
-product or solve with it.  normal._ginn_s reads S off the numerators of
-the f_i; the reference sums TruncPoly products.  Results must be equal on
-IA and non-IA pairs, fractional Jacobians, nested commutators (where D =
-P - Q starts in a high degree), zero and constant matrices, and c = 1, 2.
+product or solve with it.  arith.poly_commutator, I + Q^-1 (XY - YX) for
+X = A - I and Y = B - I, must equal (BA)^-1 AB by the sum of powers on
+any unipotent pair, and arith.poly_scalar_commutator the same chain of
+TruncPoly dilations, scalings and products that it runs on numerators.
+Where XY - YX is zero (c = 2, and nested commutators whose factors'
+lowest degrees add up past the cap) the commutator is I with no msolve
+call.  normal._ginn_s reads S off the numerators of the f_i; the
+reference sums TruncPoly products.  Results must be equal on IA and
+non-IA pairs, fractional Jacobians, nested commutators (where D = P - Q
+starts in a high degree), zero and constant matrices, and c = 1, 2.
 """
 
 from fractions import Fraction as F
 
 import endo_reference as ref
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +78,74 @@ def test_poly_solve_matches_the_sum_of_powers(ctx, data):
     expected = ref.matmul(ref.neumann_inverse(q), p)
     assert endo.JacobianMatrix(ctx, arith.poly_solve(q.rows, p.rows)) == expected
     assert q @ expected == p
+
+
+@CHECK
+@given(contexts, st.data())
+def test_poly_commutator_matches_the_sum_of_powers(ctx, data):
+    # fractional entries put A and B over different denominators, so the
+    # identity each sheds is a numerator other than 1
+    a, b = (data.draw(matrices(ctx, unipotent=True)) for _ in range(2))
+    expected = ref.matmul(ref.neumann_inverse(ref.matmul(b, a)), ref.matmul(a, b))
+    assert endo.JacobianMatrix(ctx, arith.poly_commutator(a.rows, b.rows)) == expected
+
+
+def _entrywise(jac, f):
+    return endo.JacobianMatrix(jac.ctx, [[f(x) for x in row] for row in jac.rows])
+
+
+@CHECK
+@given(contexts, fractions.filter(bool), fractions.filter(bool), st.data())
+def test_poly_scalar_commutator_matches_the_dilated_sum_of_powers(ctx, alpha, beta, data):
+    # A and B with constant parts alpha I and beta I: sigma_k(Q^-1 P) for
+    # P = A sigma_alpha(B), Q = B sigma_beta(A) and k = 1/(alpha beta),
+    # with k Q inverted by the sum of powers
+    a, b = (
+        _entrywise(data.draw(matrices(ctx, unipotent=True)), lambda x, s=s: x.scale(s))
+        for s in (alpha, beta)
+    )
+    k = 1 / (alpha * beta)
+    p = ref.matmul(a, _entrywise(b, lambda x: x.dilate(alpha)))
+    q = ref.matmul(b, _entrywise(a, lambda x: x.dilate(beta)))
+    scaled = (_entrywise(j, lambda x: x.scale(k)) for j in (q, p))
+    y0 = ref.matmul(ref.neumann_inverse(next(scaled)), next(scaled))
+    got = arith.poly_scalar_commutator(a.rows, b.rows, alpha, beta)
+    assert endo.JacobianMatrix(ctx, got) == _entrywise(y0, lambda x: x.dilate(k))
+
+
+def _commutator_pair(ctx, shape, tag):
+    """Two IA maps: "pair" two sampled maps, "comm-ginn" a commutator and a
+    sampled map, and "comms" two commutators.  At c = 2, at c = 3 for
+    comm-ginn and at c = 4 for comms, the lowest degrees of X and Y, the
+    Jacobians less I, add up past the cap, so XY = YX = 0; comm-ginn at
+    (2,5) has XY - YX nonzero."""
+    ia = [sample("ia", ctx, f"{tag}-{k}", 2) for k in range(4)]
+    ginn = normal.ginn_to_endo(sample("ginn", ctx, tag))
+    if shape == "pair":
+        return ia[0], ia[1]
+    first = endo.group_commutator(ia[0], ginn)
+    if shape == "comm-ginn":
+        return first, ia[2]
+    return first, endo.group_commutator(ia[2], ia[3])
+
+
+@pytest.mark.parametrize(
+    "mc,shape",
+    [((3, 2), "pair"), ((3, 3), "comm-ginn"), ((3, 4), "comms"), ((2, 4), "comms"),
+     ((4, 4), "comms"), ((2, 5), "comm-ginn")],
+)
+def test_commutators_with_xy_equal_to_yx_take_no_solve(monkeypatch, mc, shape):
+    ctx = Context(*mc)
+    phi, psi = _commutator_pair(ctx, shape, f"shortcut-{mc}")
+    ja, jb = endo.jacobian(phi), endo.jacobian(psi)
+    commute = ref.matmul(ja, jb) == ref.matmul(jb, ja)
+    assert commute is (mc != (2, 5))
+    solves = []
+    msolve = arith._impl.msolve
+    monkeypatch.setattr(arith._impl, "msolve", lambda *args: solves.append(args) or msolve(*args))
+    got = endo.group_commutator(phi, psi)
+    assert len(solves) == int(not commute)
+    assert got == ref.group_commutator(phi, psi)
 
 
 @st.composite
