@@ -42,7 +42,9 @@ degree-d part of Y is P_d - sum_{e>=1} N_e Y_(d-e), power-series division
 applied to matrices: each degree needs only the parts of Y below it, and
 the pairs of terms multiplied are those of the one product N Y.  Over a
 common denominator a, Z_d = a^(d+1) Y_d obeys the integer recursion Z_d =
-a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e).
+a^d Pn_d - sum_e a^(e-1) Nn_e Z_(d-e).  Y is zero below the lowest
+degree of P, so the terms of N above the cap minus that degree are left
+out.
 
 The commutator kernels skip the identity and wrap only their result.
 poly_commutator gives (BA)^-1 AB for unipotent A and B as I + Q^-1 D,
@@ -56,7 +58,9 @@ products, the solve and the final dilation by 1/(alpha beta) on
 numerators in one call.
 
 t_dot, the sum_i t_i p_i of the membership and S-conditions, is likewise
-one pass that adds the code of t_i to every code of p_i, and poly_mac,
+one pass that adds the code of t_i to every code of p_i;
+first_defective_column runs it on every column of a matrix and only
+tests the sums, wrapping none.  poly_mac,
 base + sum p * q over pairs of polynomials, one pass of _impl.pmac over
 their numerators on one common denominator: a module coordinate of a
 bracket, of an image under apply or of a GInn sum is wrapped once.  There
@@ -207,10 +211,13 @@ class _impl:
         sum_e a^(e-1) Nn_e Z_(d-e), and Z is kept packed per row and degree
         as (key, num) terms, key = j * lim + code as in mmul: the pairs
         multiplied are those of the one product N Y, and a group of N_e
-        whose part of Y below is zero is skipped."""
+        whose part of Y below is zero is skipped.  Y is zero below the
+        lowest degree of P, so the terms of N of degree above cap minus
+        that degree multiply nothing and are left out."""
         cap = (lim >> top) - 1
         size = range(len(p))
         powers = [a**d for d in range(cap + 1)]
+        span = cap - (min((min(nums) for row in p for nums in row if nums), default=lim) >> top)
         n_rows = []  # per row: (degree e, column k, [(code, a^(e-1) num)]) by e
         for rows in zip(*parts):
             terms = {}
@@ -218,7 +225,7 @@ class _impl:
                 for k, nums in enumerate(row):
                     for code, c in nums.items():
                         e = code >> top
-                        if e:
+                        if 0 < e <= span:
                             terms.setdefault((e, k), []).append((code, c * powers[e - 1]))
             n_rows.append(sorted((e, k, t) for (e, k), t in terms.items()))
         z = [[[] for _ in range(cap + 1)] for _ in size]  # z[i][d]: terms of Z_d in row i
@@ -615,8 +622,15 @@ def t_dot(polys, cap: int, skip_constants: bool = False) -> TruncPoly:
     _check_dims(nv, cap)
     if len(polys) > nv or any(p.nv != nv for p in polys):
         raise DimensionMismatch(f"need at most {nv} polynomials in {nv} vars")
+    acc, den = _t_dot_nums(polys, cap, int(skip_constants))
+    return _reduced(nv, cap, {e: c for e, c in acc.items() if c}, den)
+
+
+def _t_dot_nums(polys, cap, low):
+    """The numerator sums of t_dot, zeros kept, over the common denominator
+    it returns; codes below low are left out."""
+    nv = polys[0].nv
     lim = code_limit(nv, cap)
-    low = int(skip_constants)
     den = lcm(*(p.den for p in polys))
     acc = {}
     get = acc.get
@@ -628,7 +642,19 @@ def t_dot(polys, cap: int, skip_constants: bool = False) -> TruncPoly:
             if low <= e < room:
                 e += step
                 acc[e] = get(e, 0) + c * f
-    return _reduced(nv, cap, {e: c for e, c in acc.items() if c}, den)
+    return acc, den
+
+
+def first_defective_column(rows, cap: int) -> int:
+    """The 1-based index of the first column j of the square matrix rows
+    (TruncPoly entries at one nv) whose defect sum_i t_i rows[i][j],
+    constant terms left out, is nonzero at cap, or 0 when none is: the
+    S-condition of every column, each sum a t_dot pass that is tested and
+    never wrapped."""
+    for j, col in enumerate(zip(*rows), start=1):
+        if any(_t_dot_nums(col, cap, 1)[0].values()):
+            return j
+    return 0
 
 
 def poly_mac(base: TruncPoly, pairs) -> TruncPoly:

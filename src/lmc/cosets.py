@@ -27,7 +27,14 @@ multiplier psi_f with theta = psi_f o phi off M = J(psi_f phi) - I, degree
 by degree: each coefficient of f owns one constrained coefficient of M, so
 nothing is solved.  With J = I + S the Jacobian of phi, J(psi_f) = (1 + w)
 I - f t^T for w = sum_r t_r f_r, and the S-condition sum_s t_s J[s][col] =
-t_col gives column col of M as M = S + w J - t_col f.
+t_col gives column col of M as M = S + w J - t_col f.  The read is one
+integer pass over the numerators of the m+1 constrained entries on their
+common denominator D: each degree's move by w_d J is one _impl.pmac per
+entry over a denominator that gains a factor D, nothing is wrapped until
+each f_i is, once, and no entry is graded or split as a TruncPoly.
+
+Every shape starts with the S-condition of every column, one
+JacobianMatrix.satisfies_s_condition pass that wraps no sum.
 
 reduce_mod_inn_normal first strips the parameter constants gamma with a
 linear-generator exponential, one ginn_compose.  Then for k = 1,...,m-1
@@ -54,10 +61,11 @@ ginn_compose or ginn_invert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import endo as _endo
 from . import normal
-from .arith import TruncPoly, poly_mac, t_dot
+from .arith import FIELD_BITS, MAX_CAP, TruncPoly, _impl, code_limit, var_code
 from .errors import DomainError, ValidationError
 from .liealg import LieElement
 
@@ -174,26 +182,7 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> CosetForm:
     """
     if not phi.is_ia():
         raise DomainError("reduce_mod_in expects an IA automorphism")
-    ctx = phi.ctx
-    m, cap = ctx.m, ctx.module_cap
-    rows = _endo.jacobian(phi).rows
-    # the constrained entries (1,1), ..., (m,1), (1,2) of J and of M
-    js = [row[0] for row in rows] + [rows[0][1]]
-    moved = [js[0] - TruncPoly.const(m, cap, 1)] + js[1:]
-
-    f = [ctx.zero_poly()] * m
-    for d in range(ctx.c - 1):
-        f_d = [moved[m].graded(d + 1).split_var(2)[0]]
-        f_d += [p.graded(d + 1).split_var(1)[0] for p in moved[1:m]]
-        weight = t_dot(f_d, cap)
-        if not (moved[0].graded(d + 1) + weight - f_d[0].mul_var(1)).is_zero():
-            raise ValidationError("no theta representative: input is not a valid IA map")
-        f = [p + q for p, q in zip(f, f_d)]
-        if d == ctx.c - 2:
-            break
-        moved = [poly_mac(p, [(weight, j)]) for p, j in zip(moved, js)]
-
-    g = normal.GInnAut(ctx, tuple(p.with_cap(ctx.param_cap) for p in f))
+    g = normal.GInnAut(phi.ctx, _theta_multiplier(_endo.jacobian(phi)))
     psi = normal.ginn_to_endo(g)
     theta = _endo.compose(psi, phi)
     theta_jac = _endo.jacobian(theta)
@@ -202,6 +191,45 @@ def reduce_mod_in(phi: "_endo.Endomorphism") -> CosetForm:
     if _endo.jacobian(psi) != normal.ginn_jacobian(g):
         raise ValidationError("reduction lost the coset")  # a wrong ginn_to_endo
     return CosetForm(theta, g, theta_jac)
+
+
+def _theta_multiplier(jac: "_endo.JacobianMatrix") -> tuple:
+    """The f of reduce_mod_in, read in one integer pass over the numerators
+    of the constrained entries (1,1), ..., (m,1), (1,2) of J on their common
+    denominator D.  M differs from J there only in its constant term, which
+    no step reads.  f_d is read off M over D^(d+1), and M's move by w_d J
+    is one _impl.pmac per entry, over D^(d+2); each f_i is wrapped once."""
+    ctx = jac.ctx
+    m, c = ctx.m, ctx.c
+    lim, top = code_limit(m, ctx.module_cap), FIELD_BITS * m
+    s1, s2 = FIELD_BITS * (m - 1), FIELD_BITS * (m - 2)  # the fields of t_1 and t_2
+    t1, t2 = var_code(m, 1), var_code(m, 2)
+    entries = [row[0] for row in jac.rows] + [jac.rows[0][1]]
+    unit = lcm(*(p.den for p in entries))
+    js = [{e: v * (unit // p.den) for e, v in p.nums.items()} for p in entries]
+    moved = js
+    f = [{} for _ in range(m)]  # over D^(c-1)
+    for d in range(c - 1):
+        deg = d + 1
+        f_d = [{e - t2: v for e, v in moved[m].items() if e >> top == deg and e >> s2 & MAX_CAP}]
+        f_d += [{e - t1: v for e, v in p.items() if e >> top == deg and e >> s1 & MAX_CAP} for p in moved[1:m]]
+        weight = {}  # w_d = sum_i t_i f_i,d
+        for i, q in enumerate(f_d, start=1):
+            step = var_code(m, i)
+            for e, v in q.items():
+                weight[e + step] = weight.get(e + step, 0) + v
+        weight = {e: v for e, v in weight.items() if v}
+        m11 = {e: v for e, v in moved[0].items() if e >> top == deg}
+        if _impl.psub(_impl.padd(m11, weight), {e + t1: v for e, v in f_d[0].items()}):
+            raise ValidationError("no theta representative: input is not a valid IA map")
+        for p, q in zip(f, f_d):
+            p.update((e, v * unit ** (c - 2 - d)) for e, v in q.items())
+        if d == c - 2:
+            break
+        if unit != 1:
+            moved = [{e: v * unit for e, v in p.items()} for p in moved]
+        moved = [_impl.pmac(p, ((weight, j),), lim) for p, j in zip(moved, js)]
+    return tuple(TruncPoly.from_codes(m, ctx.param_cap, p, unit ** (c - 1)) for p in f)
 
 
 # -- reduction: normal IA modulo inner (psi) -----------------------------------------

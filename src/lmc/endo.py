@@ -27,10 +27,12 @@ Y below degree d: power-series division, with the work of the one
 product N Y.  A product is one pass of the matrix kernel
 arith.poly_matmul, a solve one pass of arith.poly_solve, a map built from
 a Jacobian keeps it (linear_endo is the map of a constant Jacobian), and
-sigma_A for A = alpha I is the dilation t -> alpha t.  The commutator of
-IA maps skips the identity: for X = J(phi) - I and Y = J(psi) - I it is
-J(c) = I + Q^-1 (XY - YX), and I with no solve when XY = YX
-(arith.poly_commutator).  That of scalar linear parts is one
+sigma_A for A = alpha I is the dilation t -> alpha t.  _from_jacobian
+tests the S-condition of every column in one arith.first_defective_column
+pass, which wraps none of the sums, and keeps the matrix and its scalar
+with the map.  The commutator of IA maps skips the identity: for X =
+J(phi) - I and Y = J(psi) - I it is J(c) = I + Q^-1 (XY - YX), and I
+with no solve when XY = YX (arith.poly_commutator).  That of scalar linear parts is one
 arith.poly_scalar_commutator, dilations included, on numerators.
 
 Endomorphism.apply is the one action built from the bracket, and no
@@ -51,6 +53,7 @@ from . import liealg
 from .arith import (
     LinearSubstitution,
     TruncPoly,
+    first_defective_column,
     poly_commutator,
     poly_mac,
     poly_matmul,
@@ -162,12 +165,9 @@ class JacobianMatrix:
         return t_dot([row[j - 1] for row in self.rows], self.ctx.c, skip_constants=True)
 
     def satisfies_s_condition(self) -> bool:
-        """Unipotent with every column of J - I summing to zero against t."""
-        if not self.is_unipotent():
-            return False
-        return all(
-            self.column_defect(j).is_zero() for j in range(1, self.ctx.m + 1)
-        )
+        """Unipotent with every column of J - I summing to zero against t,
+        tested in one arith.first_defective_column pass."""
+        return self.is_unipotent() and not first_defective_column(self.rows, self.ctx.c)
 
     def neumann_inverse(self) -> "JacobianMatrix":
         """Exact inverse of a unipotent matrix I + N, degree by degree: X_d
@@ -232,12 +232,15 @@ class Endomorphism:
         return self._cache["linear_inv"]
 
     def scalar(self):
-        """alpha when the linear part is alpha I, else None."""
+        """alpha when the linear part is alpha I, else None, read off the
+        numerators and denominators of the entries (both in lowest terms)."""
         if "scalar" not in self._cache:
-            a, m = self.linear_matrix(), self.ctx.m
+            a = self.linear_matrix()
             alpha = a[0][0]
+            n, d = alpha.numerator, alpha.denominator
             scalar = all(
-                a[k][i] == (alpha if k == i else _ZERO) for k in range(m) for i in range(m)
+                x.numerator == n and x.denominator == d if k == i else not x.numerator
+                for k, row in enumerate(a) for i, x in enumerate(row)
             )
             self._cache["scalar"] = alpha if scalar else None
         return self._cache["scalar"]
@@ -354,16 +357,15 @@ def jacobian(phi: Endomorphism) -> JacobianMatrix:
 def _from_jacobian(jac: JacobianMatrix) -> Endomorphism:
     """Inverse of `jacobian`: column j's constant terms are the linear part
     of the image of x_j, and the rest is its module vector, which must
-    satisfy the S-condition."""
+    satisfy the S-condition.  The map keeps the matrix, and the scalar of
+    its linear part read off the matrix's constant terms."""
     ctx = jac.ctx
     m, cap = ctx.m, ctx.module_cap
+    bad = first_defective_column(jac.rows, ctx.c)
+    if bad:
+        raise ValidationError(f"column {bad} violates the S-condition sum_i t_i*s_ij = 0")
     images = []
-    for j in range(1, m + 1):
-        if not jac.column_defect(j).is_zero():
-            raise ValidationError(
-                f"column {j} violates the S-condition sum_i t_i*s_ij = 0"
-            )
-        col = [row[j - 1] for row in jac.rows]
+    for col in zip(*jac.rows):
         beta = tuple(p.constant_term() for p in col)
         mod = tuple(  # the constant term, code 0, is beta
             TruncPoly.from_codes(m, cap, {e: c for e, c in p.nums.items() if e}, p.den)
@@ -373,6 +375,7 @@ def _from_jacobian(jac: JacobianMatrix) -> Endomorphism:
         images.append(LieElement._clean(ctx, beta, mod))
     phi = Endomorphism(ctx, tuple(images))
     phi._cache["jacobian"] = jac
+    phi._cache["scalar"] = jac.scalar()
     return phi
 
 
@@ -417,7 +420,10 @@ def invert(phi: Endomorphism) -> Endomorphism:
     if phi.is_ia():
         return ia_from_jacobian(jacobian(phi).neumann_inverse())
     _, chi = decompose(phi)
-    return compose(invert(chi), linear_endo(phi.ctx, phi._linear_inverse()))
+    # chi is IA: a faulty decompose makes neumann_inverse raise DomainError,
+    # where invert(chi) would recurse
+    chi_inv = ia_from_jacobian(jacobian(chi).neumann_inverse())
+    return compose(chi_inv, linear_endo(phi.ctx, phi._linear_inverse()))
 
 
 def group_commutator(phi: Endomorphism, psi: Endomorphism) -> Endomorphism:

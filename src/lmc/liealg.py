@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .arith import FIELD_BITS, TruncPoly, _impl, code_limit, t_dot, var_code
+from .arith import FIELD_BITS, TruncPoly, _impl, _make, code_limit, t_dot, var_code
 from .errors import ContextMismatch, DomainError, ValidationError
 from .linalg import SparseSolver, SpanBasis
 
@@ -150,12 +150,21 @@ class LieElement:
         return all(not b for b in self.beta)
 
     def full_poly(self, i: int) -> TruncPoly:
-        """Coefficient of a_i in the embedding: beta_i + module[i] (1-based)."""
+        """Coefficient of a_i in the embedding: beta_i + module[i] (1-based).
+        A module coordinate has no constant term, so beta_i goes in at code
+        0 of its numerators over the lcm of the two denominators, and the
+        result, canonical, is wrapped once."""
         p = self.mod[i - 1]
         b = self.beta[i - 1]
         if not b:
             return p
-        return p + TruncPoly.const(self.ctx.m, self.ctx.module_cap, b)
+        if 0 in p.nums:  # not a module coordinate
+            return p + TruncPoly.const(self.ctx.m, self.ctx.module_cap, b)
+        den = math.lcm(p.den, b.denominator)
+        k = den // p.den
+        nums = {e: c * k for e, c in p.nums.items()} if k != 1 else dict(p.nums)
+        nums[0] = b.numerator * (den // b.denominator)
+        return _make(p.nv, p.cap, nums, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieElement):

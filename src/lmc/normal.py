@@ -73,7 +73,7 @@ from math import factorial, lcm
 
 from . import endo as _endo
 from . import liealg
-from .arith import LinearSubstitution, TruncPoly, format_rational, poly_mac, t_dot, var_code
+from .arith import LinearSubstitution, TruncPoly, _make, format_rational, poly_mac, t_dot, var_code
 from .errors import ContextMismatch, DomainError, UsageError, ValidationError
 from .liealg import Context, LieElement
 
@@ -123,7 +123,9 @@ def _ginn_s(g: GInnAut, unit: int = 0):
     -t_j f_i off it.  Each entry is read off the numerators of the f_i and
     wrapped once: t_j f_i adds the code of t_j to every code of f_i, and
     the diagonal is weight - t_i f_i for weight = sum_r t_r f_r over the
-    lcm of the denominators.  S satisfies the S-condition by construction."""
+    lcm of the denominators.  An off-diagonal entry shifts the codes of a
+    canonical f_i, so it is canonical too and wrapped with no gcd.  S
+    satisfies the S-condition by construction."""
     m, cap = g.ctx.m, g.ctx.module_cap
     den = lcm(*(p.den for p in g.f))
     steps = [var_code(m, j) for j in range(1, m + 1)]
@@ -135,14 +137,12 @@ def _ginn_s(g: GInnAut, unit: int = 0):
         for e, c in nums.items():
             weight[e] = weight.get(e, 0) + c
         own.append(nums)
-    zero = TruncPoly.zero(m, cap)
     rows = []
     for i, p in enumerate(g.f):
         row = []
         for j, step in enumerate(steps):
             if i != j:
-                nums = {e + step: -c for e, c in p.nums.items()}
-                row.append(TruncPoly.from_codes(m, cap, nums, p.den) if nums else zero)
+                row.append(_make(m, cap, {e + step: -c for e, c in p.nums.items()}, p.den))
                 continue
             diag = dict(weight)
             for e, c in own[i].items():

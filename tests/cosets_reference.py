@@ -13,7 +13,8 @@ are recognized by the solve of tests/ginn_reference.py and composed by
 its TruncPoly chain, the linear-generator exponential and inner
 recognition are the bracket series and the degree peeling of
 tests/inner_reference.py, and theta_shape, psi_shape and df_shape test
-the S-condition with endo_reference.column_defect.
+the S-condition with endo_reference.column_defect, after asking for a
+constant part I, which they read off the constant terms.
 
 df_shape is the df predicate before the S-condition dropped its two t_dot
 sums: it builds s + sum t_i q_i and sum t_i r_i and asks both to vanish.
@@ -114,7 +115,11 @@ def reduce_mod_in(phi):
 
 
 def _s_condition(jac):
-    return all(endo_ref.column_defect(jac, j).is_zero() for j in range(1, jac.ctx.m + 1))
+    """Constant part I, read off the constant terms, and every column defect zero."""
+    unipotent = all(
+        p.constant_term() == (i == j) for i, row in enumerate(jac.rows) for j, p in enumerate(row)
+    )
+    return unipotent and all(endo_ref.column_defect(jac, j).is_zero() for j in range(1, jac.ctx.m + 1))
 
 
 def theta_shape(jac):

@@ -26,9 +26,10 @@ A polynomial product is one pmac pass (pmul is pmac on one pair), a GInn
 composition makes no pmul call, and recognize_ginn reads each parameter
 off one entry: m calls of TruncPoly.divide_var, not m(m-1).  The psi
 reduction composes GInn parameters twice whatever m: once to strip
-constants and once in its certificate.  The theta reduction moves each
-constrained entry by one poly_mac pair per step, and the df shape makes
-one t_dot call per column, those of the S-condition.
+constants and once in its certificate.  The theta reduction reads its multiplier in one packed pass, each
+constrained entry moved by one arith._impl.pmac pass per step with no
+TruncPoly graded, split_var or poly_mac call, and the df shape makes one
+S-condition pass over the whole matrix and no t_dot call.
 Basis-form text (generator commutators such as [x2,x1,x1]) parses
 without a bracket call, a sum of them in one pass that builds one element
 and adds no polynomials, and lmc.cli.main registers only the subparser
@@ -417,39 +418,49 @@ def test_psi_reduction_composes_only_for_constants_and_certificate():
         assert tracer.calls["normal.ginn_compose"] == 2
 
 
-def test_theta_update_is_one_poly_mac_pair_per_entry(monkeypatch):
-    # the S-condition reduces each move of M[i][col] to w_d J[i][col]
+def test_theta_read_is_one_pmac_pass_per_entry_and_step(monkeypatch):
+    # the S-condition reduces each move of M[i][col] to w_d J[i][col], one
+    # packed pass; nothing is wrapped or graded on the way
     ctx = Context(4, 5)
     phi = sample("ia", ctx, "seams-z", 2)
     expected = cosets_ref.reduce_mod_in(phi)
-    original, pairs = cosets.poly_mac, []
+    passes, wrapped = [], []
+    original = arith._impl.pmac
 
-    def counting(base, terms):
-        pairs.append(len(terms))
-        return original(base, terms)
+    def counting(base, pairs, lim):
+        passes.append(len(pairs))
+        return original(base, pairs, lim)
 
-    monkeypatch.setattr(cosets, "poly_mac", counting)
+    def refused(name):
+        return lambda *args: wrapped.append(name)
+
+    monkeypatch.setattr(arith._impl, "pmac", counting)
+    for name in ("graded", "split_var"):
+        monkeypatch.setattr(arith.TruncPoly, name, refused(name))
+    for module in (endo, normal):
+        monkeypatch.setattr(module, "poly_mac", refused("poly_mac"))
     got = cosets.reduce_mod_in(phi)
-    assert pairs == [1] * ((ctx.c - 2) * (ctx.m + 1))
+    assert not wrapped
+    assert passes == [1] * ((ctx.c - 2) * (ctx.m + 1))
     assert (got.endo, got.params) == (expected.endo, expected.params)
 
 
-def test_df_shape_makes_only_the_s_condition_t_dots(monkeypatch):
+def test_df_shape_makes_one_s_condition_pass_and_no_t_dot(monkeypatch):
     ctx = Context(4, 5)
     jac = cosets.reduce_mod_inn_normal(sample("ginn", ctx, "seams-z", 2)).jac
-    calls = []
+    dots, passes = [], []
+    original = endo.first_defective_column
 
-    def counting(original):
-        def wrapper(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+    def counting(*args):
+        passes.append(args)
+        return original(*args)
 
-        return wrapper
-
-    for module in (endo, cosets):
-        monkeypatch.setattr(module, "t_dot", counting(module.t_dot))
+    for module in (endo, normal):
+        monkeypatch.setattr(module, "t_dot", lambda *args, **kwargs: dots.append(args))
+    monkeypatch.setattr(endo, "first_defective_column", counting)
     assert cosets.shape_check(jac, "df")
-    assert len(calls) == ctx.m  # one column defect per column
+    assert not dots
+    assert len(passes) == 1
 
 
 def test_basis_form_text_parses_without_a_bracket_call():

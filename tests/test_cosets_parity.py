@@ -1,4 +1,4 @@
-"""The graded theta read and the parameter-level psi certificate against
+"""The packed theta read and the parameter-level psi certificate against
 the reference reductions in tests/cosets_reference.py: the same theta and
 psi representatives, Jacobians and parameters on sampled and sparse maps.
 
@@ -12,7 +12,9 @@ bumped map per context.  The df shape reads no sum of t_i q_i or t_i r_i, and
 must give df_shape's verdict on the Jacobians of sampled maps, on theta
 and psi outputs, and on psi Jacobians perturbed in one entry or in a pair
 of entries (i, col), (j, col) by t_j u and -t_i u, which keeps the
-S-condition.
+S-condition; a Jacobian whose constant part is not I fails the df and
+theta shapes on both sides.  Rational maps at c >= 5 reach the growing
+denominator of the packed theta read.
 """
 
 import random
@@ -165,3 +167,25 @@ def test_df_shape_matches_the_summed_predicate(mc, kind, seed, data):
     if kind == "pair":
         assert jac.satisfies_s_condition()
     assert cosets.shape_check(jac, "df") == ref.df_shape(jac)
+
+
+def test_df_and_theta_shapes_refuse_a_constant_jacobian_that_is_not_unipotent():
+    # the df and theta shapes are shapes of IA matrices, so a Jacobian
+    # whose constant part is not I fails both predicates on both sides
+    jac = endo.jacobian(sample("aut", Context(2, 2), 122922, 2))
+    assert not jac.is_unipotent()
+    for shape, oracle in (("df", ref.df_shape), ("theta", ref.theta_shape)):
+        assert cosets.shape_check(jac, shape) is oracle(jac) is False
+
+
+@pytest.mark.parametrize("m,c", [(3, 5), (2, 6)])
+def test_reduce_mod_in_reads_rational_jacobians_as_the_full_solve(m, c):
+    # exp(ad u) for a u with a linear part has the coefficients of E(s), so
+    # the packed theta read runs over a denominator that gains a factor at
+    # every degree
+    ctx = Context(m, c)
+    rnd = random.Random(f"cosets-parity:rational:{m},{c}")
+    for _ in range(3):
+        phi = endo.compose(endo.exp_ad(sparse_element(ctx, rnd, 2, linear=1)), sparse_ia(ctx, rnd))
+        assert max(p.den for row in endo.jacobian(phi).rows for p in row) > 1
+        assert _form(cosets.reduce_mod_in(phi)) == _form(ref.reduce_mod_in(phi))

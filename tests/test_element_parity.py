@@ -204,6 +204,21 @@ def test_from_jacobian_keeps_the_s_condition_check():
             from_jacobian(bad)
 
 
+def test_the_s_condition_pass_reads_every_column_up_to_the_last():
+    # endo._from_jacobian and satisfies_s_condition test all columns in
+    # one pass; here only the last column breaks the S-condition
+    ctx = Context(3, 3)
+    jac = endo.jacobian(sample("ia", ctx, "s-condition"))
+    t1 = TruncPoly.var(ctx.m, ctx.module_cap, 1)
+    rows = [list(row) for row in jac.rows]
+    rows[0][-1] = rows[0][-1] + t1
+    bad = endo.JacobianMatrix(ctx, rows)
+    assert jac.satisfies_s_condition() and not bad.satisfies_s_condition()
+    for from_jacobian in (endo._from_jacobian, ref.from_jacobian):
+        with pytest.raises(ValidationError, match=f"column {ctx.m} violates the S-condition"):
+            from_jacobian(bad)
+
+
 def _malformed(ctx):
     """Module coordinates violating membership, and with a nonzero constant."""
     t2 = TruncPoly.var(ctx.m, ctx.module_cap, 2)

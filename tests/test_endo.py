@@ -210,6 +210,24 @@ def test_is_unipotent_reads_constant_terms():
             assert endo.JacobianMatrix(ctx, rows).is_unipotent() == expected, (p, i, j)
 
 
+def test_linear_part_and_scalar_read_every_entry():
+    """Endomorphism.scalar reads numerators and denominators off the linear
+    part of a map given by its images, and a map built from its Jacobian
+    takes its scalar from the matrix: both agree with the Fraction reading
+    of the constant part, an off-diagonal entry included."""
+    ctx = Context(3, 3)
+    for a in ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[F(1, 2), 0, 0], [0, F(1, 2), 0], [0, 0, F(1, 2)]],
+              [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, F(1, 3), 1]],
+              [[2, 0, 0], [0, 2, 0], [0, 0, 3]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]):
+        a = [[F(x) for x in row] for row in a]
+        built = endo.linear_endo(ctx, a)
+        phi = endo.Endomorphism(ctx, built.images)
+        diagonal = all(a[k][i] == (a[0][0] if k == i else 0) for k in range(3) for i in range(3))
+        expected = a[0][0] if diagonal else None
+        assert phi.scalar() == built.scalar() == expected, a
+        assert phi.is_ia() is built.is_ia() is (expected == 1)
+
+
 def test_an_ia_map_is_an_automorphism_without_a_linear_inverse(monkeypatch):
     seen = []
     original = endo.mat_inv

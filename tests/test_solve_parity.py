@@ -11,6 +11,7 @@ any unipotent pair, and arith.poly_scalar_commutator the same chain of
 TruncPoly dilations, scalings and products that it runs on numerators.
 Where XY - YX is zero (c = 2, and nested commutators whose factors'
 lowest degrees add up past the cap) the commutator is I with no msolve
+call; where it is not (IA pairs at c = 5, m >= 3) there is one msolve
 call.  normal._ginn_s reads S off the numerators of the f_i; the
 reference sums TruncPoly products.  Results must be equal on IA and
 non-IA pairs, fractional Jacobians, nested commutators (where D = P - Q
@@ -145,6 +146,22 @@ def test_commutators_with_xy_equal_to_yx_take_no_solve(monkeypatch, mc, shape):
     monkeypatch.setattr(arith._impl, "msolve", lambda *args: solves.append(args) or msolve(*args))
     got = endo.group_commutator(phi, psi)
     assert len(solves) == int(not commute)
+    assert got == ref.group_commutator(phi, psi)
+
+
+@pytest.mark.parametrize("mc,shape", [((3, 5), "pair"), ((3, 5), "comms"), ((4, 5), "pair")])
+def test_commutators_with_xy_unequal_to_yx_take_one_solve(monkeypatch, mc, shape):
+    # D = XY - YX is nonzero, so msolve runs, with N kept only up to the
+    # degree cap minus the lowest degree of D
+    ctx = Context(*mc)
+    phi, psi = _commutator_pair(ctx, shape, f"solve-{mc}")
+    ja, jb = endo.jacobian(phi), endo.jacobian(psi)
+    assert ref.matmul(ja, jb) != ref.matmul(jb, ja)
+    solves = []
+    msolve = arith._impl.msolve
+    monkeypatch.setattr(arith._impl, "msolve", lambda *args: solves.append(args) or msolve(*args))
+    got = endo.group_commutator(phi, psi)
+    assert len(solves) == 1
     assert got == ref.group_commutator(phi, psi)
 
 
