@@ -8,18 +8,20 @@ Element grammar (left-normed brackets, 1-based generator indices):
     rational:= INT ['/' INT]
 
 The single literal '0' is also accepted and denotes the zero element.
-Text is scanned once, by one regex, into (kind, value, offset) tuples:
-'int', 'name' (value (letter, index)), a punctuation mark, 'end', and
-'chain' for a bracket of two or more bare generators '[xa,xb,...]', the
-form the printers write, whose value holds the indices and the offsets of
-their 'x'.  An offset becomes a line and column only when a ParseError is
-raised; a chain reads as '[' there and counts as one nesting level.
-A sum is read in one pass into coefficients keyed by generator and by
-module coordinate and packed code, and wrapped once.  A chain of in-range
-indices gives its two module terms (liealg._tuple_codes); any other bracket
-is the bracket_chain of its parsed arguments.  Brackets nest at most
-MAX_NESTING deep.  Polynomial text uses t1..tm, '*', '^' and rational
-coefficients, e.g. '1/2*t1^2*t3 - t2'.
+Text is scanned once, by one regex, into (kind, value) pairs: 'int',
+'name' (value (letter, index)), a punctuation mark, 'end', and 'chain'
+for a bracket of two or more bare generators '[xa,xb,...]', the form the
+printers write, whose value is the tuple of its indices.  No offset is
+kept: a ParseError finds the offset of token k again as the start of the
+k-th match of the same regex, and a chain reads as '[' there and counts
+as one nesting level.  A sum is read in one pass into coefficients keyed
+by generator and by module coordinate and packed code, and wrapped once.
+An in-range generator, and a chain of in-range indices, is read in place
+(_atom_terms): a basis tuple gives the two module terms of its
+liealg._basis_terms row, any other chain those of liealg._tuple_codes.
+Any other bracket is the bracket_chain of its parsed arguments.  Brackets
+nest at most MAX_NESTING deep.  Polynomial text uses t1..tm, '*', '^' and
+rational coefficients, e.g. '1/2*t1^2*t3 - t2'.
 
 Printers are deterministic: rationals as 'p/q' (integer when q = 1),
 monomial variables in index order, basis-style elements in enumeration
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import islice
 
 from . import endo as _endo
 from . import liealg
@@ -55,37 +58,69 @@ MAX_NESTING = 300
 
 
 class _Cursor:
-    """The (kind, value, offset) tokens of text and a position among them."""
+    """The (kind, value) tokens of text and a position among them."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
         self.depth = 0  # brackets open at the current position
         self.tokens = tokens = []
+        append = tokens.append
+        try:
+            for chain, punct, digits, ch, index in _TOKEN.findall(text):
+                if punct:
+                    append((punct, punct))
+                elif digits:
+                    append(("int", int(digits)))
+                elif chain:
+                    append(("chain", tuple(map(int, _CHAIN_INDEX.findall(chain)))))
+                elif index and ch.isalpha():
+                    append(("name", (ch, int(index))))
+                else:
+                    break
+            else:
+                append(("end", None))
+                return
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+        self._raise_scan_error()
+
+    def _raise_scan_error(self):
+        """Scan again, with offsets, up to the first token that does not
+        scan, and raise its ParseError."""
+        text = self.text
         for mt in _TOKEN.finditer(text):
             chain, punct, digits, ch, index = mt.groups()
             at = mt.start()
             if punct:
-                tokens.append((punct, punct, at))
-            elif digits:
-                tokens.append(("int", self._int(digits, at), at))
+                continue
+            if digits:
+                self._int(digits, at)
             elif chain:
-                xs = list(_CHAIN_INDEX.finditer(text, at, mt.end()))
-                gens = tuple([self._int(x[1], x.start()) for x in xs])
-                tokens.append(("chain", (gens, tuple([x.start() for x in xs])), at))
+                for x in _CHAIN_INDEX.finditer(text, at, mt.end()):
+                    self._int(x[1], x.start())
             elif not ch.isalpha():
                 raise self.error(at, "a token", repr(ch))
             elif not index:
                 raise self.error(at, "an index after the letter", repr(ch))
             else:
-                tokens.append(("name", (ch, self._int(index, at)), at))
-        tokens.append(("end", None, len(text)))
+                self._int(index, at)
 
     def _int(self, digits, at):
         try:
-            return int(digits)
+            int(digits)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             raise self.error(at, "a shorter number", f"{len(digits)} digits") from None
+
+    def at(self, k, x=None):
+        """The offset of token k, the start of the k-th match of _TOKEN,
+        or with x that of the x-th 'x' of the chain token k."""
+        mt = next(islice(_TOKEN.finditer(self.text), k, None), None)
+        if mt is None:  # the end token
+            return len(self.text)
+        if x is None:
+            return mt.start()
+        return list(_CHAIN_INDEX.finditer(self.text, mt.start(), mt.end()))[x].start()
 
     def error(self, at, expected, found) -> ParseError:
         """A ParseError at offset `at`: only '\\n' starts a line, and every
@@ -93,22 +128,17 @@ class _Cursor:
         line = self.text.count("\n", 0, at) + 1
         return ParseError(line, at - self.text.rfind("\n", 0, at), expected, found)
 
-    def kind(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind, expected):
         """The value of the token at the cursor, which must be a `kind`."""
-        if self.tokens[self.pos][0] != kind:
+        found, value = self.tokens[self.pos]
+        if found != kind:
             self.fail(expected)
-        return self.next()[1]
+        self.pos += 1
+        return value
 
     def fail(self, expected):
-        kind, value, at = self.tokens[self.pos]
+        kind, value = self.tokens[self.pos]
+        at = self.at(self.pos)
         if kind == "end":
             found = "end of input"
         elif kind == "name":  # as written, e.g. 'x2'
@@ -120,13 +150,13 @@ class _Cursor:
 
 def _parse_rational(cur: _Cursor) -> int | Fraction:
     num = cur.expect("int", "a number")
-    if cur.kind() != "/":
+    if cur.tokens[cur.pos][0] != "/":
         return num
-    cur.next()
-    at = cur.tokens[cur.pos][2]
+    cur.pos += 1
+    k = cur.pos
     den = cur.expect("int", "a denominator")
     if den == 0:
-        raise cur.error(at, "a nonzero denominator", "0")
+        raise cur.error(cur.at(k), "a nonzero denominator", "0")
     return Fraction(num, den)
 
 
@@ -136,10 +166,10 @@ def _parse_rational(cur: _Cursor) -> int | Fraction:
 def parse_element(ctx: Context, text: str) -> LieElement:
     cur = _Cursor(text)
     tokens = cur.tokens
-    if tokens[0][:2] == ("int", 0) and tokens[1][0] == "end":
+    if tokens[0] == ("int", 0) and tokens[1][0] == "end":
         return liealg.zero(ctx)
     u = _parse_element(ctx, cur)
-    if cur.kind() != "end":
+    if tokens[cur.pos][0] != "end":
         cur.fail("end of input")
     return u
 
@@ -147,57 +177,81 @@ def parse_element(ctx: Context, text: str) -> LieElement:
 def _parse_element(ctx, cur) -> LieElement:
     """One sum, added up under the keys of liealg.element_row and wrapped
     once; one bracket level costs two stack frames."""
-    negate = cur.kind() == "-"
+    tokens = cur.tokens
+    negate = tokens[cur.pos][0] == "-"
     if negate:
-        cur.next()
+        cur.pos += 1
     acc = {}
     while True:
         coeff = 1
-        if cur.kind() == "int":
+        if tokens[cur.pos][0] == "int":
             coeff = _parse_rational(cur)
             cur.expect("*", "'*' between coefficient and atom")
         if negate:
             coeff = -coeff
-        for key, v in _parse_atom(ctx, cur):
+        terms = _atom_terms(ctx, cur)
+        if terms is None:
+            terms = _parse_atom(ctx, cur)
+        else:
+            cur.pos += 1
+        for key, v in terms:
             acc[key] = acc.get(key, 0) + coeff * v
-        if cur.kind() not in ("+", "-"):
+        kind = tokens[cur.pos][0]
+        if kind != "+" and kind != "-":
             return liealg.row_element(ctx, acc)
-        negate = cur.next()[0] == "-"
+        cur.pos += 1
+        negate = kind == "-"
+
+
+def _atom_terms(ctx, cur):
+    """The (key, coefficient) terms of the generator or generator chain at
+    the cursor, if it is valid there: every index in 1..m, and a chain
+    inside MAX_NESTING.  A chain with a repeated head or more than c
+    entries has none.  None for any other token, which _parse_atom reads."""
+    m = ctx.m
+    kind, value = cur.tokens[cur.pos]
+    if kind == "name":
+        if value[0] == "x" and 0 < value[1] <= m:
+            return ((-value[1], 1),)
+    elif kind == "chain" and cur.depth < MAX_NESTING:
+        found = liealg._basis_terms(m, ctx.c).get(value)
+        if found is not None:
+            _, i1, code1, i2, code2 = found
+        elif 0 < min(value) and max(value) <= m:
+            if value[0] == value[1] or len(value) > ctx.c:
+                return ()
+            i1, code1, i2, code2 = liealg._tuple_codes(m, value)
+        else:
+            return None
+        return ((code1 * m + i1, 1), (code2 * m + i2, -1))
+    return None
 
 
 def _parse_atom(ctx, cur) -> list:
-    """The (key, coefficient) terms of the atom at the cursor; none for a
-    generator chain with a repeated head or more than c entries."""
+    """The (key, coefficient) terms of a bracket that is not a generator
+    chain, from the bracket_chain of its arguments; the ParseError of any
+    atom that _atom_terms does not read."""
     m = ctx.m
-    kind, value, at = cur.tokens[cur.pos]
+    kind, value = cur.tokens[cur.pos]
     if kind == "name":
-        letter, idx = value
-        if letter != "x":
+        if value[0] != "x":
             cur.fail("a generator 'xN'")
-        if not 1 <= idx <= m:
-            raise cur.error(at, f"a generator index in 1..{m}", f"x{idx}")
-        cur.next()
-        return [(-idx, 1)]
+        raise cur.error(cur.at(cur.pos), f"a generator index in 1..{m}", f"x{value[1]}")
     if kind != "[" and kind != "chain":
         cur.fail("a generator or '['")
     if cur.depth == MAX_NESTING:
         cur.fail(f"at most {MAX_NESTING} nested brackets")
-    cur.next()
-    if kind == "chain":
-        gens, offsets = value
-        for idx, x_at in zip(gens, offsets):
+    if kind == "chain":  # _atom_terms reads a chain of in-range indices
+        for x, idx in enumerate(value):
             if not 1 <= idx <= m:
-                raise cur.error(x_at, f"a generator index in 1..{m}", f"x{idx}")
-        if gens[0] == gens[1] or len(gens) > ctx.c:
-            return []
-        i1, code1, i2, code2 = liealg._tuple_codes(m, gens)
-        return [(code1 * m + i1, 1), (code2 * m + i2, -1)]
+                raise cur.error(cur.at(cur.pos, x), f"a generator index in 1..{m}", f"x{idx}")
+    cur.pos += 1
     cur.depth += 1
     args = [_parse_element(ctx, cur)]
     cur.expect(",", "',' inside a bracket")
     args.append(_parse_element(ctx, cur))
-    while cur.kind() == ",":
-        cur.next()
+    while cur.tokens[cur.pos][0] == ",":
+        cur.pos += 1
         args.append(_parse_element(ctx, cur))
     cur.expect("]", "']' closing the bracket")
     cur.depth -= 1
@@ -212,26 +266,30 @@ def parse_poly(text: str, nv: int, cap: int) -> TruncPoly:
     """Terms are added up by code; one above the cap is dropped unpacked."""
     cur = _Cursor(text)
     TruncPoly.zero(nv, cap)  # a bad nv or cap is reported before any term
+    tokens = cur.tokens
     terms = {}
     sign = 1
-    if cur.kind() == "-":
-        cur.next()
+    if tokens[0][0] == "-":
+        cur.pos = 1
         sign = -1
     while True:
         _parse_poly_term(cur, nv, cap, sign, terms)
-        if cur.kind() not in ("+", "-"):
+        kind = tokens[cur.pos][0]
+        if kind != "+" and kind != "-":
             break
-        sign = -1 if cur.next()[0] == "-" else 1
-    if cur.kind() != "end":
+        cur.pos += 1
+        sign = -1 if kind == "-" else 1
+    if kind != "end":
         cur.fail("end of input")
     return TruncPoly.from_code_terms(nv, cap, terms)
 
 
 def _parse_poly_term(cur, nv, cap, coeff, terms):
+    tokens = cur.tokens
     exps = [0] * nv
     saw_factor = False
     while True:
-        kind, value, at = cur.tokens[cur.pos]
+        kind, value = tokens[cur.pos]
         if kind == "int":
             coeff *= _parse_rational(cur)
         elif kind == "name":
@@ -239,11 +297,11 @@ def _parse_poly_term(cur, nv, cap, coeff, terms):
             if letter != "t":
                 cur.fail("a variable 'tN'")
             if not 1 <= idx <= nv:
-                raise cur.error(at, f"a variable index in 1..{nv}", f"t{idx}")
-            cur.next()
+                raise cur.error(cur.at(cur.pos), f"a variable index in 1..{nv}", f"t{idx}")
+            cur.pos += 1
             power = 1
-            if cur.kind() == "^":
-                cur.next()
+            if tokens[cur.pos][0] == "^":
+                cur.pos += 1
                 power = cur.expect("int", "an exponent")
             exps[idx - 1] += power
         elif saw_factor:
@@ -251,9 +309,9 @@ def _parse_poly_term(cur, nv, cap, coeff, terms):
         else:
             cur.fail("a coefficient or a variable")
         saw_factor = True
-        if cur.kind() != "*":
+        if tokens[cur.pos][0] != "*":
             break
-        cur.next()
+        cur.pos += 1
     if sum(exps) <= cap:
         code = _encode(tuple(exps), nv)
         terms[code] = terms.get(code, 0) + coeff
@@ -274,22 +332,21 @@ def print_element(u: LieElement, style: str = "basis") -> str:
     raise ValidationError(f"unknown element style {style!r}")
 
 
-def _coeff_atom(coeff: Fraction, atom: str, force_coeff: bool) -> str:
-    mag = abs(coeff)
-    if mag == 1 and not force_coeff:
-        return atom
-    return f"{format_rational(mag)}*{atom}"
+def _coeff_atom(coeff, atom: str, force_coeff: bool) -> tuple:
+    """(negative, text) of coeff*atom for an int or Fraction coeff; a
+    coefficient of magnitude 1 is left out unless force_coeff."""
+    num = coeff.numerator
+    if not force_coeff and (num == 1 or num == -1) and coeff.denominator == 1:
+        return num < 0, atom
+    mag = format_rational(coeff)
+    return num < 0, f"{mag[1:] if num < 0 else mag}*{atom}"
 
 
 def _print_basis(b: BasisForm) -> str:
-    parts = []
-    for i, coeff in enumerate(b.linear, start=1):
-        if coeff:
-            parts.append((coeff < 0, _coeff_atom(coeff, f"x{i}", False)))
-    for tup in sorted(b.comm, key=lambda t: (len(t), t)):
-        coeff = b.comm[tup]
-        atom = "[" + ",".join(f"x{i}" for i in tup) + "]"
-        parts.append((coeff < 0, _coeff_atom(coeff, atom, True)))
+    parts = [_coeff_atom(q, f"x{i}", False) for i, q in enumerate(b.linear, start=1) if q]
+    comm = b.comm
+    for tup in sorted(comm, key=lambda t: (len(t), t)):
+        parts.append(_coeff_atom(comm[tup], "[x" + ",x".join(map(str, tup)) + "]", True))
     return signed_sum(parts)
 
 
@@ -297,7 +354,7 @@ def _print_wreath(u: LieElement) -> str:
     parts = []
     for i, beta in enumerate(u.beta, start=1):
         if beta:
-            parts.append((beta < 0, _coeff_atom(beta, f"b{i}", False)))
+            parts.append(_coeff_atom(beta, f"b{i}", False))
     for i in range(1, u.ctx.m + 1):
         full = u.full_poly(i)
         if not full.is_zero():

@@ -439,8 +439,8 @@ MUTANTS = [
     (
         "a chain of c generators reads as zero",
         "src/lmc/syntax.py",
-        "or len(gens) > ctx.c:",
-        "or len(gens) >= ctx.c:",
+        "or len(value) > ctx.c:",
+        "or len(value) >= ctx.c:",
         [
             SYNTAX + "test_parse_element_matches_reference",
             "tests/test_syntax.py::test_generator_commutators_cover_every_head_and_length",
@@ -456,8 +456,8 @@ MUTANTS = [
     (
         "a chain does not count towards the nesting limit",
         "src/lmc/syntax.py",
-        'if kind != "[" and kind != "chain":\n        cur.fail("a generator or \'[\'")\n    if cur.depth',
-        'if kind != "[" and kind != "chain":\n        cur.fail("a generator or \'[\'")\n    if kind == "[" and cur.depth',
+        'elif kind == "chain" and cur.depth < MAX_NESTING:',
+        'elif kind == "chain":',
         [SYNTAX + "test_each_piece_matches_the_reference_after_any_whitespace"],
     ),
     (
@@ -477,8 +477,8 @@ MUTANTS = [
     (
         "an out-of-range chain index fails at the bracket",
         "src/lmc/syntax.py",
-        'raise cur.error(x_at, f"a generator index',
-        'raise cur.error(at, f"a generator index',
+        'raise cur.error(cur.at(cur.pos, x), f"a generator index',
+        'raise cur.error(cur.at(cur.pos), f"a generator index',
         [
             SYNTAX + "test_parse_element_matches_reference",
             "tests/test_syntax.py::test_brackets_that_are_not_generator_chains_keep_their_parse_errors",
@@ -504,6 +504,34 @@ MUTANTS = [
         "|([0-9]+)|",
         r"|(\d+)|",
         [SYNTAX + "test_each_piece_matches_the_reference_after_any_whitespace"],
+    ),
+    (
+        "the fast scan takes any alphanumeric character as a name's letter",
+        "src/lmc/syntax.py",
+        "elif index and ch.isalpha():",
+        "elif index and ch.isalnum():",
+        [SYNTAX + "test_each_piece_matches_the_reference_after_any_whitespace"],
+    ),
+    (
+        "the inline atom path accepts index m + 1",
+        "src/lmc/syntax.py",
+        'if value[0] == "x" and 0 < value[1] <= m:',
+        'if value[0] == "x" and 0 < value[1] <= m + 1:',
+        [SYNTAX + "test_malformed_element_text_raises_the_reference_error"],
+    ),
+    (
+        "an error offset is read one token late",
+        "src/lmc/syntax.py",
+        "islice(_TOKEN.finditer(self.text), k, None)",
+        "islice(_TOKEN.finditer(self.text), k + 1, None)",
+        [SYNTAX + "test_errors_at_the_end_of_a_long_text_match_the_reference"],
+    ),
+    (
+        "the basis printer drops the denominator of a p/q coefficient",
+        "src/lmc/syntax.py",
+        "mag = format_rational(coeff)",
+        "mag = format_rational(coeff.numerator)",
+        [SYNTAX + "test_print_element_and_jacobian_text_match_reference"],
     ),
     # -- command line ------------------------------------------------------------------
     (

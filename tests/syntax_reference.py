@@ -4,7 +4,9 @@ for tests/test_syntax_parity.py.
 parse_element builds one LieElement per term and adds it to a running
 sum, a generator chain through commutator, which this module keeps;
 parse_poly builds one TruncPoly per term and adds it likewise.  poly_str
-sorts the Fraction items() of a polynomial by monomial_sort_key, kept here.
+sorts the Fraction items() of a polynomial by monomial_sort_key, kept here,
+and print_basis formats each coefficient through abs() and
+format_rational and joins each bracket's indices one f-string at a time.
 to_basis solves each degree of the module coordinates against the
 left-normed basis columns with the Fraction solver of
 tests/linalg_reference.py, where liealg.to_basis reads each coordinate
@@ -13,9 +15,10 @@ reference of tests/endo_reference.apply as well.  The tokenizer
 built one _Token, with its line and column, per token in a per-character
 loop, and _generator_chain scanned those tokens again for a bracket of
 bare generators; lmc.syntax now scans the text with one regex into
-(kind, value, offset) tuples.  tests/test_syntax_parity.py checks every
-text it generates once against this module: the same value, or the same
-error with its type, message, line and column.
+(kind, value) pairs and finds a token's offset again only when it raises.
+tests/test_syntax_parity.py checks every text it generates once against
+this module: the same value, or the same error with its type, message,
+line and column.
 """
 
 import re
@@ -339,6 +342,28 @@ def poly_str(p: TruncPoly) -> str:
         else:
             body = f"{format_rational(mag)}*{mono}"
         parts.append((c < 0, body))
+    return signed_sum(parts)
+
+
+def _coeff_atom(coeff: Fraction, atom: str, force_coeff: bool) -> str:
+    mag = abs(coeff)
+    if mag == 1 and not force_coeff:
+        return atom
+    return f"{format_rational(mag)}*{atom}"
+
+
+def print_basis(b: BasisForm) -> str:
+    """Generators first, then commutator tuples by degree and tuple order;
+    each coefficient's magnitude is an abs() Fraction through
+    format_rational, left out for a generator when it is 1."""
+    parts = []
+    for i, coeff in enumerate(b.linear, start=1):
+        if coeff:
+            parts.append((coeff < 0, _coeff_atom(coeff, f"x{i}", False)))
+    for tup in sorted(b.comm, key=lambda t: (len(t), t)):
+        coeff = b.comm[tup]
+        atom = "[" + ",".join(f"x{i}" for i in tup) + "]"
+        parts.append((coeff < 0, _coeff_atom(coeff, atom, True)))
     return signed_sum(parts)
 
 

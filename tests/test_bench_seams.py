@@ -588,7 +588,9 @@ CHECKED_CODE = {
         "lmc.endo.exp_ad", "lmc.normal.recognize_inner", "lmc.normal.recognize_ginn",
         "lmc.normal.inner_generator", "lmc.normal.inner_params", "lmc.normal.ginn_compose",
         "lmc.normal.ginn_invert"},
-    "syntax_reference.py": {"lmc.liealg.to_basis", "lmc.syntax.parse_element", "lmc.syntax.parse_poly"},
+    "syntax_reference.py": {
+        "lmc.liealg.to_basis", "lmc.syntax.parse_element", "lmc.syntax.parse_poly",
+        "lmc.syntax.print_element", "lmc.syntax._print_basis"},
     "verify_reference.py": {
         "lmc.normal.ginn_to_endo", "lmc.normal.ginn_sum", "lmc.liealg.from_basis", "lmc.liealg.bracket",
         "lmc.endo.jacobian_commutator", "lmc.verify._agree_with_ginn_apply"},

@@ -3,23 +3,26 @@
 tests/syntax_reference.py keeps the per-character tokenizer, which built
 one token with its line and column per character run and scanned those
 tokens again for a bracket of bare generators; the parser that added one
-LieElement (or one TruncPoly) per term to a running sum; the printer that
-sorted Fraction items(); and to_basis by one sparse solve per degree.
-lmc.syntax scans text once, by one regex, into (kind, value, offset)
-tuples, reads a bracket of bare generators as one 'chain' token, works
-out a line and column only when it raises, and sums the terms of a text
-into coefficients keyed by code, wrapped once; arith.poly_str reads the
-codes, and liealg.to_basis reads each coordinate off the leading term of
-its tuple.  Each must give the same element, polynomial, text,
-coordinates, or the same error (type and message, ParseError line and
-column included), on any input.
+LieElement (or one TruncPoly) per term to a running sum; the printers
+that sorted Fraction items() and formatted abs() of each basis
+coefficient; and to_basis by one sparse solve per degree.  lmc.syntax
+scans text once, by one regex, into (kind, value) pairs, reads a bracket
+of bare generators as one 'chain' token, finds the offset of token k
+again (the k-th match of the regex) only when it raises, and sums the
+terms of a text into coefficients keyed by code, wrapped once;
+arith.poly_str reads the codes, and liealg.to_basis reads each
+coordinate off the leading term of its tuple.  Each must give the same
+element, polynomial, text, coordinates, or the same error (type and
+message, ParseError line and column included), on any input, and an
+error at the end of a long text as well as near its start.
 
 The generated texts mix well-formed sums with the pieces where the two
 could part: every whitespace character but '\\n' is one column; a letter
 is any character with str.isalpha(), so 'ß' is one and '½' and '٣' are
-not; a number or index past the integer-string limit fails at its first
-character, inside a chain too; a chain reads as '[' in messages and
-counts towards MAX_NESTING; an out-of-range chain index fails at its 'x'.
+not, nor is '½2' a name; a number or index past the integer-string limit
+fails at its first character, inside a chain too; a chain reads as '[' in
+messages and counts towards MAX_NESTING; an out-of-range chain index
+fails at its 'x'.
 """
 
 import contextlib
@@ -65,7 +68,7 @@ def invariants_off():
 
 LONG = "1" * (sys.get_int_max_str_digits() + 1)
 SPACES = ["", "", " ", "\n", "\r", "\t", "\x0b", "\x0c", "\r\n", " ", " \n  "]
-ODD = ["ß", "ß2", "½", "٣", "$", "x0", "x" + LONG, LONG, "[x2,x" + LONG + "]", "[x1,\tx9]", "[x1]", "x"]
+ODD = ["ß", "ß2", "½", "½2", "٣", "$", "x0", "x" + LONG, LONG, "[x2,x" + LONG + "]", "[x1,\tx9]", "[x1]", "x"]
 
 
 def deep(k):
@@ -243,6 +246,33 @@ def test_each_piece_matches_the_reference_after_any_whitespace(mc, piece):
             assert outcome(syntax.parse_poly, *args) == outcome(ref.parse_poly, *args)
 
 
+# One error of each class, met at the end of a long text.
+LATE_ERRORS = [
+    "+ #",  # a bad character
+    "+ 2*y",  # a name with no index
+    f"- {LONG}*x1",  # a long number
+    "+ x5",  # a generator index out of range
+    "+ [x1, x2,\tx5]",  # a chain index out of range
+    "- 3/0*x2",  # a zero denominator
+    "+ [x2,x1] x3",  # a stray token after a chain
+    "+ " + deep(syntax.MAX_NESTING + 1),  # past the nesting limit
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_errors_at_the_end_of_a_long_text_match_the_reference(seed):
+    ctx = Context(4, 4)
+    # a dense element, its terms split over several lines
+    text = syntax.print_element(sample("element", ctx, f"late-{seed}"), "basis")
+    text = text.replace(" - ", "\n - ")
+    assert text.count("\n") >= 5
+    for tail in LATE_ERRORS:
+        for late in (f"{text} {tail}", f"{text}\n{tail}\n"):
+            got = outcome(syntax.parse_element, ctx, late)
+            assert got == outcome(ref.parse_element, ctx, late), tail
+            assert got[0] == "error" and got[3][0] > 5, tail
+
+
 def test_the_pieces_reach_both_outcomes():
     ctx = Context(3, 3)
     results = {piece: outcome(syntax.parse_element, ctx, f"x1\n + {piece}") for piece in ODD + DEEP}
@@ -387,11 +417,24 @@ def test_to_basis_reports_the_first_bad_degree_in_storage_order():
 
 
 def test_print_element_and_jacobian_text_match_reference():
+    ctx = Context(3, 3)
+    long = 10**4400 + 1  # past the integer-string limit
+    for linear, comm in [
+        ((F(-1), F(1), F(-3, 2)), {(2, 1): F(-1), (3, 1): F(1), (2, 1, 1): F(-5, 7), (3, 2, 3): F(4)}),
+        ((F(0), F(2, 3), F(0)), {(3, 1, 2): F(-1, 9), (3, 2): F(-12)}),
+        ((F(long), F(0), F(0)), {}),
+        ((F(0), F(0), F(0)), {(2, 1): F(-1, long)}),
+        ((F(0), F(-1, 3), F(0)), {(3, 2): F(-long, 2)}),
+    ]:
+        u = liealg.from_basis(liealg.BasisForm(ctx, linear, comm))
+        got = outcome(syntax.print_element, u, "basis")
+        assert got == outcome(ref.print_basis, ref.to_basis(u))
+    assert got[:2] == ("error", ValidationError)
     for m, c in [(2, 3), (3, 4), (4, 3)]:
         ctx = Context(m, c)
         for u in sampled_elements(ctx, "pe"):
             text = syntax.print_element(u, "basis")
-            assert text == syntax._print_basis(ref.to_basis(u))
+            assert text == ref.print_basis(ref.to_basis(u))
             for i in range(1, m + 1):
                 assert poly_str(u.full_poly(i)) == ref.poly_str(u.full_poly(i))
         for row in endo.jacobian(sample("ia", ctx, "pe")).rows:
